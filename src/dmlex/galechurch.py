@@ -145,25 +145,19 @@ def align_paragraph(src: list, tgt: list, params: AlignerParams) -> list:
     return beads
 
 
-def default_bead_emission(bead: Bead, src: list, tgt: list):
-    """Emit one sentence pair per bead, concatenating multi-sentence sides;
-    drop insertion/deletion beads."""
-    if bead.shape in ("1-0", "0-1"):
-        return []
-    src_tokens = [tok for k in range(*bead.src_span) for tok in src[k]]
-    tgt_tokens = [tok for k in range(*bead.tgt_span) for tok in tgt[k]]
-    return [(src_tokens, tgt_tokens)]
-
-
-def align_corpus(pairs: list, params: AlignerParams, policy=default_bead_emission,
-                 file_id: str = "") -> AlignedCorpus:
+def align_corpus(pairs: list, params: AlignerParams, file_id: str = "") -> AlignedCorpus:
+    """One sentence pair per bead, concatenating multi-sentence sides;
+    insertion/deletion beads are dropped."""
     corpus = AlignedCorpus()
     for pp in pairs:
         beads = align_paragraph(pp.src_paragraph, pp.tgt_paragraph, params)
         for bead_idx, bead in enumerate(beads):
-            for src_tokens, tgt_tokens in policy(bead, pp.src_paragraph, pp.tgt_paragraph):
-                corpus.pairs.append((src_tokens, tgt_tokens))
-                corpus.provenance.append((file_id, pp.pair_index, bead_idx, bead.shape))
+            if bead.shape in ("1-0", "0-1"):
+                continue
+            src = [tok for k in range(*bead.src_span) for tok in pp.src_paragraph[k]]
+            tgt = [tok for k in range(*bead.tgt_span) for tok in pp.tgt_paragraph[k]]
+            corpus.pairs.append((src, tgt))
+            corpus.provenance.append((file_id, pp.pair_index, bead_idx, bead.shape))
     return corpus
 
 
@@ -179,10 +173,12 @@ def write_aligned_corpus(corpus: AlignedCorpus, src_path, tgt_path, prov_path=No
 
 
 def read_aligned_corpus(src_path, tgt_path, prov_path=None) -> AlignedCorpus:
-    corpus = AlignedCorpus()
     with open(src_path, encoding="utf-8") as fs, open(tgt_path, encoding="utf-8") as ft:
-        for src_line, tgt_line in zip(fs, ft):
-            corpus.pairs.append((src_line.split(), tgt_line.split()))
+        src_lines, tgt_lines = fs.readlines(), ft.readlines()
+    if len(src_lines) != len(tgt_lines):
+        raise ValueError(f"{src_path} has {len(src_lines)} lines but {tgt_path} "
+                         f"has {len(tgt_lines)}")
+    corpus = AlignedCorpus(pairs=[(s.split(), t.split()) for s, t in zip(src_lines, tgt_lines)])
     if prov_path is not None:
         with open(prov_path, encoding="utf-8") as fp:
             for line in fp:

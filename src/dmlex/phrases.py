@@ -29,14 +29,12 @@ class PhraseTableEntry:
 @dataclass
 class PhraseTable:
     entries: dict = field(default_factory=dict)  # (foreign, english) -> entry
-    by_foreign: dict = field(default_factory=dict)
     by_english: dict = field(default_factory=dict)
     corpus_size: int = 0
 
     def add(self, entry: PhraseTableEntry) -> None:
         key = (entry.foreign_phrase, entry.english_phrase)
         self.entries[key] = entry
-        self.by_foreign.setdefault(entry.foreign_phrase, []).append(entry)
         self.by_english.setdefault(entry.english_phrase, []).append(entry)
 
     def __len__(self) -> int:

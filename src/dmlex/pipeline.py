@@ -246,8 +246,11 @@ class _Cache:
         self.enabled = enabled
         self.manifest = {}
         if enabled and os.path.isfile(path):
-            with open(path, encoding="utf-8") as fh:
-                self.manifest = json.load(fh)
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    self.manifest = json.load(fh)
+            except ValueError:  # truncated or corrupt: every stage misses and reruns
+                pass
 
     def hit(self, key, digest, outputs) -> dict | None:
         if not self.enabled:
@@ -401,14 +404,16 @@ class PipelineRunner:
             corpus = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
             table_fe = model1.read_translation_table(p["table_fe"])
             table_ef = model1.read_translation_table(p["table_ef"])
-            instances = []
             with open(p["alignments"], encoding="utf-8") as fh:
-                for idx, line in enumerate(fh):
-                    links = {tuple(int(x) for x in link.split("-"))
-                             for link in line.split()}
-                    src, tgt = corpus.pairs[idx]
-                    instances.extend(phrases.extract_phrase_pairs(
-                        src, tgt, links, self.cfg.max_phrase_len, origin=idx))
+                lines = fh.readlines()
+            if len(lines) != len(corpus.pairs):
+                raise ValueError(f"{p['alignments']} has {len(lines)} lines for "
+                                 f"{len(corpus.pairs)} sentence pairs")
+            instances = []
+            for idx, (line, (src, tgt)) in enumerate(zip(lines, corpus.pairs)):
+                links = {tuple(int(x) for x in link.split("-")) for link in line.split()}
+                instances.extend(phrases.extract_phrase_pairs(
+                    src, tgt, links, self.cfg.max_phrase_len, origin=idx))
             table = phrases.score_phrase_table(
                 instances, table_fe, table_ef, len(corpus.pairs))
             phrases.write_phrase_table(table, p["phrase_table"])

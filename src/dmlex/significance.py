@@ -1,7 +1,6 @@
 """Significance pruning of phrase tables via Fisher's exact test."""
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .phrases import PhraseTable
@@ -32,47 +31,40 @@ class PruneConfig:
             raise ValueError("custom_neg_log_p must be >= 0")
 
 
-class PhraseIndex:
-    """Inverted token index over one side of an aligned corpus, answering
-    per-sentence-pair contiguous containment queries."""
-
-    def __init__(self, sentences):
-        self.sentences = [tuple(s) for s in sentences]
-        self.postings = defaultdict(set)
-        for pair_id, sent in enumerate(self.sentences):
-            for tok in set(sent):
-                self.postings[tok].add(pair_id)
-
-    def containing_pairs(self, phrase) -> set:
-        phrase = tuple(phrase)
-        candidates = None
-        for tok in set(phrase):
-            ids = self.postings.get(tok)
-            if not ids:
-                return set()
-            candidates = ids if candidates is None else candidates & ids
-        return {pid for pid in candidates if _contains_contiguous(self.sentences[pid], phrase)}
-
-
-def _contains_contiguous(sentence, phrase) -> bool:
-    k = len(phrase)
-    return any(sentence[i:i + k] == phrase for i in range(len(sentence) - k + 1))
+def _postings(sentences, phrases) -> dict:
+    """phrase -> bitmask of the ids of the sentences containing it, from one
+    pass over each sentence's n-grams up to the longest phrase asked for."""
+    postings = dict.fromkeys(phrases, 0)
+    max_len = max(map(len, postings), default=0)
+    for pair_id, sent in enumerate(sentences):
+        sent = tuple(sent)
+        n = len(sent)
+        bit = 1 << pair_id
+        for i in range(n):
+            for j in range(i + 1, min(n, i + max_len) + 1):
+                gram = sent[i:j]
+                if gram in postings:
+                    postings[gram] |= bit
+    return postings
 
 
 def contingency_counts(table: PhraseTable, corpus) -> dict:
     """Per-entry contingency counts against the extraction corpus."""
-    src_index = PhraseIndex(src for src, _ in corpus.pairs)
-    tgt_index = PhraseIndex(tgt for _, tgt in corpus.pairs)
+    src_ids = _postings((src for src, _ in corpus.pairs), {f for f, _ in table.entries})
+    tgt_ids = _postings((tgt for _, tgt in corpus.pairs), {e for _, e in table.entries})
     n = len(corpus.pairs)
+    tables = {}  # (c_s, c_t, c_st) -> the one ContingencyTable shared by its entries
     counts = {}
     for key in table.entries:
         foreign, english = key
-        s_ids = src_index.containing_pairs(foreign)
-        t_ids = tgt_index.containing_pairs(english)
-        joint = len(s_ids & t_ids)
+        s_ids, t_ids = src_ids[foreign], tgt_ids[english]
+        joint = (s_ids & t_ids).bit_count()
         if joint == 0:
             raise RuntimeError(f"phrase pair {key} never co-occurs in its own corpus")
-        counts[key] = ContingencyTable(c_s=len(s_ids), c_t=len(t_ids), c_st=joint, n=n)
+        cell = (s_ids.bit_count(), t_ids.bit_count(), joint)
+        if cell not in tables:
+            tables[cell] = ContingencyTable(*cell, n=n)
+        counts[key] = tables[cell]
     return counts
 
 
@@ -124,9 +116,12 @@ def prune(table: PhraseTable, counts: dict, config: PruneConfig) -> tuple:
     )
     kept = PhraseTable(corpus_size=table.corpus_size)
     report = PruneReport(threshold=threshold)
+    scores = {}  # ContingencyTable -> -log p; few distinct tables among many entries
     for key in sorted(table.entries):
         ct = counts[key]
-        score = fisher_neg_log_p(ct)
+        if ct not in scores:
+            scores[ct] = fisher_neg_log_p(ct)
+        score = scores[ct]
         keep = score > threshold
         report.rows.append((key[0], key[1], ct, score, keep))
         if keep:

@@ -2,7 +2,7 @@
 
 Every oracle here is deliberately implemented by a different route than the
 library code it checks (enumeration, exact rational arithmetic, regex
-matching, high-precision arithmetic).
+matching, high-precision arithmetic, per-sentence slice scans).
 """
 
 import math
@@ -176,6 +176,36 @@ def brute_force_phrase_pairs(src_tokens, tgt_tokens, links, max_phrase_len):
                             frozenset((i - fs, j - es) for i, j in inside),
                         )
                     )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Contingency count oracle
+
+
+def _contains_slice(sentence, phrase) -> bool:
+    k = len(phrase)
+    return any(sentence[i:i + k] == phrase for i in range(len(sentence) - k + 1))
+
+
+def brute_force_contingency_counts(table, pairs) -> dict:
+    """(foreign, english) -> (c_s, c_t, c_st, n), each phrase found by
+    scanning every sentence for it slice by slice. An entry that never
+    co-occurs gets c_st == 0."""
+    pairs = [(tuple(src), tuple(tgt)) for src, tgt in pairs]
+    hits = ({}, {})  # per side: phrase -> ids of the pairs containing it
+
+    def containing(side, phrase):
+        if phrase not in hits[side]:
+            hits[side][phrase] = {
+                k for k, pair in enumerate(pairs) if _contains_slice(pair[side], phrase)
+            }
+        return hits[side][phrase]
+
+    out = {}
+    for foreign, english in table.entries:
+        s_ids, t_ids = containing(0, foreign), containing(1, english)
+        out[(foreign, english)] = (len(s_ids), len(t_ids), len(s_ids & t_ids), len(pairs))
     return out
 
 

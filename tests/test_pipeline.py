@@ -5,6 +5,7 @@ import pytest
 
 from dmlex.cli import main as cli_main
 from dmlex.pipeline import (
+    _KNOWN_KEYS,
     ConfigError,
     run_pipeline,
     validate_config,
@@ -76,6 +77,24 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as exc:
             validate_config(root / "pipeline.cfg", {"output": str(root / "out")})
         assert any("ep-1.txt" in e for e in exc.value.errors)
+
+    def test_readme_config_block_uses_known_keys(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        text = open(readme, encoding="utf-8").read()
+        block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+        documented = {}
+        for line in block.splitlines():
+            # optional keys are shown commented out, with their defaults
+            line = line.removeprefix("# ").split("  #", 1)[0]
+            if "=" in line:
+                key, _, value = line.partition("=")
+                documented[key.strip()] = value.strip()
+        required = {key for key, (_, default) in _KNOWN_KEYS.items() if default is None}
+        assert required <= set(documented)
+        assert "filter.min_joint_count" in documented
+        for key, value in documented.items():
+            assert key in _KNOWN_KEYS, key
+            _KNOWN_KEYS[key][0](value)
 
     def test_custom_threshold_mode(self, corpus_root, tmp_path):
         # relative paths in the config resolve against the config file's dir,
@@ -168,6 +187,51 @@ class TestRunPipeline:
                    for r in report.results)
         # and the lexicon was still produced from surviving pairs
         assert any(r.stage == "lexicon" and not r.error for r in report.results)
+
+
+    def test_corrupt_cache_manifest_reruns_every_stage(self, corpus_root, tmp_path):
+        clean = str(tmp_path / "clean")
+        assert cli_main(["--config", _config_path(corpus_root), "--output", clean,
+                         "pipeline"]) == 0
+        out = str(tmp_path / "out")
+        assert cli_main(["--config", _config_path(corpus_root), "--output", out,
+                         "pipeline"]) == 0
+        manifest = os.path.join(out, ".cache.json")
+        with open(manifest, "rb") as fh:
+            data = fh.read()
+        with open(manifest, "wb") as fh:
+            fh.write(data[:len(data) // 2])
+
+        assert cli_main(["--config", _config_path(corpus_root), "--output", out,
+                         "pipeline"]) == 0
+        with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+            assert not any(s["cache_hit"] for s in json.load(fh)["stages"])
+        with open(manifest, encoding="utf-8") as fh:
+            assert set(json.load(fh)) == set(json.load(open(
+                os.path.join(clean, ".cache.json"), encoding="utf-8")))
+        assert _read_outputs(out) == _read_outputs(clean)
+
+    @pytest.mark.parametrize("stage, victim, pattern", [
+        ("wordalign", "aligned.tgt", r"aligned\.src has (\d+) lines but .*aligned\.tgt has (\d+)"),
+        ("phrases", "alignments.txt", r"alignments\.txt has (\d+) lines for (\d+) sentence pairs"),
+    ], ids=["aligned-corpus", "alignments"])
+    def test_short_line_file_fails_its_stage(self, corpus_root, tmp_path, stage, victim,
+                                             pattern):
+        import re
+
+        out = tmp_path / "out"
+        args = ["--config", _config_path(corpus_root), "--output", str(out)]
+        assert cli_main(args + [stage]) == 0
+        path = out / "pairs" / "xx" / victim
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+
+        assert cli_main(args + [stage]) == 1
+        with open(out / "report.json", encoding="utf-8") as fh:
+            errors = {s["stage"]: s["error"] for s in json.load(fh)["stages"] if s["error"]}
+        assert list(errors) == [stage]
+        counts = re.search(pattern, errors[stage]).groups()
+        assert sorted(int(c) for c in counts) == [len(lines) - 1, len(lines)]
 
 
 def _read_outputs(out_dir):

@@ -1,10 +1,20 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dmlex.galechurch import AlignedCorpus
+from dmlex.galechurch import AlignedCorpus, read_aligned_corpus
 from dmlex.model1 import train_model1
-from dmlex.phrases import extract_phrase_pairs, score_phrase_table
+from dmlex.phrases import (
+    PhraseTable,
+    PhraseTableEntry,
+    extract_phrase_pairs,
+    read_phrase_table,
+    score_phrase_table,
+    write_phrase_table,
+)
+from dmlex.pipeline import STAGES, run_pipeline, validate_config
 from dmlex.significance import (
     ContingencyTable,
     PruneConfig,
@@ -15,7 +25,11 @@ from dmlex.significance import (
     write_prune_report,
 )
 
-from helpers import exact_fisher_neg_log_p
+from helpers import (
+    brute_force_contingency_counts,
+    exact_fisher_neg_log_p,
+    write_synthetic_corpus,
+)
 
 
 def _build_table(corpus_pairs, alignments):
@@ -27,7 +41,65 @@ def _build_table(corpus_pairs, alignments):
     return score_phrase_table(instances, t_fe, t_ef, len(corpus_pairs))
 
 
+def _table_of(keys, corpus_size):
+    """A phrase table holding just these (foreign, english) keys."""
+    table = PhraseTable(corpus_size=corpus_size)
+    for foreign, english in keys:
+        table.add(PhraseTableEntry(foreign, english, 1.0, 1.0, 1.0, 1.0, frozenset(), 1.0))
+    return table
+
+
+def _sentence(vocab):
+    # up to 9 tokens from a tiny vocabulary: tokens and phrases repeat within
+    # a sentence, and many sentences are shorter than the longest phrase
+    return st.lists(st.sampled_from(vocab), max_size=9)
+
+
+@st.composite
+def _corpus_and_keys(draw):
+    pairs = draw(st.lists(st.tuples(_sentence(["f0", "f1", "f2"]), _sentence(["e0", "e1"])),
+                          min_size=1, max_size=8))
+
+    def phrase(side, vocab):
+        # a slice of a corpus sentence (so it occurs) or free tokens (so it may not)
+        sent = pairs[draw(st.integers(0, len(pairs) - 1))][side]
+        if sent and draw(st.booleans()):
+            start = draw(st.integers(0, len(sent) - 1))
+            return tuple(sent[start:start + draw(st.integers(1, min(7, len(sent) - start)))])
+        return tuple(draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=7)))
+
+    n_keys = draw(st.integers(1, 12))
+    keys = {(phrase(0, ["f0", "f1", "f2", "f9"]), phrase(1, ["e0", "e1", "e9"]))
+            for _ in range(n_keys)}
+    return pairs, sorted(keys)
+
+
 class TestContingencyCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(_corpus_and_keys())
+    def test_matches_brute_force_oracle(self, drawn):
+        pairs, keys = drawn
+        corpus = AlignedCorpus(pairs=pairs)
+        oracle = brute_force_contingency_counts(_table_of(keys, len(pairs)), pairs)
+        occurring = [key for key in keys if oracle[key][2] > 0]
+        if len(occurring) < len(keys):
+            with pytest.raises(RuntimeError, match="never co-occurs"):
+                contingency_counts(_table_of(keys, len(pairs)), corpus)
+        counts = contingency_counts(_table_of(occurring, len(pairs)), corpus)
+        assert {key: (ct.c_s, ct.c_t, ct.c_st, ct.n) for key, ct in counts.items()} == {
+            key: oracle[key] for key in occurring
+        }
+
+    @pytest.mark.parametrize("key", [
+        (("f9",), ("e0",)),  # the foreign phrase occurs nowhere
+        (("f0", "f1"), ("e1",)),  # both phrases occur, never in the same pair
+    ])
+    def test_never_cooccurring_entry_raises(self, key):
+        pairs = [(["f0", "f1", "f0"], ["e0"]), (["f1"], ["e1"])]
+        table = _table_of([(("f0",), ("e0",)), key], len(pairs))
+        with pytest.raises(RuntimeError, match="never co-occurs"):
+            contingency_counts(table, AlignedCorpus(pairs=pairs))
+
     def test_single_pair_corpus(self):
         pairs = [(["f0"], ["e0"])]
         table = _build_table(pairs, [{(0, 0)}])
@@ -192,3 +264,27 @@ class TestPrune:
         body = [l for l in lines if not l.startswith("#")]
         assert len(body) == len(table.entries)
         assert all(l.endswith(("kept", "pruned")) for l in body)
+
+
+class TestPruneOutputsMatchOracle:
+    def test_pipeline_prune_outputs_equal_oracle_count_outputs(self, tmp_path):
+        """The pipeline's pruned table and report are the bytes that prune
+        gives on brute-force counts, and every row's score is its own
+        table's unmemoised -log p."""
+        cfg = validate_config(write_synthetic_corpus(str(tmp_path / "run"), n_pairs=80))
+        assert run_pipeline(cfg, stages=STAGES[:STAGES.index("prune") + 1]).ok
+        pair_dir = tmp_path / "run" / "out" / "pairs" / "xx"
+        table = read_phrase_table(pair_dir / "phrase-table.txt")
+        corpus = read_aligned_corpus(pair_dir / "aligned.src", pair_dir / "aligned.tgt")
+        oracle = brute_force_contingency_counts(table, corpus.pairs)
+        counts = {key: ContingencyTable(*cell) for key, cell in oracle.items()}
+
+        kept, report = prune(table, counts, cfg.prune_config)
+        for foreign, english, ct, score, _ in report.rows:
+            assert ct == counts[(foreign, english)]
+            assert score == fisher_neg_log_p(ct)
+        assert 0 < report.kept_count < len(table)
+        write_prune_report(report, tmp_path / "prune-report.tsv")
+        write_phrase_table(kept, tmp_path / "phrase-table.pruned.txt")
+        for name in ("prune-report.tsv", "phrase-table.pruned.txt"):
+            assert (pair_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
