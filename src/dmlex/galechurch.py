@@ -55,11 +55,6 @@ class Bead:
 @dataclass
 class AlignedCorpus:
     pairs: list = field(default_factory=list)  # (src_tokens, tgt_tokens)
-    provenance: list = field(default_factory=list)  # (file_id, paragraph idx, bead idx, bead shape)
-
-    def extend(self, other: "AlignedCorpus") -> None:
-        self.pairs.extend(other.pairs)
-        self.provenance.extend(other.provenance)
 
 
 def sentence_char_length(tokens: list) -> int:
@@ -145,43 +140,32 @@ def align_paragraph(src: list, tgt: list, params: AlignerParams) -> list:
     return beads
 
 
-def align_corpus(pairs: list, params: AlignerParams, file_id: str = "") -> AlignedCorpus:
+def align_corpus(pairs: list, params: AlignerParams) -> AlignedCorpus:
     """One sentence pair per bead, concatenating multi-sentence sides;
     insertion/deletion beads are dropped."""
     corpus = AlignedCorpus()
     for pp in pairs:
         beads = align_paragraph(pp.src_paragraph, pp.tgt_paragraph, params)
-        for bead_idx, bead in enumerate(beads):
+        for bead in beads:
             if bead.shape in ("1-0", "0-1"):
                 continue
             src = [tok for k in range(*bead.src_span) for tok in pp.src_paragraph[k]]
             tgt = [tok for k in range(*bead.tgt_span) for tok in pp.tgt_paragraph[k]]
             corpus.pairs.append((src, tgt))
-            corpus.provenance.append((file_id, pp.pair_index, bead_idx, bead.shape))
     return corpus
 
 
-def write_aligned_corpus(corpus: AlignedCorpus, src_path, tgt_path, prov_path=None) -> None:
+def write_aligned_corpus(corpus: AlignedCorpus, src_path, tgt_path) -> None:
     with open(src_path, "w", encoding="utf-8") as fs, open(tgt_path, "w", encoding="utf-8") as ft:
         for src_tokens, tgt_tokens in corpus.pairs:
             fs.write(" ".join(src_tokens) + "\n")
             ft.write(" ".join(tgt_tokens) + "\n")
-    if prov_path is not None:
-        with open(prov_path, "w", encoding="utf-8") as fp:
-            for k, (file_id, para_idx, bead_idx, shape) in enumerate(corpus.provenance):
-                fp.write(f"{k}\t{file_id}\t{para_idx}\t{bead_idx}\t{shape}\n")
 
 
-def read_aligned_corpus(src_path, tgt_path, prov_path=None) -> AlignedCorpus:
+def read_aligned_corpus(src_path, tgt_path) -> AlignedCorpus:
     with open(src_path, encoding="utf-8") as fs, open(tgt_path, encoding="utf-8") as ft:
         src_lines, tgt_lines = fs.readlines(), ft.readlines()
     if len(src_lines) != len(tgt_lines):
         raise ValueError(f"{src_path} has {len(src_lines)} lines but {tgt_path} "
                          f"has {len(tgt_lines)}")
-    corpus = AlignedCorpus(pairs=[(s.split(), t.split()) for s, t in zip(src_lines, tgt_lines)])
-    if prov_path is not None:
-        with open(prov_path, encoding="utf-8") as fp:
-            for line in fp:
-                _, file_id, para_idx, bead_idx, shape = line.rstrip("\n").split("\t")
-                corpus.provenance.append((file_id, int(para_idx), int(bead_idx), shape))
-    return corpus
+    return AlignedCorpus(pairs=[(s.split(), t.split()) for s, t in zip(src_lines, tgt_lines)])

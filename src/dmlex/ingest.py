@@ -1,16 +1,15 @@
-"""Europarl-style corpus ingestion: parsing, markup stripping, tokenization."""
+"""Europarl-style corpus ingestion: parsing, tokenization, paragraph pairing."""
 
 import logging
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
 
 # Punctuation characters split into standalone tokens.
 PUNCTUATION = set(".,;:!?\"'()[]-—…«»")
 
-CHAPTER_PREFIX = "<CHAPTER"
-SPEAKER_PREFIX = "<SPEAKER"
-PARAGRAPH_MARK = "<P>"
+MARKUP_PREFIXES = ("<CHAPTER", "<SPEAKER", "<P>")
 
 
 class DecodeError(ValueError):
@@ -19,14 +18,6 @@ class DecodeError(ValueError):
     def __init__(self, byte_offset, message=None):
         self.byte_offset = byte_offset
         super().__init__(message or f"invalid UTF-8 at byte offset {byte_offset}")
-
-
-@dataclass
-class RawDocument:
-    """Structured raw file: chapters -> speaker turns -> paragraphs -> lines."""
-
-    file_id: str
-    chapters: list  # list[list[list[list[str]]]]
 
 
 @dataclass
@@ -42,7 +33,6 @@ class Document:
 class ParagraphPair:
     src_paragraph: list
     tgt_paragraph: list
-    pair_index: int
 
 
 def decode_utf8(data: bytes) -> str:
@@ -52,65 +42,25 @@ def decode_utf8(data: bytes) -> str:
         raise DecodeError(exc.start) from exc
 
 
-def parse_europarl_file(raw: str, file_id: str = "") -> RawDocument:
-    """Group content lines under <CHAPTER>/<SPEAKER>/<P> markers.
+def parse_europarl_file(raw: str) -> list:
+    """Document-ordered paragraphs, each a list of content lines.
 
-    Content appearing before any marker is accepted under an implicit
-    chapter/speaker/paragraph.
+    A <CHAPTER>, <SPEAKER> or <P> line closes the current paragraph; a
+    content line opens one when none is open, so content appearing before
+    any marker is accepted.
     """
-    chapters = []
-    current_chapter = None
-    current_speaker = None
-    current_paragraph = None
-
-    def open_chapter():
-        nonlocal current_chapter, current_speaker, current_paragraph
-        current_chapter = []
-        chapters.append(current_chapter)
-        current_speaker = None
-        current_paragraph = None
-
-    def open_speaker():
-        nonlocal current_speaker, current_paragraph
-        if current_chapter is None:
-            open_chapter()
-        current_speaker = []
-        current_chapter.append(current_speaker)
-        current_paragraph = None
-
-    def open_paragraph():
-        nonlocal current_paragraph
-        if current_speaker is None:
-            open_speaker()
-        current_paragraph = []
-        current_speaker.append(current_paragraph)
-
+    paragraphs = []
+    current = None
     for line in raw.splitlines():
-        line = line.rstrip("\r\n")
         if not line.strip():
             continue
-        if line.startswith(CHAPTER_PREFIX):
-            open_chapter()
-        elif line.startswith(SPEAKER_PREFIX):
-            open_speaker()
-        elif line.startswith(PARAGRAPH_MARK):
-            open_paragraph()
+        if line.startswith(MARKUP_PREFIXES):
+            current = None
         else:
-            if current_paragraph is None:
-                open_paragraph()
-            current_paragraph.append(line)
-
-    return RawDocument(file_id=file_id, chapters=chapters)
-
-
-def strip_markup(doc: RawDocument) -> list:
-    """Flatten chapter/speaker nesting to a document-ordered paragraph list."""
-    paragraphs = []
-    for chapter in doc.chapters:
-        for speaker in chapter:
-            for paragraph in speaker:
-                if paragraph:
-                    paragraphs.append(list(paragraph))
+            if current is None:
+                current = []
+                paragraphs.append(current)
+            current.append(line)
     return paragraphs
 
 
@@ -152,10 +102,10 @@ def normalize_case(tokens: list) -> list:
     return [tok.lower() for tok in tokens]
 
 
-def build_document(raw: RawDocument, language: str) -> Document:
-    """strip_markup + tokenize + lowercase, dropping empty sentences/paragraphs."""
+def build_document(raw_paragraphs: list, language: str, file_id: str) -> Document:
+    """Tokenize + lowercase parsed paragraphs, dropping empty sentences/paragraphs."""
     paragraphs = []
-    for para_lines in strip_markup(raw):
+    for para_lines in raw_paragraphs:
         sentences = []
         for line in para_lines:
             tokens = normalize_case(tokenize(line))
@@ -163,7 +113,7 @@ def build_document(raw: RawDocument, language: str) -> Document:
                 sentences.append(tokens)
         if sentences:
             paragraphs.append(sentences)
-    return Document(file_id=raw.file_id, language=language, paragraphs=paragraphs)
+    return Document(file_id=file_id, language=language, paragraphs=paragraphs)
 
 
 def pair_documents(src: Document, tgt: Document) -> list:
@@ -176,23 +126,19 @@ def pair_documents(src: Document, tgt: Document) -> list:
         )
         return []
     if len(src.paragraphs) == len(tgt.paragraphs):
-        return [
-            ParagraphPair(src_paragraph=s, tgt_paragraph=t, pair_index=k)
-            for k, (s, t) in enumerate(zip(src.paragraphs, tgt.paragraphs))
-        ]
+        return [ParagraphPair(src_paragraph=s, tgt_paragraph=t)
+                for s, t in zip(src.paragraphs, tgt.paragraphs)]
     src_all = [sent for para in src.paragraphs for sent in para]
     tgt_all = [sent for para in tgt.paragraphs for sent in para]
-    return [ParagraphPair(src_paragraph=src_all, tgt_paragraph=tgt_all, pair_index=0)]
+    return [ParagraphPair(src_paragraph=src_all, tgt_paragraph=tgt_all)]
 
 
 def load_document(path, language: str, file_id: str | None = None) -> Document:
     with open(path, "rb") as fh:
         text = decode_utf8(fh.read())
     if file_id is None:
-        import os
-
         file_id = os.path.basename(str(path))
-    return build_document(parse_europarl_file(text, file_id=file_id), language)
+    return build_document(parse_europarl_file(text), language, file_id)
 
 
 def write_tokenized_document(doc: Document, path) -> None:
@@ -207,8 +153,6 @@ def write_tokenized_document(doc: Document, path) -> None:
 
 def read_tokenized_document(path, language: str, file_id: str | None = None) -> Document:
     if file_id is None:
-        import os
-
         file_id = os.path.basename(str(path))
     paragraphs = []
     current = []

@@ -149,27 +149,51 @@ def filter_candidates(candidates, policy: FilterPolicy) -> list:
     return [best[key] for key in order]
 
 
-def build_lexicon(per_language: dict, markers: SeedMarkerList | None = None) -> Lexicon:
-    """Group filtered candidates by marker then language, ranked by score.
+def candidate_row(cand: MarkerCandidate) -> tuple:
+    """(marker, language, LexiconRecord) row for a filtered candidate."""
+    return cand.marker, cand.language, LexiconRecord(
+        translation=cand.translation, score=cand.score,
+        joint_count=cand.raw_entry.joint_count, context=cand.context)
 
-    Markers from the seed list appear even when no candidate survived.
+
+def write_candidates(rows, path) -> None:
+    """One tab-separated line per (marker, language, LexiconRecord) row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("marker\tlanguage\ttranslation\tscore\tjoint_count\tcontext\n")
+        for marker, language, rec in rows:
+            fh.write(f"{' '.join(marker)}\t{language}\t{' '.join(rec.translation)}"
+                     f"\t{rec.score:.6g}\t{rec.joint_count:g}\t{rec.context}\n")
+
+
+def read_candidates(path) -> list:
+    """Rows as written by write_candidates, scores at their written precision."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        next(fh)  # header
+        for line in fh:
+            marker, language, translation, score, count, context = (
+                line.rstrip("\n").split("\t"))
+            rows.append((tuple(marker.split()), language, LexiconRecord(
+                translation=tuple(translation.split()), score=float(score),
+                joint_count=float(count), context=context)))
+    return rows
+
+
+def build_lexicon(rows, markers: SeedMarkerList | None = None) -> Lexicon:
+    """Group (marker, language, LexiconRecord) rows by marker then language,
+    ranked by score; markers and languages keep first-seen order.
+
+    Markers from the seed list come first, and appear even when no row
+    names them.
     """
     lex = Lexicon()
     if markers is not None:
         for marker in markers.markers:
             lex.entries[marker] = {}
-    for language in sorted(per_language):
-        for cand in per_language[language]:
-            lex.entries.setdefault(cand.marker, {}).setdefault(language, []).append(
-                LexiconRecord(
-                    translation=cand.translation,
-                    score=cand.score,
-                    joint_count=cand.raw_entry.joint_count,
-                    context=cand.context,
-                )
-            )
+    for marker, language, rec in rows:
+        lex.entries.setdefault(marker, {}).setdefault(language, []).append(rec)
     for langs in lex.entries.values():
-        for language, records in langs.items():
+        for records in langs.values():
             records.sort(key=lambda r: (-r.score, " ".join(r.translation)))
     return lex
 

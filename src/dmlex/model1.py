@@ -222,7 +222,7 @@ def read_translation_table(path) -> TranslationTable:
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("#"):
+            if "\t" not in line and line.startswith("#"):  # data lines all have fields
                 key, _, value = line[1:].strip().partition("=")
                 if key == "direction":
                     direction = value

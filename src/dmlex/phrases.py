@@ -202,7 +202,7 @@ def read_phrase_table(path) -> PhraseTable:
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("#"):
+            if " ||| " not in line and line.startswith("#"):  # data lines all have fields
                 key, _, value = line[1:].strip().partition("=")
                 if key == "N":
                     table.corpus_size = int(value)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -128,6 +129,8 @@ def validate_config(path, overrides: dict | None = None) -> PipelineConfig:
     if errors:
         raise ConfigError(errors)
 
+    if parsed["jobs"] < 1:
+        errors.append("jobs must be at least 1")
     english = parsed["english"]
     foreign = [c.strip() for c in parsed["foreign"].split(",") if c.strip()]
     if not foreign:
@@ -245,6 +248,7 @@ class _Cache:
         self.path = path
         self.enabled = enabled
         self.manifest = {}
+        self.lock = threading.Lock()  # pair threads store concurrently
         if enabled and os.path.isfile(path):
             try:
                 with open(path, encoding="utf-8") as fh:
@@ -261,10 +265,21 @@ class _Cache:
         return None
 
     def store(self, key, digest, outputs, stats) -> None:
-        self.manifest[key] = {"digest": digest, "outputs": [str(p) for p in outputs], "stats": stats}
-        if self.enabled:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                json.dump(self.manifest, fh, indent=2, sort_keys=True)
+        """Record a stage and rewrite the manifest through a temp file, so an
+        interrupted write leaves the previous manifest in place."""
+        with self.lock:
+            self.manifest[key] = {"digest": digest, "outputs": [str(p) for p in outputs],
+                                  "stats": stats}
+            if not self.enabled:
+                return
+            tmp = f"{self.path}.{os.getpid()}.tmp"
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    json.dump(self.manifest, fh, indent=2, sort_keys=True)
+                os.replace(tmp, self.path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
 
     def digest_of(self, key) -> str:
         rec = self.manifest.get(key)
@@ -293,7 +308,6 @@ class PipelineRunner:
         return {
             "aligned_src": os.path.join(d, "aligned.src"),
             "aligned_tgt": os.path.join(d, "aligned.tgt"),
-            "aligned_prov": os.path.join(d, "aligned.prov"),
             "table_fe": os.path.join(d, "model1.f_given_e.tsv"),
             "table_ef": os.path.join(d, "model1.e_given_f.tsv"),
             "alignments": os.path.join(d, "alignments.txt"),
@@ -341,21 +355,19 @@ class PipelineRunner:
         p = self._pair_paths(lang)
         inputs = [os.path.join(self.ingest_dir(code), f)
                   for code in (lang, self.cfg.english_code) for f in self.file_ids]
-        outputs = [p["aligned_src"], p["aligned_tgt"], p["aligned_prov"]]
+        outputs = [p["aligned_src"], p["aligned_tgt"]]
 
         def body():
-            corpus = galechurch.AlignedCorpus()
+            paragraph_pairs = []
             for file_id in self.file_ids:
                 src_doc = ingest.read_tokenized_document(
                     os.path.join(self.ingest_dir(lang), file_id), lang, file_id)
                 tgt_doc = ingest.read_tokenized_document(
                     os.path.join(self.ingest_dir(self.cfg.english_code), file_id),
                     self.cfg.english_code, file_id)
-                paragraph_pairs = ingest.pair_documents(src_doc, tgt_doc)
-                corpus.extend(galechurch.align_corpus(
-                    paragraph_pairs, self.cfg.aligner, file_id=file_id))
-            galechurch.write_aligned_corpus(
-                corpus, p["aligned_src"], p["aligned_tgt"], p["aligned_prov"])
+                paragraph_pairs.extend(ingest.pair_documents(src_doc, tgt_doc))
+            corpus = galechurch.align_corpus(paragraph_pairs, self.cfg.aligner)
+            galechurch.write_aligned_corpus(corpus, p["aligned_src"], p["aligned_tgt"])
             return {"sentence_pairs": len(corpus.pairs)}
 
         return self._run_stage(lang, "align", self.cfg.aligner, inputs, outputs,
@@ -449,21 +461,16 @@ class PipelineRunner:
         def body():
             table = phrases.read_phrase_table(p["pruned_table"])
             seeds = lexmod.load_seed_markers(self.cfg.markers_file)
-            selected = kept_rows = 0
-            with open(p["candidates"], "w", encoding="utf-8") as fh:
-                fh.write("marker\tlanguage\ttranslation\tscore\tjoint_count\tcontext\n")
-                for marker in seeds.markers:
-                    raw = lexmod.select_candidates(table, marker, language=lang)
-                    selected += len(raw)
-                    stripped = [lexmod.strip_punctuation_context(c) for c in raw]
-                    for cand in lexmod.filter_candidates(stripped, self.cfg.filter_policy):
-                        kept_rows += 1
-                        fh.write(
-                            f"{' '.join(cand.marker)}\t{cand.language}"
-                            f"\t{' '.join(cand.translation)}\t{cand.score:.6g}"
-                            f"\t{cand.raw_entry.joint_count:g}\t{cand.context}\n")
+            selected, rows = 0, []
+            for marker in seeds.markers:
+                raw = lexmod.select_candidates(table, marker, language=lang)
+                selected += len(raw)
+                stripped = [lexmod.strip_punctuation_context(c) for c in raw]
+                rows.extend(lexmod.candidate_row(c) for c in
+                            lexmod.filter_candidates(stripped, self.cfg.filter_policy))
+            lexmod.write_candidates(rows, p["candidates"])
             return {"markers": len(seeds.markers), "candidates_selected": selected,
-                    "candidates_kept": kept_rows}
+                    "candidates_kept": len(rows)}
 
         return self._run_stage(lang, "markers", self.cfg.filter_policy, inputs,
                                outputs, f"prune:{lang}", body)
@@ -477,31 +484,14 @@ class PipelineRunner:
 
         def body():
             seeds = lexmod.load_seed_markers(self.cfg.markers_file)
-            lex = lexmod.Lexicon()
-            for marker in seeds.markers:
-                lex.entries[marker] = {}
-            n_records = 0
-            for lang in languages:
-                with open(self._pair_paths(lang)["candidates"], encoding="utf-8") as fh:
-                    next(fh)  # header
-                    for line in fh:
-                        marker_s, language, translation_s, score_s, count_s, context = (
-                            line.rstrip("\n").split("\t"))
-                        marker = tuple(marker_s.split())
-                        rec = lexmod.LexiconRecord(
-                            translation=tuple(translation_s.split()),
-                            score=float(score_s), joint_count=float(count_s),
-                            context=context)
-                        lex.entries.setdefault(marker, {}).setdefault(language, []).append(rec)
-                        n_records += 1
-            for langs in lex.entries.values():
-                for records in langs.values():
-                    records.sort(key=lambda r: (-r.score, " ".join(r.translation)))
+            rows = [row for lang in languages
+                    for row in lexmod.read_candidates(self._pair_paths(lang)["candidates"])]
+            lex = lexmod.build_lexicon(rows, seeds)
             lexmod.export_lexicon(lex, "tsv", lex_tsv)
             lexmod.export_lexicon(lex, "structured", lex_json)
             covered = sum(1 for langs in lex.entries.values() if langs)
             return {"markers": len(lex.entries), "markers_with_translations": covered,
-                    "records": n_records}
+                    "records": len(rows)}
 
         params = ("lexicon-v1", tuple(languages))
         return self._run_stage("all", "lexicon", params, inputs, outputs, None, body)
@@ -550,23 +540,13 @@ def run_pipeline(config: PipelineConfig, stages=None) -> RunReport:
                 return results, False
         return results, True
 
-    pair_ok = {}
+    pair_ok = {lang: True for lang in config.foreign_codes}
     if per_pair_stages:
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                futures = {lang: pool.submit(run_pair, lang)
-                           for lang in config.foreign_codes}
-            for lang in config.foreign_codes:
-                results, ok = futures[lang].result()
+        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+            for lang, (results, ok) in zip(config.foreign_codes,
+                                           pool.map(run_pair, config.foreign_codes)):
                 report.results.extend(results)
                 pair_ok[lang] = ok
-        else:
-            for lang in config.foreign_codes:
-                results, ok = run_pair(lang)
-                report.results.extend(results)
-                pair_ok[lang] = ok
-    else:
-        pair_ok = {lang: True for lang in config.foreign_codes}
 
     if "lexicon" in selected:
         ready = [lang for lang in config.foreign_codes

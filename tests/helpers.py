@@ -11,8 +11,10 @@ import re
 from fractions import Fraction
 
 import mpmath
+from hypothesis import strategies as st
 
 from dmlex.galechurch import SHAPES, SHAPE_NAMES, AlignerParams, sentence_char_length
+from dmlex.ingest import tokenize
 
 # ---------------------------------------------------------------------------
 # Gale-Church oracles
@@ -340,3 +342,27 @@ def write_synthetic_corpus(root, n_pairs=320, markers=PLANTED_MARKERS,
             f"output = {os.path.join(root, 'out')}\n"
         )
     return config_path
+
+
+# ---------------------------------------------------------------------------
+# Tokens for on-disk format round trips
+
+
+# Lines biased towards the characters the text formats give a meaning to.
+_FORMAT_LINES = st.text(
+    alphabet=st.one_of(st.sampled_from("#|=\t -'."),
+                       st.characters(blacklist_categories=("Cs",))),
+    max_size=12,
+)
+
+
+def tokenizer_tokens():
+    """Single tokens as `tokenize` emits them."""
+    return _FORMAT_LINES.map(tokenize).filter(bool).flatmap(st.sampled_from)
+
+
+def tokenizer_phrases(max_len=3):
+    """Non-empty token tuples, without the bare `|||` token (the phrase-table
+    field separator, which the format does not escape)."""
+    token = tokenizer_tokens().filter(lambda t: t != "|||")
+    return st.lists(token, min_size=1, max_size=max_len).map(tuple)

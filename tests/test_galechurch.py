@@ -176,17 +176,14 @@ class TestAlignCorpus:
         para = ParagraphPair(
             src_paragraph=[["aaa", "bbb"], ["cc"]],
             tgt_paragraph=[["xxx", "yyy"], ["zz"]],
-            pair_index=0,
         )
-        corpus = align_corpus([para], PARAMS, file_id="f1")
+        corpus = align_corpus([para], PARAMS)
         assert corpus.pairs == [(["aaa", "bbb"], ["xxx", "yyy"]), (["cc"], ["zz"])]
-        assert corpus.provenance == [("f1", 0, 0, "1-1"), ("f1", 0, 1, "1-1")]
 
     def test_two_to_one_concatenates_source(self):
         para = ParagraphPair(
             src_paragraph=[["aaaaa" * 4], ["bbbbb" * 4]],
             tgt_paragraph=[["x" * 41]],
-            pair_index=0,
         )
         corpus = align_corpus([para], PARAMS)
         assert len(corpus.pairs) == 1
@@ -195,19 +192,18 @@ class TestAlignCorpus:
         assert tgt == ["x" * 41]
 
     def test_deletion_beads_emit_nothing(self):
-        para = ParagraphPair(src_paragraph=[["aaa"]], tgt_paragraph=[], pair_index=2)
+        para = ParagraphPair(src_paragraph=[["aaa"]], tgt_paragraph=[])
         corpus = align_corpus([para], PARAMS)
         assert corpus.pairs == []
 
     def test_no_empty_sides(self):
         rng = random.Random(3)
         paras = []
-        for k in range(20):
+        for _ in range(20):
             paras.append(
                 ParagraphPair(
                     src_paragraph=[_sent(rng.randint(3, 50)) for _ in range(rng.randint(0, 4))],
                     tgt_paragraph=[_sent(rng.randint(3, 50)) for _ in range(rng.randint(0, 4))],
-                    pair_index=k,
                 )
             )
         corpus = align_corpus(paras, PARAMS)
@@ -217,14 +213,12 @@ class TestAlignCorpus:
         para = ParagraphPair(
             src_paragraph=[["ab", "cd"], ["ef"]],
             tgt_paragraph=[["gh", "ij"], ["kl"]],
-            pair_index=0,
         )
-        corpus = align_corpus([para], PARAMS, file_id="f9")
-        src_p, tgt_p, prov_p = (tmp_path / n for n in ("s.txt", "t.txt", "p.tsv"))
-        write_aligned_corpus(corpus, src_p, tgt_p, prov_p)
-        back = read_aligned_corpus(src_p, tgt_p, prov_p)
+        corpus = align_corpus([para], PARAMS)
+        src_p, tgt_p = tmp_path / "s.txt", tmp_path / "t.txt"
+        write_aligned_corpus(corpus, src_p, tgt_p)
+        back = read_aligned_corpus(src_p, tgt_p)
         assert back.pairs == corpus.pairs
-        assert back.provenance == corpus.provenance
 
 
 def test_sentence_char_length_counts_joined_chars():

@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 from dmlex.ingest import (
     DecodeError,
     Document,
-    RawDocument,
     build_document,
     decode_utf8,
     normalize_case,
     pair_documents,
     parse_europarl_file,
     read_tokenized_document,
-    strip_markup,
     tokenize,
     write_tokenized_document,
 )
@@ -20,21 +18,19 @@ from dmlex.ingest import (
 
 class TestParseEuroparlFile:
     def test_minimal_paragraph(self):
-        doc = parse_europarl_file("<P>\nHello world.\n")
-        paragraphs = strip_markup(doc)
+        paragraphs = parse_europarl_file("<P>\nHello world.\n")
         assert paragraphs == [["Hello world."]]
 
     def test_two_paragraphs_under_chapter_and_speaker(self):
-        doc = parse_europarl_file("<CHAPTER 1>\n<SPEAKER 2>\n<P>\nA.\nB.\n<P>\nC.\n")
-        assert strip_markup(doc) == [["A.", "B."], ["C."]]
+        raw = "<CHAPTER 1>\n<SPEAKER 2>\n<P>\nA.\nB.\n<P>\nC.\n"
+        assert parse_europarl_file(raw) == [["A.", "B."], ["C."]]
 
     def test_empty_input(self):
-        doc = parse_europarl_file("")
-        assert doc.chapters == []
+        assert parse_europarl_file("") == []
 
     def test_content_before_structure_is_accepted(self):
-        doc = parse_europarl_file("Loose line.\n<P>\nAnchored.\n")
-        assert strip_markup(doc) == [["Loose line."], ["Anchored."]]
+        raw = "Loose line.\n<P>\nAnchored.\n"
+        assert parse_europarl_file(raw) == [["Loose line."], ["Anchored."]]
 
     def test_invalid_utf8_reports_byte_offset(self):
         with pytest.raises(DecodeError) as exc:
@@ -44,20 +40,23 @@ class TestParseEuroparlFile:
 
 class TestStripMarkup:
     def test_identity_on_content(self):
-        doc = RawDocument(file_id="x", chapters=[[[["A."], ["B."]]]])
-        assert strip_markup(doc) == [["A."], ["B."]]
+        raw = "<P>\n  A. <b>\nB.\n<P>\nC.\n"
+        assert parse_europarl_file(raw) == [["  A. <b>", "B."], ["C."]]
+
+    def test_every_marker_closes_a_paragraph(self):
+        raw = "<P>\nA.\n<SPEAKER 1>\nB.\n<CHAPTER 2>\nC.\n"
+        assert parse_europarl_file(raw) == [["A."], ["B."], ["C."]]
 
     def test_markup_only_document(self):
-        doc = parse_europarl_file("<CHAPTER 1>\n<SPEAKER 1>\n<P>\n")
-        assert strip_markup(doc) == []
+        assert parse_europarl_file("<CHAPTER 1>\n<SPEAKER 1>\n<P>\n") == []
 
     def test_chapter_nesting_flattens(self):
         raw = "<CHAPTER 1>\n<P>\nA.\n<CHAPTER 2>\n<P>\nB.\n"
-        assert strip_markup(parse_europarl_file(raw)) == [["A."], ["B."]]
+        assert parse_europarl_file(raw) == [["A."], ["B."]]
 
     def test_line_count_preserved(self):
         raw = "<CHAPTER 1>\n<P>\nA.\nB.\n<P>\nC.\n<SPEAKER 9>\n<P>\nD.\n"
-        paragraphs = strip_markup(parse_europarl_file(raw))
+        paragraphs = parse_europarl_file(raw)
         assert sum(len(p) for p in paragraphs) == 4
 
 
@@ -118,7 +117,8 @@ class TestPairDocuments:
         assert len(pairs) == 3
         assert pairs[1].src_paragraph == [["b"]]
         assert pairs[1].tgt_paragraph == [["y"]]
-        assert [p.pair_index for p in pairs] == [0, 1, 2]
+        assert [p.src_paragraph for p in pairs] == src.paragraphs
+        assert [p.tgt_paragraph for p in pairs] == tgt.paragraphs
 
     def test_mismatched_counts_collapse(self):
         src = self._doc([[["a"]], [["b"]], [["c"]]])
@@ -136,8 +136,9 @@ class TestPairDocuments:
 
 class TestBuildDocument:
     def test_invariants(self):
-        raw = parse_europarl_file("<P>\nAbove ALL, we agree.\n<P>\n  \n<P>\nOk.\n", "f1")
-        doc = build_document(raw, "en")
+        raw = parse_europarl_file("<P>\nAbove ALL, we agree.\n<P>\n  \n<P>\nOk.\n")
+        doc = build_document(raw, "en", "f1")
+        assert doc.file_id == "f1"
         for paragraph in doc.paragraphs:
             assert paragraph
             for sentence in paragraph:

@@ -8,12 +8,15 @@ from dmlex.lexicon import (
     LexiconRecord,
     MarkerCandidate,
     build_lexicon,
+    candidate_row,
     export_lexicon,
     filter_candidates,
     import_lexicon,
     load_seed_markers,
+    read_candidates,
     select_candidates,
     strip_punctuation_context,
+    write_candidates,
 )
 from dmlex.phrases import PhraseTable, PhraseTableEntry
 
@@ -244,6 +247,10 @@ def _scored(marker, lang, translation, score, joint=3.0, context="none"):
     )
 
 
+def _rows(per_language):
+    return [candidate_row(c) for lang in per_language for c in per_language[lang]]
+
+
 class TestBuildLexicon:
     def test_grouping_and_ranking(self):
         marker = ("above", "all")
@@ -254,7 +261,7 @@ class TestBuildLexicon:
             ],
             "fr": [_scored(marker, "fr", "avant tout", 0.4)],
         }
-        lex = build_lexicon(per_language)
+        lex = build_lexicon(_rows(per_language))
         langs = lex.entries[marker]
         assert [r.translation for r in langs["pt"]] == [
             ("sobretudo",), ("acima", "de", "tudo"),
@@ -265,7 +272,7 @@ class TestBuildLexicon:
         from dmlex.lexicon import SeedMarkerList
 
         seeds = SeedMarkerList(markers=[("since",), ("well",)])
-        lex = build_lexicon({"pt": [_scored(("since",), "pt", "pois", 0.5)]}, seeds)
+        lex = build_lexicon(_rows({"pt": [_scored(("since",), "pt", "pois", 0.5)]}), seeds)
         assert lex.entries[("well",)] == {}
         assert ("since",) in lex.entries
 
@@ -277,10 +284,42 @@ class TestBuildLexicon:
                 _scored(marker, "pt", "desde", 0.2),
             ]
         }
-        lex = build_lexicon(per_language)
+        lex = build_lexicon(_rows(per_language))
         assert [r.translation for r in lex.entries[marker]["pt"]] == [
             ("desde",), ("pois",),
         ]
+
+
+    def test_candidate_row_keeps_entry_count_and_context(self):
+        cand = _scored(("since",), "pt", "pois", 0.5, joint=7.0, context="followed")
+        assert candidate_row(cand) == (("since",), "pt", LexiconRecord(
+            translation=("pois",), score=0.5, joint_count=7.0, context="followed"))
+
+    def test_rows_keep_first_seen_language_order(self):
+        rows = _rows({"pt": [_scored(("since",), "pt", "pois", 0.5)],
+                      "fr": [_scored(("since",), "fr", "puisque", 0.5)]})
+        assert list(build_lexicon(rows).entries[("since",)]) == ["pt", "fr"]
+
+
+class TestCandidatesFile:
+    @pytest.mark.parametrize("per_language", [{}, {
+        "pt": [_scored(("above", "all"), "pt", "acima de tudo", 0.25, context="both")],
+        "fr": [_scored(("since",), "fr", "puisque", 0.5, joint=12.0)],
+    }], ids=["header-only", "two-languages"])
+    def test_round_trip(self, tmp_path, per_language):
+        rows = _rows(per_language)
+        path = tmp_path / "candidates.tsv"
+        write_candidates(rows, path)
+        assert read_candidates(path) == rows
+
+    def test_scores_read_back_at_written_precision(self, tmp_path):
+        path = tmp_path / "candidates.tsv"
+        write_candidates([candidate_row(_scored(("since",), "pt", "pois", 1 / 3))], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "marker\tlanguage\ttranslation\tscore\tjoint_count\tcontext"
+        assert lines[1] == "since\tpt\tpois\t0.333333\t3\tnone"
+        [(_, _, rec)] = read_candidates(path)
+        assert rec.score == 0.333333
 
 
 class TestExportLexicon:
@@ -293,7 +332,7 @@ class TestExportLexicon:
             ],
             "fr": [_scored(marker, "fr", "avant tout", 0.4)],
         }
-        return build_lexicon(per_language)
+        return build_lexicon(_rows(per_language))
 
     def test_tsv_lines(self, tmp_path):
         path = tmp_path / "lex.tsv"

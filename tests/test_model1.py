@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given
@@ -16,6 +18,8 @@ from dmlex.model1 import (
     viterbi_align,
     write_translation_table,
 )
+
+from helpers import tokenizer_tokens
 
 TOY = [(["the", "house"], ["la", "maison"]), (["the"], ["la"])]
 
@@ -208,6 +212,27 @@ class TestSerialization:
         write_translation_table(table, path)
         body = path.read_text(encoding="utf-8")
         assert "<NULL>\t" in body
+
+    def test_hash_led_conditioning_word_is_not_a_header(self, tmp_path):
+        table = TranslationTable(direction="xx|en",
+                                 probs={"#a": {"b": 0.5}, "a": {"b": 0.25}})
+        path = tmp_path / "table.tsv"
+        write_translation_table(table, path)
+        assert read_translation_table(path).probs == table.probs
+
+    @given(st.dictionaries(
+        tokenizer_tokens(),
+        st.dictionaries(tokenizer_tokens(), st.sampled_from([0.5, 0.25, 1e-7]),
+                        min_size=1, max_size=3),
+        min_size=1, max_size=4))
+    def test_tokenizer_output_round_trips(self, probs):
+        table = TranslationTable(direction="xx|en", probs=probs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.tsv")
+            write_translation_table(table, path)
+            back = read_translation_table(path)
+        assert back.probs == probs
+        assert back.direction == table.direction
 
 
 def test_directional_links_drops_null():

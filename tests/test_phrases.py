@@ -1,10 +1,16 @@
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dmlex.model1 import NULL_WORD, TranslationTable, train_model1
 from dmlex.phrases import (
     PhrasePairInstance,
+    PhraseTable,
+    PhraseTableEntry,
     PhraseTableFormatError,
     extract_phrase_pairs,
     inverse_lexical_weight,
@@ -14,7 +20,7 @@ from dmlex.phrases import (
     write_phrase_table,
 )
 
-from helpers import brute_force_phrase_pairs
+from helpers import brute_force_phrase_pairs, tokenizer_phrases
 
 
 def _as_set(instances):
@@ -270,14 +276,39 @@ class TestPhraseTableIO:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_empty_table_round_trip(self, tmp_path):
-        from dmlex.phrases import PhraseTable
-
         path = tmp_path / "pt.txt"
         write_phrase_table(PhraseTable(corpus_size=9), path)
         assert path.read_text(encoding="utf-8") == "# N=9\n"
         back = read_phrase_table(path)
         assert len(back) == 0
         assert back.corpus_size == 9
+
+    def test_hash_led_phrase_is_not_a_header(self, tmp_path):
+        table = PhraseTable(corpus_size=3)
+        for f in (("#eu",), ("eu",), ("nos",)):
+            table.add(PhraseTableEntry(f, ("we",), 0.5, 0.5, 0.5, 0.5,
+                                       frozenset({(0, 0)}), 1.0))
+        path = tmp_path / "pt.txt"
+        write_phrase_table(table, path)
+        back = read_phrase_table(path)
+        assert set(back.entries) == set(table.entries)
+        assert back.corpus_size == 3
+
+    @given(st.lists(st.tuples(tokenizer_phrases(), tokenizer_phrases()),
+                    min_size=1, max_size=6), st.data())
+    def test_tokenizer_output_round_trips(self, pairs, data):
+        table = PhraseTable(corpus_size=len(pairs))
+        for f, e in pairs:
+            link = st.tuples(st.integers(0, len(f) - 1), st.integers(0, len(e) - 1))
+            links = frozenset(data.draw(st.sets(link, max_size=3)))
+            table.add(PhraseTableEntry(f, e, 0.5, 0.25, 0.5, 0.125, links, 2.0))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "pt.txt")
+            write_phrase_table(table, path)
+            back = read_phrase_table(path)
+        assert back.corpus_size == table.corpus_size
+        assert ({k: e.most_frequent_internal_alignment for k, e in back.entries.items()}
+                == {k: e.most_frequent_internal_alignment for k, e in table.entries.items()})
 
     def test_score_formatting_eight_significant_digits(self):
         from dmlex.phrases import _fmt

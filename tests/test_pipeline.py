@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -7,6 +9,7 @@ from dmlex.cli import main as cli_main
 from dmlex.pipeline import (
     _KNOWN_KEYS,
     ConfigError,
+    _Cache,
     run_pipeline,
     validate_config,
 )
@@ -211,6 +214,68 @@ class TestRunPipeline:
                 os.path.join(clean, ".cache.json"), encoding="utf-8")))
         assert _read_outputs(out) == _read_outputs(clean)
 
+    def test_failed_manifest_write_keeps_previous_manifest(self, corpus_root, tmp_path,
+                                                           monkeypatch):
+        clean = str(tmp_path / "clean")
+        assert cli_main(["--config", _config_path(corpus_root), "--output", clean,
+                         "pipeline"]) == 0
+        out = str(tmp_path / "out")
+        real_dump = json.dump
+        manifest_dumps = []
+
+        def dump(obj, fh, **kwargs):
+            if os.path.basename(fh.name).startswith(".cache.json"):  # a manifest write
+                manifest_dumps.append(sorted(obj))
+                if len(manifest_dumps) > 3:  # after ingest en, ingest xx, align xx
+                    fh.write('{"partial": ')
+                    raise OSError("disk full")
+            real_dump(obj, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump)
+        assert cli_main(["--config", _config_path(corpus_root), "--output", out,
+                         "pipeline"]) == 1
+        monkeypatch.undo()
+        assert len(manifest_dumps) > 3
+        with open(os.path.join(out, ".cache.json"), encoding="utf-8") as fh:
+            assert sorted(json.load(fh)) == manifest_dumps[2]
+        assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+
+        assert cli_main(["--config", _config_path(corpus_root), "--output", out,
+                         "pipeline"]) == 0
+        with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+            hits = {f"{s['stage']}:{s['pair']}": s["cache_hit"]
+                    for s in json.load(fh)["stages"]}
+        assert {key for key, hit in hits.items() if hit} == set(manifest_dumps[2])
+        assert _read_outputs(out) == _read_outputs(clean)
+
+    def test_concurrent_manifest_stores_lose_nothing(self, tmp_path):
+        path = str(tmp_path / ".cache.json")
+        cache = _Cache(path, enabled=True)
+        errors = []
+
+        def worker(w):
+            try:
+                for k in range(25):
+                    cache.store(f"stage{k}:{w}", "d", [], {"k": k})
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        with open(path, encoding="utf-8") as fh:
+            assert len(json.load(fh)) == 8 * 25
+        assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+
     @pytest.mark.parametrize("stage, victim, pattern", [
         ("wordalign", "aligned.tgt", r"aligned\.src has (\d+) lines but .*aligned\.tgt has (\d+)"),
         ("phrases", "alignments.txt", r"alignments\.txt has (\d+) lines for (\d+) sentence pairs"),
@@ -307,3 +372,18 @@ class TestCli:
                        "--jobs", "2", "pipeline"])
         assert rc == 0
         assert os.path.isfile(root / "out" / "pairs" / "yy" / "candidates.tsv")
+
+        assert cli_main(["--config", str(cfg_file), "--output", str(root / "serial"),
+                         "--jobs", "1", "pipeline"]) == 0
+        assert _read_outputs(str(root / "out")) == _read_outputs(str(root / "serial"))
+        rows = []
+        for out in ("out", "serial"):
+            with open(root / out / "report.json", encoding="utf-8") as fh:
+                rows.append([(s["pair"], s["stage"]) for s in json.load(fh)["stages"]])
+        assert rows[0] == rows[1]
+        assert [pair for pair, stage in rows[0] if stage == "align"] == ["xx", "yy"]
+
+    def test_jobs_below_one_is_a_config_error(self, corpus_root, capsys):
+        assert cli_main(["--config", _config_path(corpus_root), "--jobs", "0",
+                         "pipeline"]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
