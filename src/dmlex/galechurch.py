@@ -3,8 +3,6 @@
 import math
 from dataclasses import dataclass, field
 
-from scipy.special import log_ndtr
-
 # Bead shapes in tie-break preference order: (src sentences, tgt sentences).
 SHAPES = [(1, 1), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2)]
 SHAPE_NAMES = {s: f"{s[0]}-{s[1]}" for s in SHAPES}
@@ -12,8 +10,6 @@ SHAPE_NAMES = {s: f"{s[0]}-{s[1]}" for s in SHAPES}
 # Fixed |delta| charged to insertion/deletion beads, which a pure length
 # model cannot score.
 DELETION_DELTA = 4.0
-
-LOG2 = math.log(2.0)
 
 
 def default_bead_priors() -> dict:
@@ -65,8 +61,20 @@ def sentence_char_length(tokens: list) -> int:
 
 
 def _log_two_tail(abs_delta: float) -> float:
-    # log(2 * (1 - Phi(|delta|))), robust far into the tail
-    return LOG2 + float(log_ndtr(-abs_delta))
+    # log(2 * (1 - Phi(|delta|))) = log(erfc(z)), z = |delta| / sqrt(2)
+    z = abs_delta / math.sqrt(2.0)
+    if z < 0.5:  # erfc(z) is near 1, so take the log of 1 - erf(z)
+        return math.log1p(-math.erf(z))
+    if z < 20.0:
+        return math.log(math.erfc(z))
+    # erfc underflows past z ~ 27: asymptotic series in 1 / (2 z^2), whose
+    # first omitted term is below 1e-16 from z = 20 on
+    x = 1.0 / (2.0 * z * z)
+    term = series = 1.0
+    for n in range(1, 8):
+        term *= -(2 * n - 1) * x
+        series += term
+    return -z * z - math.log(z * math.sqrt(math.pi)) + math.log(series)
 
 
 def length_cost(src_len: int, tgt_len: int, shape, params: AlignerParams) -> float:

@@ -44,6 +44,8 @@ class FilterPolicy:
             raise ValueError("probability floors must lie in [0, 1]")
         if self.min_joint_count < 1:
             raise ValueError("min_joint_count must be >= 1")
+        if self.max_length_delta < 0:
+            raise ValueError("max_length_delta must be >= 0")
 
 
 @dataclass(frozen=True)

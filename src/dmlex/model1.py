@@ -130,12 +130,16 @@ def directional_links(src_to_tgt: DirectionalAlignment) -> set:
     return {(i, j) for j, i in enumerate(src_to_tgt.links) if i is not None}
 
 
+HEURISTICS = ("intersection", "union", "grow-diag-final-and")
+
 _NEIGHBORS = [(-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
 def symmetrize(src_to_tgt: DirectionalAlignment, tgt_to_src: DirectionalAlignment,
                heuristic: str = "grow-diag-final-and") -> set:
     """Combine the two directional alignments into one (src, tgt) link set."""
+    if heuristic not in HEURISTICS:
+        raise ValueError(f"unknown heuristic: {heuristic}")
     src_len = len(tgt_to_src.links)
     tgt_len = len(src_to_tgt.links)
     if src_to_tgt.conditioning_len != src_len or tgt_to_src.conditioning_len != tgt_len:
@@ -150,8 +154,6 @@ def symmetrize(src_to_tgt: DirectionalAlignment, tgt_to_src: DirectionalAlignmen
         return set(inter)
     if heuristic == "union":
         return set(union)
-    if heuristic != "grow-diag-final-and":
-        raise ValueError(f"unknown heuristic: {heuristic}")
 
     aligned = set(inter)
     src_aligned = {i for i, _ in aligned}

@@ -168,6 +168,16 @@ def _fmt(x: float) -> str:
     return f"{x:.8g}"
 
 
+def escape_phrase(tokens) -> str:
+    """Space-joined tokens with `&` and `|` escaped as Moses does, so no
+    field can contain the ` ||| ` separator."""
+    return " ".join(tokens).replace("&", "&amp;").replace("|", "&#124;")
+
+
+def unescape_phrase(text: str) -> tuple:
+    return tuple(text.replace("&#124;", "|").replace("&amp;", "&").split())
+
+
 def write_phrase_table(table: PhraseTable, path) -> None:
     """`f ||| e ||| 4 scores ||| i-j links ||| count`, lexicographically sorted."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -185,7 +195,8 @@ def write_phrase_table(table: PhraseTable, path) -> None:
             )
             links = " ".join(f"{i}-{j}" for i, j in sorted(entry.most_frequent_internal_alignment))
             fh.write(
-                f"{' '.join(f)} ||| {' '.join(e)} ||| {scores} ||| {links} ||| {_fmt(entry.joint_count)}\n"
+                f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {scores} ||| {links} ||| "
+                f"{_fmt(entry.joint_count)}\n"
             )
 
 
@@ -224,8 +235,8 @@ def read_phrase_table(path) -> PhraseTable:
                 raise PhraseTableFormatError(lineno, str(exc)) from exc
             table.add(
                 PhraseTableEntry(
-                    foreign_phrase=tuple(f_str.split()),
-                    english_phrase=tuple(e_str.split()),
+                    foreign_phrase=unescape_phrase(f_str),
+                    english_phrase=unescape_phrase(e_str),
                     inv_phrase_prob=scores[0],
                     inv_lex_weight=scores[1],
                     dir_phrase_prob=scores[2],

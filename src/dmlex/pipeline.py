@@ -129,8 +129,13 @@ def validate_config(path, overrides: dict | None = None) -> PipelineConfig:
     if errors:
         raise ConfigError(errors)
 
-    if parsed["jobs"] < 1:
-        errors.append("jobs must be at least 1")
+    for key in ("jobs", "em.iterations", "phrases.max_len"):
+        if parsed[key] < 1:
+            errors.append(f"{key} must be at least 1")
+    heuristic = parsed["wordalign.symmetrization"]
+    if heuristic not in model1.HEURISTICS:
+        errors.append(f"unknown wordalign.symmetrization {heuristic!r}; "
+                      f"expected one of {', '.join(model1.HEURISTICS)}")
     english = parsed["english"]
     foreign = [c.strip() for c in parsed["foreign"].split(",") if c.strip()]
     if not foreign:

@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass, field
 
-from .phrases import PhraseTable
+from .phrases import PhraseTable, escape_phrase
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,6 @@ def write_prune_report(report: PruneReport, path) -> None:
         fh.write(f"# threshold={report.threshold:.8g}\n")
         for foreign, english, ct, score, keep in report.rows:
             fh.write(
-                f"{' '.join(foreign)} ||| {' '.join(english)}"
+                f"{escape_phrase(foreign)} ||| {escape_phrase(english)}"
                 f"\t{ct.c_s}\t{ct.c_t}\t{ct.c_st}\t{score:.8g}\t{'kept' if keep else 'pruned'}\n"
             )

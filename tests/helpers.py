@@ -30,9 +30,14 @@ def mp_length_cost(src_len, tgt_len, shape, params: AlignerParams) -> float:
     else:
         denom = mpmath.sqrt(src_len * mpmath.mpf(params.variance))
         abs_delta = abs(tgt_len - src_len * mpmath.mpf(params.mean_char_ratio)) / denom
+    return float(-mpmath.log(prior) - mp_log_two_tail(abs_delta))
+
+
+def mp_log_two_tail(abs_delta):
+    """High-precision log(2 * (1 - Phi(|delta|))) as an mpf."""
+    mpmath.mp.dps = 60
     # 2 * (1 - Phi(x)) = erfc(x / sqrt(2)), evaluated without cancellation
-    p_delta = mpmath.erfc(abs_delta / mpmath.sqrt(2))
-    return float(-mpmath.log(prior) - mpmath.log(p_delta))
+    return mpmath.log(mpmath.erfc(mpmath.mpf(abs_delta) / mpmath.sqrt(2)))
 
 
 def enumerate_tilings(m, n):
@@ -362,7 +367,5 @@ def tokenizer_tokens():
 
 
 def tokenizer_phrases(max_len=3):
-    """Non-empty token tuples, without the bare `|||` token (the phrase-table
-    field separator, which the format does not escape)."""
-    token = tokenizer_tokens().filter(lambda t: t != "|||")
-    return st.lists(token, min_size=1, max_size=max_len).map(tuple)
+    """Non-empty token tuples, the bare `|||` token included."""
+    return st.lists(tokenizer_tokens(), min_size=1, max_size=max_len).map(tuple)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dmlex.galechurch import (
     SHAPES,
     AlignerParams,
+    _log_two_tail,
     align_corpus,
     align_paragraph,
     default_bead_priors,
@@ -24,6 +25,7 @@ from helpers import (
     enumerate_tilings,
     fast_brute_force_align,
     mp_length_cost,
+    mp_log_two_tail,
 )
 
 
@@ -51,15 +53,28 @@ class TestLengthCost:
         )
 
     def test_oracle_agreement_across_shapes(self):
+        # z = |delta| / sqrt(2): (1000, 1058) / (1000, 1059) put z just below /
+        # above 0.5, (1000, 3332) / (1000, 3333) just below / above 20, and
+        # (1, 10**5) far out in the asymptotic tail.
+        lengths = ((30, 30), (10, 90), (200, 180), (1, 40), (1000, 1058), (1000, 1059),
+                   (1000, 3332), (1000, 3333), (1, 10**5))
         for shape in ("1-1", "2-1", "1-2", "2-2", "1-0", "0-1"):
-            for src_len, tgt_len in ((30, 30), (10, 90), (200, 180), (1, 40)):
+            for src_len, tgt_len in lengths:
                 assert length_cost(src_len, tgt_len, shape, PARAMS) == pytest.approx(
                     mp_length_cost(src_len, tgt_len, shape, PARAMS), rel=1e-9
                 )
 
     def test_monotone_in_deviation(self):
-        costs = [length_cost(50, 50 + d, "1-1", PARAMS) for d in range(0, 120, 3)]
+        # d = 700 gives z = |delta| / sqrt(2) ~ 26.8, past the series switch at 20
+        costs = [length_cost(50, 50 + d, "1-1", PARAMS) for d in range(0, 701, 3)]
         assert all(a <= b + 1e-12 for a, b in zip(costs, costs[1:]))
+
+    def test_log_two_tail_matches_oracle(self):
+        # |delta| on a log grid from 1e-8 to 4e5, across all three branches
+        for k in range(273):
+            abs_delta = 1e-8 * 10 ** (k / 20)
+            expected = mp_log_two_tail(abs_delta)
+            assert abs((_log_two_tail(abs_delta) - expected) / expected) <= 1e-14, abs_delta
 
     def test_both_zero_is_an_error(self):
         with pytest.raises(ValueError):

@@ -12,11 +12,13 @@ from dmlex.phrases import (
     PhraseTable,
     PhraseTableEntry,
     PhraseTableFormatError,
+    escape_phrase,
     extract_phrase_pairs,
     inverse_lexical_weight,
     lexical_weight,
     read_phrase_table,
     score_phrase_table,
+    unescape_phrase,
     write_phrase_table,
 )
 
@@ -293,6 +295,23 @@ class TestPhraseTableIO:
         back = read_phrase_table(path)
         assert set(back.entries) == set(table.entries)
         assert back.corpus_size == 3
+
+    def test_separator_and_entity_tokens_round_trip(self, tmp_path):
+        # unescaped, ("a", "|||") / ("b",) was written `a ||| ||| b ||| ...`
+        # and read back as ("a",) / ("|||", "b")
+        table = PhraseTable(corpus_size=2)
+        for f, e in ((("a", "|||"), ("b",)), (("&#124;", "&amp;"), ("x|y", "&"))):
+            table.add(PhraseTableEntry(f, e, 0.5, 0.5, 0.5, 0.5, frozenset({(0, 0)}), 1.0))
+        path = tmp_path / "pt.txt"
+        write_phrase_table(table, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1].startswith("&amp;#124; &amp;amp; ||| x&#124;y &amp; ||| ")
+        assert lines[2].startswith("a &#124;&#124;&#124; ||| b ||| ")
+        assert set(read_phrase_table(path).entries) == set(table.entries)
+
+    def test_escaping_leaves_other_tokens_alone(self):
+        assert escape_phrase(("#eu", "x-y", "l'")) == "#eu x-y l'"
+        assert unescape_phrase("#eu x-y l'") == ("#eu", "x-y", "l'")
 
     @given(st.lists(st.tuples(tokenizer_phrases(), tokenizer_phrases()),
                     min_size=1, max_size=6), st.data())

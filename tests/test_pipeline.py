@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 import threading
 
@@ -28,6 +29,23 @@ def corpus_root(tmp_path_factory):
 
 def _config_path(root):
     return os.path.join(root, "pipeline.cfg")
+
+
+def _custom_config(corpus_root, tmp_path, extra_line):
+    """The fixture config plus one line, written under tmp_path. Relative paths
+    in a config resolve against its own directory, so they are pinned to the
+    corpus fixture."""
+    path = tmp_path / "custom.cfg"
+    base = open(_config_path(corpus_root), encoding="utf-8").read()
+    base = base.replace(
+        "corpus_root = corpus",
+        f"corpus_root = {os.path.join(corpus_root, 'corpus')}",
+    ).replace(
+        "markers = markers.txt",
+        f"markers = {os.path.join(corpus_root, 'markers.txt')}",
+    )
+    path.write_text(base + extra_line + "\n", encoding="utf-8")
+    return str(path)
 
 
 class TestValidateConfig:
@@ -100,18 +118,7 @@ class TestValidateConfig:
             _KNOWN_KEYS[key][0](value)
 
     def test_custom_threshold_mode(self, corpus_root, tmp_path):
-        # relative paths in the config resolve against the config file's dir,
-        # so pin them to the corpus fixture
-        path = tmp_path / "custom.cfg"
-        base = open(_config_path(corpus_root), encoding="utf-8").read()
-        base = base.replace(
-            "corpus_root = corpus",
-            f"corpus_root = {os.path.join(corpus_root, 'corpus')}",
-        ).replace(
-            "markers = markers.txt",
-            f"markers = {os.path.join(corpus_root, 'markers.txt')}",
-        )
-        path.write_text(base + "prune.mode = 5.0\n", encoding="utf-8")
+        path = _custom_config(corpus_root, tmp_path, "prune.mode = 5.0")
         cfg = validate_config(path, {"output": str(tmp_path / "out")})
         assert cfg.prune_config.threshold_mode == "custom"
         assert cfg.prune_config.custom_neg_log_p == 5.0
@@ -383,7 +390,37 @@ class TestCli:
         assert rows[0] == rows[1]
         assert [pair for pair, stage in rows[0] if stage == "align"] == ["xx", "yy"]
 
-    def test_jobs_below_one_is_a_config_error(self, corpus_root, capsys):
-        assert cli_main(["--config", _config_path(corpus_root), "--jobs", "0",
-                         "pipeline"]) == 2
-        assert "jobs must be at least 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("line, flags, message", [
+        ("", ["--jobs", "0"], "jobs must be at least 1"),
+        ("wordalign.symmetrization = grow", [],
+         "unknown wordalign.symmetrization 'grow'; expected one of intersection, union, "
+         "grow-diag-final-and"),
+        ("em.iterations = 0", [], "em.iterations must be at least 1"),
+        ("phrases.max_len = 0", [], "phrases.max_len must be at least 1"),
+        ("filter.max_length_delta = -1", [], "max_length_delta must be >= 0"),
+    ], ids=["jobs", "symmetrization", "em.iterations", "phrases.max_len",
+            "filter.max_length_delta"])
+    def test_bad_value_is_a_config_error(self, corpus_root, tmp_path, capsys,
+                                         line, flags, message):
+        out = tmp_path / "out"
+        rc = cli_main(["--config", _custom_config(corpus_root, tmp_path, line),
+                       "--output", str(out), *flags, "pipeline"])
+        assert rc == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not (out / "ingest").exists()
+
+    def test_runtime_imports_neither_numpy_nor_scipy(self, corpus_root, tmp_path):
+        code = (
+            "import sys\n"
+            "from dmlex.cli import main\n"
+            f"rc = main(['--config', {_config_path(corpus_root)!r}, "
+            f"'--output', {str(tmp_path / 'out')!r}, 'pipeline'])\n"
+            "print(rc, sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"

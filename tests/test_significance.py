@@ -18,6 +18,7 @@ from dmlex.pipeline import STAGES, run_pipeline, validate_config
 from dmlex.significance import (
     ContingencyTable,
     PruneConfig,
+    PruneReport,
     contingency_counts,
     fisher_neg_log_p,
     prune,
@@ -264,6 +265,14 @@ class TestPrune:
         body = [l for l in lines if not l.startswith("#")]
         assert len(body) == len(table.entries)
         assert all(l.endswith(("kept", "pruned")) for l in body)
+
+    def test_report_escapes_phrase_fields(self, tmp_path):
+        report = PruneReport(threshold=1.0, rows=[
+            (("a", "|||"), ("b&c",), ContingencyTable(1, 1, 1, 2), 0.5, False)])
+        path = tmp_path / "report.tsv"
+        write_prune_report(report, path)
+        row = path.read_text(encoding="utf-8").splitlines()[1]
+        assert row == "a &#124;&#124;&#124; ||| b&amp;c\t1\t1\t1\t0.5\tpruned"
 
 
 class TestPruneOutputsMatchOracle:
