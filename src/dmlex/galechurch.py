@@ -33,8 +33,9 @@ class AlignerParams:
     bead_priors: dict = field(default_factory=default_bead_priors)
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
+        for name in ("mean_char_ratio", "variance"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         total = sum(self.bead_priors.values())
         if abs(total - 1.0) > 1e-9 or any(v <= 0 for v in self.bead_priors.values()):
             raise ValueError("bead priors must be positive and sum to 1")

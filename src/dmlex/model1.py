@@ -213,6 +213,23 @@ def write_translation_table(table: TranslationTable, path) -> None:
                 fh.write(f"{cond}\t{gen}\t{table.probs[cond][gen]:.8g}\n")
 
 
+def write_alignments(link_sets, path) -> None:
+    """One line per sentence pair: its (src, tgt) links as sorted `i-j` tokens."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for links in link_sets:
+            fh.write(" ".join(f"{i}-{j}" for i, j in sorted(links)) + "\n")
+
+
+def read_alignments(path, n_pairs: int) -> list:
+    """The link sets written by write_alignments, which must be n_pairs lines."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    if len(lines) != n_pairs:
+        raise ValueError(f"{path} has {len(lines)} lines for {n_pairs} sentence pairs")
+    return [{tuple(int(x) for x in link.split("-")) for link in line.split()}
+            for line in lines]
+
+
 def read_translation_table(path) -> TranslationTable:
     direction = ""
     floor = 1e-7

@@ -145,10 +145,8 @@ def score_phrase_table(instances, word_probs_fe: TranslationTable,
     for key in sorted(joint):
         f, e = key
         count = joint[key]
-        best_align = min(
-            (a for a, c in alignments[key].items() if c == max(alignments[key].values())),
-            key=lambda a: sorted(a),
-        )
+        top = max(alignments[key].values())
+        best_align = min((a for a, c in alignments[key].items() if c == top), key=sorted)
         table.add(
             PhraseTableEntry(
                 foreign_phrase=f,

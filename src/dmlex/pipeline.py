@@ -1,6 +1,7 @@
 """Stage-graph orchestration with content-hash caching and run reports."""
 
 import hashlib
+import inspect
 import json
 import os
 import threading
@@ -28,17 +29,14 @@ class PipelineConfig:
     english_code: str
     foreign_codes: list
     markers_file: str
-    output_dir: str = "out"
-    cache: bool = True
-    jobs: int = 1
-    aligner: galechurch.AlignerParams = field(default_factory=galechurch.AlignerParams)
-    em_iterations: int = 5
-    em_prob_floor: float = 1e-7
-    em_null: bool = True
-    symmetrization: str = "grow-diag-final-and"
-    max_phrase_len: int = 7
-    prune_config: significance.PruneConfig = field(default_factory=significance.PruneConfig)
-    filter_policy: lexmod.FilterPolicy = field(default_factory=lexmod.FilterPolicy)
+    output_dir: str
+    cache: bool
+    jobs: int
+    em_iterations: int
+    symmetrization: str
+    max_phrase_len: int
+    prune_config: significance.PruneConfig
+    filter_policy: lexmod.FilterPolicy
 
 
 def _parse_bool(value: str) -> bool:
@@ -50,38 +48,44 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def _parse_prune_mode(value: str):
+def _parse_prune_mode(value: str) -> significance.PruneConfig:
     v = value.strip()
     if v == "alpha":
-        return ("alpha", 0.0)
+        return significance.PruneConfig("alpha")
     if v in ("alpha+e", "alpha_plus_epsilon"):
-        return ("alpha_plus_epsilon", 0.0)
-    return ("custom", float(v))
+        return significance.PruneConfig("alpha_plus_epsilon")
+    return significance.PruneConfig("custom", float(v))
 
 
-# key -> (parser, default-as-string or None for required)
+def _at_least_one(key, n):
+    return f"{key} must be at least 1" if n < 1 else None
+
+
+def _known_heuristic(key, name):
+    return (None if name in model1.HEURISTICS else
+            f"unknown {key} {name!r}; expected one of {', '.join(model1.HEURISTICS)}")
+
+
+# key -> (parser, default as a string or None if required, check or None); a
+# check returns the error for a parsed value it rejects. The Gale-Church
+# parameters, Model 1's NULL word and floor, and the epsilon of alpha+epsilon
+# are the method's constants: stages use the library defaults.
 _KNOWN_KEYS = {
-    "corpus_root": (str, None),
-    "english": (str, None),
-    "foreign": (str, None),
-    "markers": (str, None),
-    "output": (str, "out"),
-    "cache": (_parse_bool, "true"),
-    "jobs": (int, "1"),
-    "aligner.mean_char_ratio": (float, "1.0"),
-    "aligner.variance": (float, "6.8"),
-    "em.iterations": (int, "5"),
-    "em.prob_floor": (float, "1e-7"),
-    "em.null": (_parse_bool, "true"),
-    "wordalign.symmetrization": (str, "grow-diag-final-and"),
-    "phrases.max_len": (int, "7"),
-    "prune.mode": (str, "alpha+e"),
-    "prune.epsilon": (float, "1e-9"),
-    "filter.min_dir_phrase_prob": (float, "0.05"),
-    "filter.min_inv_phrase_prob": (float, "0.05"),
-    "filter.min_joint_count": (int, "2"),
-    "filter.max_length_delta": (int, "3"),
-    "filter.require_full_marker_alignment": (_parse_bool, "true"),
+    "corpus_root": (str, None, None),
+    "english": (str, None, None),
+    "foreign": (str, None, None),
+    "markers": (str, None, None),
+    "output": (str, "out", None),
+    "cache": (_parse_bool, "true", None),
+    "jobs": (int, "1", _at_least_one),
+    "em.iterations": (int, "5", _at_least_one),
+    "wordalign.symmetrization": (str, "grow-diag-final-and", _known_heuristic),
+    "phrases.max_len": (int, "7", _at_least_one),
+    "prune.mode": (_parse_prune_mode, "alpha_plus_epsilon", None),
+    "filter.min_dir_phrase_prob": (float, "0.05", None),
+    "filter.min_inv_phrase_prob": (float, "0.05", None),
+    "filter.min_joint_count": (int, "2", None),
+    "filter.max_length_delta": (int, "3", None),
 }
 
 
@@ -116,7 +120,7 @@ def validate_config(path, overrides: dict | None = None) -> PipelineConfig:
             errors.append(f"unknown config key: {key}")
 
     parsed = {}
-    for key, (parser, default) in _KNOWN_KEYS.items():
+    for key, (parser, default, check) in _KNOWN_KEYS.items():
         raw = values.get(key, default)
         if raw is None:
             errors.append(f"missing required config key: {key}")
@@ -125,17 +129,13 @@ def validate_config(path, overrides: dict | None = None) -> PipelineConfig:
             parsed[key] = parser(raw)
         except ValueError as exc:
             errors.append(f"bad value for {key}: {exc}")
+            continue
+        if check and (error := check(key, parsed[key])):
+            errors.append(error)
 
-    if errors:
+    if len(parsed) < len(_KNOWN_KEYS):  # the checks below need every value
         raise ConfigError(errors)
 
-    for key in ("jobs", "em.iterations", "phrases.max_len"):
-        if parsed[key] < 1:
-            errors.append(f"{key} must be at least 1")
-    heuristic = parsed["wordalign.symmetrization"]
-    if heuristic not in model1.HEURISTICS:
-        errors.append(f"unknown wordalign.symmetrization {heuristic!r}; "
-                      f"expected one of {', '.join(model1.HEURISTICS)}")
     english = parsed["english"]
     foreign = [c.strip() for c in parsed["foreign"].split(",") if c.strip()]
     if not foreign:
@@ -143,11 +143,9 @@ def validate_config(path, overrides: dict | None = None) -> PipelineConfig:
     if english in foreign:
         errors.append(f"english code {english!r} repeated in foreign codes")
 
-    corpus_root = parsed["corpus_root"]
-    base = os.path.dirname(os.path.abspath(path))
-    corpus_root = corpus_root if os.path.isabs(corpus_root) else os.path.join(base, corpus_root)
-    markers_file = parsed["markers"]
-    markers_file = markers_file if os.path.isabs(markers_file) else os.path.join(base, markers_file)
+    base = os.path.dirname(os.path.abspath(path))  # os.path.join keeps absolute paths
+    corpus_root = os.path.join(base, parsed["corpus_root"])
+    markers_file = os.path.join(base, parsed["markers"])
 
     if not os.path.isdir(corpus_root):
         errors.append(f"corpus_root does not exist: {corpus_root}")
@@ -171,20 +169,11 @@ def validate_config(path, overrides: dict | None = None) -> PipelineConfig:
         errors.append(f"missing seed marker file: {markers_file}")
 
     try:
-        mode, custom = _parse_prune_mode(parsed["prune.mode"])
-        aligner = galechurch.AlignerParams(
-            mean_char_ratio=parsed["aligner.mean_char_ratio"],
-            variance=parsed["aligner.variance"],
-        )
-        prune_config = significance.PruneConfig(
-            threshold_mode=mode, custom_neg_log_p=custom, epsilon=parsed["prune.epsilon"]
-        )
         filter_policy = lexmod.FilterPolicy(
             min_dir_phrase_prob=parsed["filter.min_dir_phrase_prob"],
             min_inv_phrase_prob=parsed["filter.min_inv_phrase_prob"],
             min_joint_count=parsed["filter.min_joint_count"],
             max_length_delta=parsed["filter.max_length_delta"],
-            require_full_marker_alignment=parsed["filter.require_full_marker_alignment"],
         )
     except ValueError as exc:
         errors.append(str(exc))
@@ -200,13 +189,10 @@ def validate_config(path, overrides: dict | None = None) -> PipelineConfig:
         output_dir=parsed["output"],
         cache=parsed["cache"],
         jobs=parsed["jobs"],
-        aligner=aligner,
         em_iterations=parsed["em.iterations"],
-        em_prob_floor=parsed["em.prob_floor"],
-        em_null=parsed["em.null"],
         symmetrization=parsed["wordalign.symmetrization"],
         max_phrase_len=parsed["phrases.max_len"],
-        prune_config=prune_config,
+        prune_config=parsed["prune.mode"],
         filter_policy=filter_policy,
     )
 
@@ -361,6 +347,7 @@ class PipelineRunner:
         inputs = [os.path.join(self.ingest_dir(code), f)
                   for code in (lang, self.cfg.english_code) for f in self.file_ids]
         outputs = [p["aligned_src"], p["aligned_tgt"]]
+        params = galechurch.AlignerParams()
 
         def body():
             paragraph_pairs = []
@@ -371,39 +358,36 @@ class PipelineRunner:
                     os.path.join(self.ingest_dir(self.cfg.english_code), file_id),
                     self.cfg.english_code, file_id)
                 paragraph_pairs.extend(ingest.pair_documents(src_doc, tgt_doc))
-            corpus = galechurch.align_corpus(paragraph_pairs, self.cfg.aligner)
+            corpus = galechurch.align_corpus(paragraph_pairs, params)
             galechurch.write_aligned_corpus(corpus, p["aligned_src"], p["aligned_tgt"])
             return {"sentence_pairs": len(corpus.pairs)}
 
-        return self._run_stage(lang, "align", self.cfg.aligner, inputs, outputs,
+        return self._run_stage(lang, "align", params, inputs, outputs,
                                f"ingest:{lang}", body)
 
     def stage_wordalign(self, lang) -> StageResult:
         p = self._pair_paths(lang)
         inputs = [p["aligned_src"], p["aligned_tgt"]]
         outputs = [p["table_fe"], p["table_ef"], p["alignments"]]
-        em = (self.cfg.em_iterations, self.cfg.em_prob_floor, self.cfg.em_null,
-              self.cfg.symmetrization)
+        defaults = inspect.signature(model1.train_model1).parameters
+        em = (self.cfg.em_iterations, defaults["prob_floor"].default,
+              defaults["use_null"].default, self.cfg.symmetrization)
 
         def body():
             corpus = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
             pairs_fe = [(tgt, src) for src, tgt in corpus.pairs]  # t(f|e): english conditions
             pairs_ef = corpus.pairs  # t(e|f): foreign conditions
-            table_fe = model1.train_model1(
-                pairs_fe, self.cfg.em_iterations, self.cfg.em_prob_floor,
-                self.cfg.em_null, direction=f"{lang}|{self.cfg.english_code}")
-            table_ef = model1.train_model1(
-                pairs_ef, self.cfg.em_iterations, self.cfg.em_prob_floor,
-                self.cfg.em_null, direction=f"{self.cfg.english_code}|{lang}")
+            table_fe = model1.train_model1(pairs_fe, self.cfg.em_iterations,
+                                           direction=f"{lang}|{self.cfg.english_code}")
+            table_ef = model1.train_model1(pairs_ef, self.cfg.em_iterations,
+                                           direction=f"{self.cfg.english_code}|{lang}")
             model1.write_translation_table(table_fe, p["table_fe"])
             model1.write_translation_table(table_ef, p["table_ef"])
-            with open(p["alignments"], "w", encoding="utf-8") as fh:
-                for src, tgt in corpus.pairs:
-                    src_to_tgt = model1.viterbi_align(src, tgt, table_ef)
-                    tgt_to_src = model1.viterbi_align(tgt, src, table_fe)
-                    links = model1.symmetrize(src_to_tgt, tgt_to_src,
-                                              self.cfg.symmetrization)
-                    fh.write(" ".join(f"{i}-{j}" for i, j in sorted(links)) + "\n")
+            model1.write_alignments(
+                (model1.symmetrize(model1.viterbi_align(src, tgt, table_ef),
+                                   model1.viterbi_align(tgt, src, table_fe),
+                                   self.cfg.symmetrization)
+                 for src, tgt in corpus.pairs), p["alignments"])
             return {"sentence_pairs": len(corpus.pairs),
                     "final_ll_f_given_e": table_fe.log_likelihoods[-1],
                     "final_ll_e_given_f": table_ef.log_likelihoods[-1]}
@@ -421,14 +405,9 @@ class PipelineRunner:
             corpus = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
             table_fe = model1.read_translation_table(p["table_fe"])
             table_ef = model1.read_translation_table(p["table_ef"])
-            with open(p["alignments"], encoding="utf-8") as fh:
-                lines = fh.readlines()
-            if len(lines) != len(corpus.pairs):
-                raise ValueError(f"{p['alignments']} has {len(lines)} lines for "
-                                 f"{len(corpus.pairs)} sentence pairs")
+            alignments = model1.read_alignments(p["alignments"], len(corpus.pairs))
             instances = []
-            for idx, (line, (src, tgt)) in enumerate(zip(lines, corpus.pairs)):
-                links = {tuple(int(x) for x in link.split("-")) for link in line.split()}
+            for idx, (links, (src, tgt)) in enumerate(zip(alignments, corpus.pairs)):
                 instances.extend(phrases.extract_phrase_pairs(
                     src, tgt, links, self.cfg.max_phrase_len, origin=idx))
             table = phrases.score_phrase_table(

@@ -27,8 +27,8 @@ class PruneConfig:
     def __post_init__(self):
         if self.threshold_mode not in ("alpha", "alpha_plus_epsilon", "custom"):
             raise ValueError(f"unknown threshold mode: {self.threshold_mode}")
-        if self.threshold_mode == "custom" and self.custom_neg_log_p < 0:
-            raise ValueError("custom_neg_log_p must be >= 0")
+        if self.threshold_mode == "custom" and not 0 <= self.custom_neg_log_p < math.inf:
+            raise ValueError("custom_neg_log_p must be finite and >= 0")
 
 
 def _postings(sentences, phrases) -> dict:

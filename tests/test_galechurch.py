@@ -32,6 +32,13 @@ from helpers import (
 PARAMS = AlignerParams()
 
 
+@pytest.mark.parametrize("field", ["mean_char_ratio", "variance"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_aligner_params_must_be_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        AlignerParams(**{field: value})
+
+
 class TestLengthCost:
     def test_zero_deviation_is_prior_only(self):
         cost = length_cost(100, 100, "1-1", PARAMS)

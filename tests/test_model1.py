@@ -12,10 +12,12 @@ from dmlex.model1 import (
     TranslationTable,
     corpus_log_likelihood,
     directional_links,
+    read_alignments,
     read_translation_table,
     symmetrize,
     train_model1,
     viterbi_align,
+    write_alignments,
     write_translation_table,
 )
 
@@ -233,6 +235,14 @@ class TestSerialization:
             back = read_translation_table(path)
         assert back.probs == probs
         assert back.direction == table.direction
+
+    @given(st.lists(st.sets(st.tuples(st.integers(0, 200), st.integers(0, 200)),
+                            max_size=12), max_size=6))
+    def test_alignments_round_trip(self, link_sets):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "alignments.txt")
+            write_alignments(link_sets, path)
+            assert read_alignments(path, len(link_sets)) == link_sets
 
 
 def test_directional_links_drops_null():

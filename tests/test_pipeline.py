@@ -57,7 +57,6 @@ class TestValidateConfig:
         assert cfg.max_phrase_len == 7
         assert cfg.prune_config.threshold_mode == "alpha_plus_epsilon"
         assert cfg.filter_policy.min_joint_count == 2
-        assert cfg.aligner.variance == 6.8
         assert cfg.cache is True
 
     def test_english_repeated_in_foreign(self, corpus_root, tmp_path):
@@ -110,12 +109,11 @@ class TestValidateConfig:
             if "=" in line:
                 key, _, value = line.partition("=")
                 documented[key.strip()] = value.strip()
-        required = {key for key, (_, default) in _KNOWN_KEYS.items() if default is None}
-        assert required <= set(documented)
-        assert "filter.min_joint_count" in documented
-        for key, value in documented.items():
-            assert key in _KNOWN_KEYS, key
-            _KNOWN_KEYS[key][0](value)
+        assert set(documented) == set(_KNOWN_KEYS)
+        for key, (parser, default, _) in _KNOWN_KEYS.items():
+            parser(documented[key])
+            if default is not None:  # required keys show an example value
+                assert documented[key] == default, key
 
     def test_custom_threshold_mode(self, corpus_root, tmp_path):
         path = _custom_config(corpus_root, tmp_path, "prune.mode = 5.0")
@@ -398,8 +396,25 @@ class TestCli:
         ("em.iterations = 0", [], "em.iterations must be at least 1"),
         ("phrases.max_len = 0", [], "phrases.max_len must be at least 1"),
         ("filter.max_length_delta = -1", [], "max_length_delta must be >= 0"),
+        ("prune.mode = nan", [], "bad value for prune.mode: custom_neg_log_p must be finite "
+         "and >= 0"),
+        ("prune.mode = inf", [], "bad value for prune.mode: custom_neg_log_p must be finite "
+         "and >= 0"),
+        ("filter.min_joint_count = 0", [], "min_joint_count must be >= 1"),
+        ("filter.min_dir_phrase_prob = nan", [], "probability floors must lie in [0, 1]"),
+        # the method's constants are not config keys
+        ("aligner.mean_char_ratio = -1", [], "unknown config key: aligner.mean_char_ratio"),
+        ("aligner.variance = nan", [], "unknown config key: aligner.variance"),
+        ("em.prob_floor = 2", [], "unknown config key: em.prob_floor"),
+        ("em.null = false", [], "unknown config key: em.null"),
+        ("prune.epsilon = nan", [], "unknown config key: prune.epsilon"),
+        ("filter.require_full_marker_alignment = false", [],
+         "unknown config key: filter.require_full_marker_alignment"),
     ], ids=["jobs", "symmetrization", "em.iterations", "phrases.max_len",
-            "filter.max_length_delta"])
+            "filter.max_length_delta", "prune.mode-nan", "prune.mode-inf",
+            "filter.min_joint_count", "filter.min_dir_phrase_prob",
+            "aligner.mean_char_ratio", "aligner.variance", "em.prob_floor", "em.null",
+            "prune.epsilon", "filter.require_full_marker_alignment"])
     def test_bad_value_is_a_config_error(self, corpus_root, tmp_path, capsys,
                                          line, flags, message):
         out = tmp_path / "out"

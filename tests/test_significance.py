@@ -207,6 +207,11 @@ class TestThresholdFor:
         n = 123
         assert threshold_for("alpha_plus_epsilon", n) > threshold_for("alpha", n)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_custom_threshold_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="custom_neg_log_p must be finite and >= 0"):
+            PruneConfig(threshold_mode="custom", custom_neg_log_p=value)
+
 
 class TestPrune:
     def _table_and_corpus(self):
