@@ -37,8 +37,25 @@ class PhraseTable:
         self.entries[key] = entry
         self.by_english.setdefault(entry.english_phrase, []).append(entry)
 
+    def select(self, keys) -> "PhraseTable":
+        """The entries under these keys, carried over unchanged."""
+        kept = PhraseTable(corpus_size=self.corpus_size)
+        for key in keys:
+            kept.add(self.entries[key])
+        return kept
+
     def __len__(self) -> int:
         return len(self.entries)
+
+
+@dataclass
+class PhraseCounts:
+    """Each pair's joint count and most frequent internal alignment as `i-j` links text."""
+    entries: dict = field(default_factory=dict)  # (foreign, english) -> (joint count, links)
+    corpus_size: int = 0
+
+    def select(self, keys) -> "PhraseCounts":
+        return PhraseCounts({key: self.entries[key] for key in keys}, self.corpus_size)
 
 
 def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int = 7,
@@ -102,9 +119,10 @@ def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int 
 def lexical_weight(english_phrase, foreign_phrase, internal_alignment,
                    word_probs: TranslationTable) -> float:
     """lex(e|f, a): product over english positions of the mean translation
-    probability from their linked foreign words (NULL if unlinked)."""
+    probability from their linked foreign words (NULL if unlinked), summed in
+    sorted link order whatever order the set was built in."""
     links_by_e = defaultdict(list)
-    for i, j in internal_alignment:
+    for i, j in sorted(internal_alignment):
         links_by_e[j].append(i)
     weight = 1.0
     for j, e_word in enumerate(english_phrase):
@@ -123,43 +141,50 @@ def inverse_lexical_weight(foreign_phrase, english_phrase, internal_alignment,
     return lexical_weight(foreign_phrase, english_phrase, transposed, word_probs)
 
 
-def score_phrase_table(instances, word_probs_fe: TranslationTable,
-                       word_probs_ef: TranslationTable, corpus_size: int) -> PhraseTable:
-    """Relative-frequency phrase probabilities plus lexical weights.
+def count_phrase_pairs(instances, corpus_size: int) -> PhraseCounts:
+    """Each pair's joint count and most frequent internal alignment; a tie
+    goes to the alignment whose sorted links come first."""
+    groups = defaultdict(list)
+    for inst in instances:
+        groups[inst.foreign_phrase, inst.english_phrase].append(inst.internal_alignment)
+    counts = PhraseCounts(corpus_size=corpus_size)
+    for key, seen in groups.items():
+        best = seen[0]
+        if len(seen) > 1:
+            tally = Counter(seen)
+            top = max(tally.values())
+            best = min((a for a, c in tally.items() if c == top), key=sorted)
+        counts.entries[key] = (len(seen), _format_links(best))
+    return counts
+
+
+def score_counts(counts: PhraseCounts, keys, word_probs_fe: TranslationTable,
+                 word_probs_ef: TranslationTable) -> PhraseTable:
+    """Relative-frequency phrase probabilities plus lexical weights for the
+    given keys, with marginals over every pair in counts.
 
     word_probs_fe generates foreign from english (for lex(f|e));
     word_probs_ef generates english from foreign (for lex(e|f)).
     """
-    joint = Counter()
-    marg_f = Counter()
-    marg_e = Counter()
-    alignments = defaultdict(Counter)
-    for inst in instances:
-        key = (inst.foreign_phrase, inst.english_phrase)
-        joint[key] += 1
-        marg_f[inst.foreign_phrase] += 1
-        marg_e[inst.english_phrase] += 1
-        alignments[key][inst.internal_alignment] += 1
-
-    table = PhraseTable(corpus_size=corpus_size)
-    for key in sorted(joint):
-        f, e = key
-        count = joint[key]
-        top = max(alignments[key].values())
-        best_align = min((a for a, c in alignments[key].items() if c == top), key=sorted)
-        table.add(
-            PhraseTableEntry(
-                foreign_phrase=f,
-                english_phrase=e,
-                inv_phrase_prob=count / marg_e[e],
-                inv_lex_weight=inverse_lexical_weight(f, e, best_align, word_probs_fe),
-                dir_phrase_prob=count / marg_f[f],
-                dir_lex_weight=lexical_weight(e, f, best_align, word_probs_ef),
-                most_frequent_internal_alignment=best_align,
-                joint_count=float(count),
-            )
-        )
+    marg_f, marg_e = Counter(), Counter()
+    for (f, e), (joint, _) in counts.entries.items():
+        marg_f[f] += joint
+        marg_e[e] += joint
+    table = PhraseTable(corpus_size=counts.corpus_size)
+    for f, e in sorted(keys):
+        joint, links = counts.entries[f, e]
+        align = _parse_links(links)
+        table.add(PhraseTableEntry(
+            f, e, joint / marg_e[e], inverse_lexical_weight(f, e, align, word_probs_fe),
+            joint / marg_f[f], lexical_weight(e, f, align, word_probs_ef), align, float(joint)))
     return table
+
+
+def score_phrase_table(instances, word_probs_fe: TranslationTable,
+                       word_probs_ef: TranslationTable, corpus_size: int) -> PhraseTable:
+    """Every extracted pair, counted and scored."""
+    counts = count_phrase_pairs(instances, corpus_size)
+    return score_counts(counts, counts.entries, word_probs_fe, word_probs_ef)
 
 
 def _fmt(x: float) -> str:
@@ -176,26 +201,34 @@ def unescape_phrase(text: str) -> tuple:
     return tuple(text.replace("&#124;", "|").replace("&amp;", "&").split())
 
 
+def _format_links(links) -> str:
+    return " ".join(f"{i}-{j}" for i, j in sorted(links))
+
+
+def _parse_links(text: str) -> frozenset:
+    return frozenset((int(a), int(b)) for a, b in (link.split("-") for link in text.split()))
+
+
 def write_phrase_table(table: PhraseTable, path) -> None:
     """`f ||| e ||| 4 scores ||| i-j links ||| count`, lexicographically sorted."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# N={table.corpus_size}\n")
         for f, e in sorted(table.entries):
             entry = table.entries[(f, e)]
-            scores = " ".join(
-                _fmt(x)
-                for x in (
-                    entry.inv_phrase_prob,
-                    entry.inv_lex_weight,
-                    entry.dir_phrase_prob,
-                    entry.dir_lex_weight,
-                )
-            )
-            links = " ".join(f"{i}-{j}" for i, j in sorted(entry.most_frequent_internal_alignment))
-            fh.write(
-                f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {scores} ||| {links} ||| "
-                f"{_fmt(entry.joint_count)}\n"
-            )
+            scores = " ".join(_fmt(x) for x in (entry.inv_phrase_prob, entry.inv_lex_weight,
+                                                entry.dir_phrase_prob, entry.dir_lex_weight))
+            links = _format_links(entry.most_frequent_internal_alignment)
+            fh.write(f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {scores} ||| {links} ||| "
+                     f"{_fmt(entry.joint_count)}\n")
+
+
+def write_phrase_counts(counts: PhraseCounts, path) -> None:
+    """`f ||| e ||| i-j links ||| joint count`, lexicographically sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# N={counts.corpus_size}\n")
+        for f, e in sorted(counts.entries):
+            joint, links = counts.entries[(f, e)]
+            fh.write(f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {links} ||| {joint}\n")
 
 
 class PhraseTableFormatError(ValueError):
@@ -204,8 +237,8 @@ class PhraseTableFormatError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
-def read_phrase_table(path) -> PhraseTable:
-    table = PhraseTable()
+def _data_lines(path, n_fields, table):
+    """(line number, fields) of each data line; `# N=` sets table.corpus_size."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -217,30 +250,35 @@ def read_phrase_table(path) -> PhraseTable:
                     table.corpus_size = int(value)
                 continue
             fields = line.split(" ||| ")
-            if len(fields) != 5:
-                raise PhraseTableFormatError(lineno, f"expected 5 fields, got {len(fields)}")
-            f_str, e_str, scores_str, links_str, count_str = fields
-            try:
-                scores = [float(x) for x in scores_str.split()]
-                if len(scores) != 4:
-                    raise ValueError("expected 4 scores")
-                links = frozenset(
-                    (int(a), int(b))
-                    for a, b in (link.split("-") for link in links_str.split())
-                )
-                count = float(count_str)
-            except ValueError as exc:
-                raise PhraseTableFormatError(lineno, str(exc)) from exc
-            table.add(
-                PhraseTableEntry(
-                    foreign_phrase=unescape_phrase(f_str),
-                    english_phrase=unescape_phrase(e_str),
-                    inv_phrase_prob=scores[0],
-                    inv_lex_weight=scores[1],
-                    dir_phrase_prob=scores[2],
-                    dir_lex_weight=scores[3],
-                    most_frequent_internal_alignment=links,
-                    joint_count=count,
-                )
-            )
+            if len(fields) != n_fields:
+                raise PhraseTableFormatError(
+                    lineno, f"expected {n_fields} fields, got {len(fields)}")
+            yield lineno, fields
+
+
+def read_phrase_table(path) -> PhraseTable:
+    table = PhraseTable()
+    for lineno, (f_str, e_str, scores_str, links_str, count_str) in _data_lines(path, 5, table):
+        try:
+            scores = [float(x) for x in scores_str.split()]
+            if len(scores) != 4:
+                raise ValueError("expected 4 scores")
+            links = _parse_links(links_str)
+            count = float(count_str)
+        except ValueError as exc:
+            raise PhraseTableFormatError(lineno, str(exc)) from exc
+        table.add(PhraseTableEntry(unescape_phrase(f_str), unescape_phrase(e_str), *scores,
+                                   links, count))
     return table
+
+
+def read_phrase_counts(path) -> PhraseCounts:
+    """The links stay text: only the pairs that get scored parse them."""
+    counts = PhraseCounts()
+    for lineno, (f_str, e_str, links, joint_str) in _data_lines(path, 4, counts):
+        try:
+            joint = int(joint_str)
+        except ValueError as exc:
+            raise PhraseTableFormatError(lineno, str(exc)) from exc
+        counts.entries[(unescape_phrase(f_str), unescape_phrase(e_str))] = (joint, links)
+    return counts

@@ -397,40 +397,41 @@ class PipelineRunner:
 
     def stage_phrases(self, lang) -> StageResult:
         p = self._pair_paths(lang)
-        inputs = [p["aligned_src"], p["aligned_tgt"], p["table_fe"], p["table_ef"],
-                  p["alignments"]]
+        inputs = [p["aligned_src"], p["aligned_tgt"], p["alignments"]]
         outputs = [p["phrase_table"]]
 
         def body():
             corpus = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
-            table_fe = model1.read_translation_table(p["table_fe"])
-            table_ef = model1.read_translation_table(p["table_ef"])
             alignments = model1.read_alignments(p["alignments"], len(corpus.pairs))
             instances = []
             for idx, (links, (src, tgt)) in enumerate(zip(alignments, corpus.pairs)):
                 instances.extend(phrases.extract_phrase_pairs(
                     src, tgt, links, self.cfg.max_phrase_len, origin=idx))
-            table = phrases.score_phrase_table(
-                instances, table_fe, table_ef, len(corpus.pairs))
-            phrases.write_phrase_table(table, p["phrase_table"])
-            return {"instances": len(instances), "entries": len(table)}
+            counts = phrases.count_phrase_pairs(instances, len(corpus.pairs))
+            phrases.write_phrase_counts(counts, p["phrase_table"])
+            return {"instances": len(instances), "entries": len(counts.entries)}
 
         return self._run_stage(lang, "phrases", self.cfg.max_phrase_len, inputs,
                                outputs, f"wordalign:{lang}", body)
 
     def stage_prune(self, lang) -> StageResult:
+        """Prune on counts alone, then score only the surviving pairs."""
         p = self._pair_paths(lang)
-        inputs = [p["phrase_table"], p["aligned_src"], p["aligned_tgt"]]
+        inputs = [p["phrase_table"], p["aligned_src"], p["aligned_tgt"], p["table_fe"],
+                  p["table_ef"]]
         outputs = [p["pruned_table"], p["prune_report"]]
 
         def body():
-            table = phrases.read_phrase_table(p["phrase_table"])
+            pair_counts = phrases.read_phrase_counts(p["phrase_table"])
             corpus = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
-            counts = significance.contingency_counts(table, corpus)
-            kept, report = significance.prune(table, counts, self.cfg.prune_config)
-            phrases.write_phrase_table(kept, p["pruned_table"])
+            counts = significance.contingency_counts(pair_counts, corpus)
+            kept, report = significance.prune(pair_counts, counts, self.cfg.prune_config)
+            table = phrases.score_counts(pair_counts, kept.entries,
+                                         model1.read_translation_table(p["table_fe"]),
+                                         model1.read_translation_table(p["table_ef"]))
+            phrases.write_phrase_table(table, p["pruned_table"])
             significance.write_prune_report(report, p["prune_report"])
-            return {"entries_in": len(table), "entries_kept": report.kept_count,
+            return {"entries_in": len(pair_counts.entries), "entries_kept": report.kept_count,
                     "entries_pruned": report.pruned_count,
                     "threshold": report.threshold}
 

@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass, field
 
-from .phrases import PhraseTable, escape_phrase
+from .phrases import escape_phrase
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,8 @@ class PruneConfig:
             raise ValueError(f"unknown threshold mode: {self.threshold_mode}")
         if self.threshold_mode == "custom" and not 0 <= self.custom_neg_log_p < math.inf:
             raise ValueError("custom_neg_log_p must be finite and >= 0")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and >= 0")
 
 
 def _postings(sentences, phrases) -> dict:
@@ -48,8 +50,9 @@ def _postings(sentences, phrases) -> dict:
     return postings
 
 
-def contingency_counts(table: PhraseTable, corpus) -> dict:
-    """Per-entry contingency counts against the extraction corpus."""
+def contingency_counts(table, corpus) -> dict:
+    """Per-entry contingency counts against the extraction corpus; table is a
+    PhraseTable or PhraseCounts, and only its keys are read."""
     src_ids = _postings((src for src, _ in corpus.pairs), {f for f, _ in table.entries})
     tgt_ids = _postings((tgt for _, tgt in corpus.pairs), {e for _, e in table.entries})
     n = len(corpus.pairs)
@@ -106,15 +109,15 @@ class PruneReport:
     pruned_count: int = 0
 
 
-def prune(table: PhraseTable, counts: dict, config: PruneConfig) -> tuple:
+def prune(table, counts: dict, config: PruneConfig) -> tuple:
     """Keep entries whose -log p exceeds the configured threshold.
 
-    Surviving entries are carried over unchanged. Returns (table, report).
+    table is a PhraseTable or PhraseCounts, and its surviving entries are
+    carried over unchanged into one of the same type. Returns (kept, report).
     """
     threshold = threshold_for(
         config.threshold_mode, table.corpus_size, config.epsilon, config.custom_neg_log_p
     )
-    kept = PhraseTable(corpus_size=table.corpus_size)
     report = PruneReport(threshold=threshold)
     scores = {}  # ContingencyTable -> -log p; few distinct tables among many entries
     for key in sorted(table.entries):
@@ -124,11 +127,9 @@ def prune(table: PhraseTable, counts: dict, config: PruneConfig) -> tuple:
         score = scores[ct]
         keep = score > threshold
         report.rows.append((key[0], key[1], ct, score, keep))
-        if keep:
-            kept.add(table.entries[key])
-            report.kept_count += 1
-        else:
-            report.pruned_count += 1
+    kept = table.select((f, e) for f, e, _, _, keep in report.rows if keep)
+    report.kept_count = len(kept.entries)
+    report.pruned_count = len(report.rows) - report.kept_count
     return kept, report
 
 

@@ -1,24 +1,30 @@
+import itertools
 import os
 import random
 import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dmlex.model1 import NULL_WORD, TranslationTable, train_model1
 from dmlex.phrases import (
+    PhraseCounts,
     PhrasePairInstance,
     PhraseTable,
     PhraseTableEntry,
     PhraseTableFormatError,
+    count_phrase_pairs,
     escape_phrase,
     extract_phrase_pairs,
     inverse_lexical_weight,
     lexical_weight,
+    read_phrase_counts,
     read_phrase_table,
+    score_counts,
     score_phrase_table,
     unescape_phrase,
+    write_phrase_counts,
     write_phrase_table,
 )
 
@@ -154,6 +160,19 @@ class TestLexicalWeight:
         w = lexical_weight(("e0", "e1"), ("f0", "f1"), {(0, 0), (1, 1)}, table)
         assert 0 < w <= 1
 
+    def test_weight_does_not_depend_on_link_insertion_order(self):
+        # four foreign words on one english word: a float sum of four terms
+        # depends on its order, and so does a frozenset's iteration order on
+        # the order its links were inserted in
+        probs = {"f0": {"e0": 0.1}, "f1": {"e0": 0.2}, "f2": {"e0": 0.3}, "f3": {"e0": 0.7}}
+        table = TranslationTable(direction="", probs=probs, use_null=False,
+                                 generated_vocab={"e0"})
+        sets = [frozenset(order) for order in itertools.permutations([(i, 0) for i in range(4)])]
+        assert len({tuple(links) for links in sets}) > 1
+        weights = {lexical_weight(("e0",), ("f0", "f1", "f2", "f3"), links, table)
+                   for links in sets}
+        assert weights == {(0.1 + 0.2 + 0.3 + 0.7) / 4}
+
     def test_inverse_transposes_links(self):
         table = TranslationTable(
             direction="", probs={"e0": {"f0": 0.7}}, use_null=False, generated_vocab={"f0"}
@@ -253,6 +272,91 @@ class TestScorePhraseTable:
         table = score_phrase_table(instances, t_fe, t_ef, 2)
         entry = table.entries[(("f0", "f1"), ("e0", "e1"))]
         assert entry.most_frequent_internal_alignment == frozenset(a1)
+
+
+@st.composite
+def _aligned_corpus(draw):
+    """Sentence pairs over tiny vocabularies with dense random links, so
+    phrases repeat and several foreign words often link to one english word."""
+    pairs = draw(st.lists(st.tuples(
+        st.lists(st.sampled_from(["f0", "f1", "f2", "f3"]), min_size=1, max_size=6),
+        st.lists(st.sampled_from(["e0", "e1", "e2"]), min_size=1, max_size=6)),
+        min_size=1, max_size=6))
+    alignments = [draw(st.sets(st.tuples(st.integers(0, len(f) - 1),
+                                         st.integers(0, len(e) - 1)), max_size=8))
+                  for f, e in pairs]
+    return pairs, alignments
+
+
+class TestScoreCounts:
+    @settings(max_examples=100, deadline=None)
+    @given(_aligned_corpus(), st.data())
+    def test_survivor_scores_equal_full_table_scores(self, drawn, data):
+        """Scoring some keys of a counts file read back from disk gives, float
+        for float, the entries that scoring every extracted pair gives."""
+        pairs, alignments = drawn
+        instances = []
+        for k, ((f, e), links) in enumerate(zip(pairs, alignments)):
+            instances.extend(extract_phrase_pairs(f, e, links, 7, origin=k))
+        assume(instances)
+        t_fe = train_model1([(e, f) for f, e in pairs], iterations=2)
+        t_ef = train_model1(pairs, iterations=2)
+        full = score_phrase_table(instances, t_fe, t_ef, len(pairs))
+        keys = data.draw(st.sets(st.sampled_from(sorted(full.entries))))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "phrase-table.txt")
+            write_phrase_counts(count_phrase_pairs(instances, len(pairs)), path)
+            counts = read_phrase_counts(path)
+        survivors = score_counts(counts, keys, t_fe, t_ef)
+        assert survivors.corpus_size == full.corpus_size
+        assert survivors.entries == {key: full.entries[key] for key in keys}
+
+    def test_counts_keep_joint_count_and_most_frequent_alignment(self):
+        instances = [_instance(["f0", "f1"], ["e0", "e1"], {(0, 1), (1, 0)}, 0),
+                     _instance(["f0", "f1"], ["e0", "e1"], {(0, 0), (1, 1)}, 1),
+                     _instance(["f0", "f1"], ["e0", "e1"], {(0, 1), (1, 0)}, 2),
+                     _instance(["f0"], ["e0"], {(0, 0)}, 1)]
+        counts = count_phrase_pairs(instances, 3)
+        assert counts == PhraseCounts({(("f0", "f1"), ("e0", "e1")): (3, "0-1 1-0"),
+                                       (("f0",), ("e0",)): (1, "0-0")}, 3)
+
+
+class TestPhraseCountsIO:
+    @given(st.lists(st.tuples(tokenizer_phrases(), tokenizer_phrases(), st.integers(1, 3)),
+                    min_size=1, max_size=6), st.data())
+    def test_tokenizer_output_round_trips(self, pairs, data):
+        instances = []
+        for f, e, n in pairs:
+            link = st.tuples(st.integers(0, len(f) - 1), st.integers(0, len(e) - 1))
+            instances += [_instance(f, e, data.draw(st.sets(link, min_size=1, max_size=3)), k)
+                          for k in range(n)]
+        counts = count_phrase_pairs(instances, len(pairs))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "phrase-table.txt")
+            write_phrase_counts(counts, path)
+            assert read_phrase_counts(path) == counts
+
+    def test_separator_entity_and_header_like_tokens_round_trip(self, tmp_path):
+        counts = PhraseCounts({(("a", "|||"), ("b",)): (2, "0-0 1-0"),
+                               (("&#124;", "&amp;"), ("x|y", "&")): (1, "0-0"),
+                               (("#", "N=5"), ("#eu",)): (4, "1-0")}, 7)
+        path = tmp_path / "phrase-table.txt"
+        write_phrase_counts(counts, path)
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            "# N=7",
+            "# N=5 ||| #eu ||| 1-0 ||| 4",
+            "&amp;#124; &amp;amp; ||| x&#124;y &amp; ||| 0-0 ||| 1",
+            "a &#124;&#124;&#124; ||| b ||| 0-0 1-0 ||| 2",
+        ]
+        assert read_phrase_counts(path) == counts
+
+    @pytest.mark.parametrize("line", ["a ||| b ||| 0-0 ||| 1 ||| 2", "a ||| b ||| 0-0 ||| 1.5"])
+    def test_malformed_line_reports_line_number(self, tmp_path, line):
+        path = tmp_path / "phrase-table.txt"
+        path.write_text(f"# N=1\na ||| b ||| 0-0 ||| 1\n{line}\n", encoding="utf-8")
+        with pytest.raises(PhraseTableFormatError) as exc:
+            read_phrase_counts(path)
+        assert exc.value.line_number == 3
 
 
 class TestPhraseTableIO:

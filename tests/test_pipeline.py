@@ -152,6 +152,50 @@ class TestRunPipeline:
         assert not status[("prune", "xx")]
         assert not status[("markers", "xx")]
 
+    def test_translation_tables_are_inputs_of_prune_not_phrases(self, corpus_root, tmp_path):
+        out = str(tmp_path / "out")
+        cfg = validate_config(_config_path(corpus_root), {"output": out})
+        assert run_pipeline(cfg).ok
+        path = os.path.join(out, "pairs", "xx", "model1.e_given_f.tsv")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        row = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+        cond, gen, prob = lines[row].rstrip("\n").split("\t")
+        lines[row] = f"{cond}\t{gen}\t{float(prob) / 2:.8g}\n"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(lines))
+
+        report = run_pipeline(cfg)
+        assert report.ok
+        status = {r.stage: r.cache_hit for r in report.results if r.pair == "xx"}
+        assert status == {"ingest": True, "align": True, "wordalign": True, "phrases": True,
+                          "prune": False, "markers": False}
+
+    def test_prune_scores_only_the_surviving_pairs(self, corpus_root, tmp_path, monkeypatch):
+        from dmlex import phrases
+
+        out = str(tmp_path / "out")
+        cfg = validate_config(_config_path(corpus_root), {"output": out})
+        assert run_pipeline(cfg, stages=["ingest", "align", "wordalign", "phrases"]).ok
+        calls = {"lexical_weight": 0, "PhraseTableEntry": 0}
+
+        def counted(name):
+            real = getattr(phrases, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(phrases, name, counted(name))
+        report = run_pipeline(cfg, stages=["prune"])
+        assert report.ok
+        stats = report.results[0].stats
+        assert 0 < stats["entries_kept"] < stats["entries_in"]
+        assert calls == {"lexical_weight": 2 * stats["entries_kept"],
+                         "PhraseTableEntry": stats["entries_kept"]}
+
     def test_stage_subset(self, corpus_root, tmp_path):
         out = str(tmp_path / "out")
         cfg = validate_config(_config_path(corpus_root), {"output": out})

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmlex.galechurch import AlignedCorpus, read_aligned_corpus
-from dmlex.model1 import train_model1
+from dmlex.model1 import read_translation_table, train_model1
 from dmlex.phrases import (
     PhraseTable,
     PhraseTableEntry,
     extract_phrase_pairs,
-    read_phrase_table,
+    read_phrase_counts,
+    score_counts,
     score_phrase_table,
     write_phrase_table,
 )
@@ -212,6 +213,11 @@ class TestThresholdFor:
         with pytest.raises(ValueError, match="custom_neg_log_p must be finite and >= 0"):
             PruneConfig(threshold_mode="custom", custom_neg_log_p=value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_epsilon_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            PruneConfig(epsilon=value)
+
 
 class TestPrune:
     def _table_and_corpus(self):
@@ -282,23 +288,26 @@ class TestPrune:
 
 class TestPruneOutputsMatchOracle:
     def test_pipeline_prune_outputs_equal_oracle_count_outputs(self, tmp_path):
-        """The pipeline's pruned table and report are the bytes that prune
-        gives on brute-force counts, and every row's score is its own
-        table's unmemoised -log p."""
+        """The pipeline's pruned table and report are the bytes that prune and
+        survivor scoring give on brute-force counts, and every row's score is
+        its own table's unmemoised -log p."""
         cfg = validate_config(write_synthetic_corpus(str(tmp_path / "run"), n_pairs=80))
         assert run_pipeline(cfg, stages=STAGES[:STAGES.index("prune") + 1]).ok
         pair_dir = tmp_path / "run" / "out" / "pairs" / "xx"
-        table = read_phrase_table(pair_dir / "phrase-table.txt")
+        pair_counts = read_phrase_counts(pair_dir / "phrase-table.txt")
         corpus = read_aligned_corpus(pair_dir / "aligned.src", pair_dir / "aligned.tgt")
-        oracle = brute_force_contingency_counts(table, corpus.pairs)
+        oracle = brute_force_contingency_counts(pair_counts, corpus.pairs)
         counts = {key: ContingencyTable(*cell) for key, cell in oracle.items()}
 
-        kept, report = prune(table, counts, cfg.prune_config)
+        kept, report = prune(pair_counts, counts, cfg.prune_config)
         for foreign, english, ct, score, _ in report.rows:
             assert ct == counts[(foreign, english)]
             assert score == fisher_neg_log_p(ct)
-        assert 0 < report.kept_count < len(table)
+        assert 0 < report.kept_count < len(pair_counts.entries)
+        table = score_counts(pair_counts, kept.entries,
+                             read_translation_table(pair_dir / "model1.f_given_e.tsv"),
+                             read_translation_table(pair_dir / "model1.e_given_f.tsv"))
         write_prune_report(report, tmp_path / "prune-report.tsv")
-        write_phrase_table(kept, tmp_path / "phrase-table.pruned.txt")
+        write_phrase_table(table, tmp_path / "phrase-table.pruned.txt")
         for name in ("prune-report.tsv", "phrase-table.pruned.txt"):
             assert (pair_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
