@@ -1,0 +1,57 @@
+"""Byte identity of every stage output, pinned by sha256.
+
+The digests were taken from a full pipeline run on an 80-pair synthetic
+corpus. A change that is meant to leave every output unchanged must keep
+this test green; a change that alters an output on purpose updates the
+digest here and says why in CHANGES.md. The run reports and the cache
+manifest carry timings and paths, so they are not pinned.
+"""
+
+import hashlib
+import os
+import sys
+
+import pytest
+
+from dmlex.pipeline import run_pipeline, validate_config
+
+from helpers import write_synthetic_corpus
+
+GOLDEN = {
+    "ingest/en/ep-0.txt": "21ca9103421244512bfe2c68f563519afefa6e8e5074f71ca6d5911c275e24db",
+    "ingest/en/ep-1.txt": "3cf03318b298720f338b3d84e70b5b9a1594821cb3200553b1881d532f98eb3b",
+    "ingest/xx/ep-0.txt": "057929875a59e13452f8f0dae8c7a68f9d71471ab2900a92eece4665592ace0d",
+    "ingest/xx/ep-1.txt": "fc73c27d1a3db8daab58e2187ac8609a8b639def96450bcbfb2c056dee901be6",
+    "pairs/xx/aligned.src": "0bb208e4b81bf612d1aef55c5e3e8d361ed2a7c869bd378e1032fe18cfe01ea3",
+    "pairs/xx/aligned.tgt": "b942ea1dc3e01901a035c76148de756377629e87862dc2db3ab93cfd78e81754",
+    "pairs/xx/alignments.txt": "5ada3a9e44b6bbcdc0c2045a4b7f4d41faccf0fdcb862968c36f85afcc22d5ae",
+    "pairs/xx/model1.e_given_f.tsv":
+        "0a7ec66a2c315a74481f40a5e7e393fad579eb18e7d9d8f908de783be96a8f14",
+    "pairs/xx/model1.f_given_e.tsv":
+        "1e995a36bd0ae2aff0ba117e17e81d2f450ef484f53071b098aeeee9e8822a36",
+    "pairs/xx/phrase-table.txt": "d45fd9b18d6c6feb2d691fdb1355fc6cf540603a6270de8ecdc242fec8e63d7c",
+    "pairs/xx/phrase-table.pruned.txt":
+        "5e54904d978ab1f3252731faff3627a2f709b49ca5ce4d4b1e480148c46f76b1",
+    "pairs/xx/prune-report.tsv": "3a04c6b6e3e6ab4a38e83c6cfa6ac02735b9e2f62a0cde5a9527c0868730ea5e",
+    "pairs/xx/candidates.tsv": "b5eecd6ccd8014b2123638be46ec293c6cfe1cfaa1c0eeb91cec9dce26ed1c92",
+    "lexicon.tsv": "f2e3e96559d200eff75f7dec000a3b2aec50dc197892b9d0c1e0cb1ba99ac266",
+    "lexicon.json": "e60fd4fddf9a3ccc72ec3c76f02473f677c74af38d9a1377404f80c7be929c91",
+}
+NOT_PINNED = {"report.txt", "report.json", ".cache.json"}
+
+
+# From Python 3.12 on, sum() of floats is compensated, so EM normalisers and
+# with them the `.8g` digits of the t-tables may differ from these digests.
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="digests taken with the uncompensated float sum() of 3.10-3.11")
+def test_stage_outputs_match_pinned_digests(tmp_path):
+    config = write_synthetic_corpus(str(tmp_path), n_pairs=80)
+    assert run_pipeline(validate_config(config)).ok
+    out = tmp_path / "out"
+    digests = {}
+    for path in out.rglob("*"):
+        rel = path.relative_to(out).as_posix()
+        if path.is_file() and rel not in NOT_PINNED:
+            digests[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == GOLDEN
+    assert os.path.getsize(out / "lexicon.tsv") > 0
