@@ -9,8 +9,6 @@ from .phrases import PhraseTable, PhraseTableEntry
 # Single-character punctuation tokens produced by the tokenizer.
 PUNCT_TOKENS = set(PUNCTUATION)
 
-CONTEXTS = ("none", "preceded", "followed", "both")
-
 
 def is_punct_token(token: str) -> bool:
     return all(ch in PUNCTUATION for ch in token)

@@ -1,17 +1,16 @@
 """Alignment-consistent phrase extraction and phrase-table scoring."""
 
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .model1 import NULL_WORD, TranslationTable
 
 
-@dataclass(frozen=True)
-class PhrasePairInstance:
-    foreign_phrase: tuple
-    english_phrase: tuple
-    internal_alignment: frozenset  # (foreign offset, english offset) links
-    origin: int  # sentence-pair index
+# internal_alignment: frozenset of (foreign offset, english offset) links;
+# origin: sentence-pair index. A tuple, so that building one is cheap.
+PhrasePairInstance = namedtuple(
+    "PhrasePairInstance", "foreign_phrase english_phrase internal_alignment origin")
 
 
 @dataclass
@@ -50,8 +49,8 @@ class PhraseTable:
 
 @dataclass
 class PhraseCounts:
-    """Each pair's joint count and most frequent internal alignment as `i-j` links text."""
-    entries: dict = field(default_factory=dict)  # (foreign, english) -> (joint count, links)
+    """Each pair's joint count and most frequent internal alignment."""
+    entries: dict = field(default_factory=dict)  # (foreign, english) -> (joint count, frozenset)
     corpus_size: int = 0
 
     def select(self, keys) -> "PhraseCounts":
@@ -71,47 +70,41 @@ def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int 
     links = sorted(alignment)
     if not links:
         return []
-    n_src = len(src_tokens)
-    n_tgt = len(tgt_tokens)
-    tgt_to_src = defaultdict(list)
-    src_aligned = [False] * n_src
-    for i, j in links:
-        tgt_to_src[j].append(i)
-        src_aligned[i] = True
+    n_src, n_tgt = len(src_tokens), len(tgt_tokens)
+    f_lo, f_hi = [n_src] * n_tgt, [-1] * n_tgt  # foreign span of each english word
+    e_lo, e_hi = [n_tgt] * n_src, [-1] * n_src  # english span of each foreign word
+    for i, j in links:  # sorted, so the last link seen is the highest
+        f_lo[j], f_hi[j] = min(f_lo[j], i), i
+        e_lo[i], e_hi[i] = min(e_lo[i], j), j
+    src_aligned = [e >= 0 for e in e_hi]
 
     out = []
     for e_start in range(n_tgt):
+        f_min, f_max = n_src, -1
         for e_end in range(e_start, min(n_tgt, e_start + max_phrase_len)):
-            f_positions = [i for j in range(e_start, e_end + 1) for i in tgt_to_src[j]]
-            if not f_positions:
+            f_min, f_max = min(f_min, f_lo[e_end]), max(f_max, f_hi[e_end])
+            if f_max < 0:
                 continue
-            f_min, f_max = min(f_positions), max(f_positions)
+            if f_max - f_min >= max_phrase_len:  # the foreign span only grows with e_end
+                break
             # consistency: every link touching [f_min, f_max] must stay inside
-            if any(not (e_start <= j <= e_end) for i, j in links if f_min <= i <= f_max):
+            if min(e_lo[f_min:f_max + 1]) < e_start or max(e_hi[f_min:f_max + 1]) > e_end:
                 continue
-            inside = frozenset(
-                (i, j) for i, j in links if f_min <= i <= f_max and e_start <= j <= e_end
-            )
+            english = tuple(tgt_tokens[e_start:e_end + 1])
+            # consistent, so the links of these english words are all the links inside
+            inside = [(i, j - e_start) for i, j in links if e_start <= j <= e_end]
             fs = f_min
             while True:
+                align = frozenset((i - fs, j) for i, j in inside)
                 fe = f_max
-                while True:
-                    if fe - fs + 1 <= max_phrase_len:
-                        out.append(
-                            PhrasePairInstance(
-                                foreign_phrase=tuple(src_tokens[fs:fe + 1]),
-                                english_phrase=tuple(tgt_tokens[e_start:e_end + 1]),
-                                internal_alignment=frozenset(
-                                    (i - fs, j - e_start) for i, j in inside
-                                ),
-                                origin=origin,
-                            )
-                        )
+                while fe - fs < max_phrase_len:
+                    out.append(PhrasePairInstance(tuple(src_tokens[fs:fe + 1]), english,
+                                                  align, origin))
                     fe += 1
                     if fe >= n_src or src_aligned[fe]:
                         break
                 fs -= 1
-                if fs < 0 or src_aligned[fs]:
+                if fs < 0 or src_aligned[fs] or f_max - fs >= max_phrase_len:
                     break
     return out
 
@@ -145,8 +138,8 @@ def count_phrase_pairs(instances, corpus_size: int) -> PhraseCounts:
     """Each pair's joint count and most frequent internal alignment; a tie
     goes to the alignment whose sorted links come first."""
     groups = defaultdict(list)
-    for inst in instances:
-        groups[inst.foreign_phrase, inst.english_phrase].append(inst.internal_alignment)
+    for foreign, english, align, _ in instances:
+        groups[foreign, english].append(align)
     counts = PhraseCounts(corpus_size=corpus_size)
     for key, seen in groups.items():
         best = seen[0]
@@ -154,7 +147,7 @@ def count_phrase_pairs(instances, corpus_size: int) -> PhraseCounts:
             tally = Counter(seen)
             top = max(tally.values())
             best = min((a for a, c in tally.items() if c == top), key=sorted)
-        counts.entries[key] = (len(seen), _format_links(best))
+        counts.entries[key] = (len(seen), best)
     return counts
 
 
@@ -172,8 +165,7 @@ def score_counts(counts: PhraseCounts, keys, word_probs_fe: TranslationTable,
         marg_e[e] += joint
     table = PhraseTable(corpus_size=counts.corpus_size)
     for f, e in sorted(keys):
-        joint, links = counts.entries[f, e]
-        align = _parse_links(links)
+        joint, align = counts.entries[f, e]
         table.add(PhraseTableEntry(
             f, e, joint / marg_e[e], inverse_lexical_weight(f, e, align, word_probs_fe),
             joint / marg_f[f], lexical_weight(e, f, align, word_probs_ef), align, float(joint)))
@@ -194,11 +186,26 @@ def _fmt(x: float) -> str:
 def escape_phrase(tokens) -> str:
     """Space-joined tokens with `&` and `|` escaped as Moses does, so no
     field can contain the ` ||| ` separator."""
-    return " ".join(tokens).replace("&", "&amp;").replace("|", "&#124;")
+    text = " ".join(tokens)
+    if "&" in text or "|" in text:
+        text = text.replace("&", "&amp;").replace("|", "&#124;")
+    return text
 
 
 def unescape_phrase(text: str) -> tuple:
-    return tuple(text.replace("&#124;", "|").replace("&amp;", "&").split())
+    if "&" in text:  # both entities start with `&`
+        text = text.replace("&#124;", "|").replace("&amp;", "&")
+    return tuple(text.split())
+
+
+class _Memo(dict):
+    """fn(key) for each key looked up, computed on the first lookup only."""
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
 
 
 def _format_links(links) -> str:
@@ -207,6 +214,12 @@ def _format_links(links) -> str:
 
 def _parse_links(text: str) -> frozenset:
     return frozenset((int(a), int(b)) for a, b in (link.split("-") for link in text.split()))
+
+
+def _links_and_extent(text: str) -> tuple:
+    """The links of text, and the largest foreign and english offsets among them."""
+    align = _parse_links(text)
+    return align, max((i for i, _ in align), default=-1), max((j for _, j in align), default=-1)
 
 
 def write_phrase_table(table: PhraseTable, path) -> None:
@@ -224,11 +237,11 @@ def write_phrase_table(table: PhraseTable, path) -> None:
 
 def write_phrase_counts(counts: PhraseCounts, path) -> None:
     """`f ||| e ||| i-j links ||| joint count`, lexicographically sorted."""
+    links = _Memo(_format_links)
+    lines = [f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {links[align]} ||| {joint}\n"
+             for (f, e), (joint, align) in sorted(counts.entries.items(), key=itemgetter(0))]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# N={counts.corpus_size}\n")
-        for f, e in sorted(counts.entries):
-            joint, links = counts.entries[(f, e)]
-            fh.write(f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {links} ||| {joint}\n")
+        fh.write(f"# N={counts.corpus_size}\n" + "".join(lines))
 
 
 class PhraseTableFormatError(ValueError):
@@ -273,12 +286,16 @@ def read_phrase_table(path) -> PhraseTable:
 
 
 def read_phrase_counts(path) -> PhraseCounts:
-    """The links stay text: only the pairs that get scored parse them."""
+    """Each distinct phrase or links text is parsed once; entries share the result."""
     counts = PhraseCounts()
-    for lineno, (f_str, e_str, links, joint_str) in _data_lines(path, 4, counts):
+    phrase, links = _Memo(unescape_phrase), _Memo(_links_and_extent)
+    for lineno, (f_str, e_str, links_str, joint_str) in _data_lines(path, 4, counts):
+        f, e = phrase[f_str], phrase[e_str]
         try:
-            joint = int(joint_str)
+            align, last_i, last_j = links[links_str]
+            if last_i >= len(f) or last_j >= len(e):
+                raise ValueError(f"links {links_str!r} reach outside the phrase pair")
+            counts.entries[f, e] = (int(joint_str), align)
         except ValueError as exc:
             raise PhraseTableFormatError(lineno, str(exc)) from exc
-        counts.entries[(unescape_phrase(f_str), unescape_phrase(e_str))] = (joint, links)
     return counts

@@ -1,5 +1,6 @@
 """Stage-graph orchestration with content-hash caching and run reports."""
 
+import gc
 import hashlib
 import inspect
 import json
@@ -484,66 +485,73 @@ class PipelineRunner:
 
 def run_pipeline(config: PipelineConfig, stages=None) -> RunReport:
     """Execute the stage graph for every language pair; failures halt only
-    the affected pair. Results appear in config order."""
-    selected = [s for s in STAGES if stages is None or s in stages]
-    runner = PipelineRunner(config)
-    report = RunReport()
+    the affected pair. Results appear in config order. The cyclic garbage
+    collector is paused meanwhile: reference counting frees the acyclic stage data."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        selected = [s for s in STAGES if stages is None or s in stages]
+        runner = PipelineRunner(config)
+        report = RunReport()
 
-    ingest_langs = []
-    if "ingest" in selected:
-        ingest_langs = [config.english_code] + list(config.foreign_codes)
-    ingest_ok = {}
-    for lang in ingest_langs:
-        try:
-            report.results.append(runner.stage_ingest(lang))
-            ingest_ok[lang] = True
-        except Exception as exc:  # noqa: BLE001 - reported per stage
-            report.results.append(StageResult(pair=lang, stage="ingest", error=str(exc)))
-            ingest_ok[lang] = False
-
-    per_pair_stages = [s for s in selected if s in ("align", "wordalign", "phrases",
-                                                    "prune", "markers")]
-
-    def run_pair(lang):
-        results = []
-        if not ingest_ok.get(lang, True) or not ingest_ok.get(config.english_code, True):
-            results.append(StageResult(pair=lang, stage="align",
-                                       error="skipped: ingest failed"))
-            return results, False
-        stage_fns = {
-            "align": runner.stage_align,
-            "wordalign": runner.stage_wordalign,
-            "phrases": runner.stage_phrases,
-            "prune": runner.stage_prune,
-            "markers": runner.stage_markers,
-        }
-        for stage in per_pair_stages:
+        ingest_langs = []
+        if "ingest" in selected:
+            ingest_langs = [config.english_code] + list(config.foreign_codes)
+        ingest_ok = {}
+        for lang in ingest_langs:
             try:
-                results.append(stage_fns[stage](lang))
+                report.results.append(runner.stage_ingest(lang))
+                ingest_ok[lang] = True
             except Exception as exc:  # noqa: BLE001 - reported per stage
-                results.append(StageResult(pair=lang, stage=stage, error=str(exc)))
+                report.results.append(StageResult(pair=lang, stage="ingest", error=str(exc)))
+                ingest_ok[lang] = False
+
+        per_pair_stages = [s for s in selected if s in ("align", "wordalign", "phrases",
+                                                        "prune", "markers")]
+
+        def run_pair(lang):
+            results = []
+            if not ingest_ok.get(lang, True) or not ingest_ok.get(config.english_code, True):
+                results.append(StageResult(pair=lang, stage="align",
+                                           error="skipped: ingest failed"))
                 return results, False
-        return results, True
+            stage_fns = {
+                "align": runner.stage_align,
+                "wordalign": runner.stage_wordalign,
+                "phrases": runner.stage_phrases,
+                "prune": runner.stage_prune,
+                "markers": runner.stage_markers,
+            }
+            for stage in per_pair_stages:
+                try:
+                    results.append(stage_fns[stage](lang))
+                except Exception as exc:  # noqa: BLE001 - reported per stage
+                    results.append(StageResult(pair=lang, stage=stage, error=str(exc)))
+                    return results, False
+            return results, True
 
-    pair_ok = {lang: True for lang in config.foreign_codes}
-    if per_pair_stages:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            for lang, (results, ok) in zip(config.foreign_codes,
-                                           pool.map(run_pair, config.foreign_codes)):
-                report.results.extend(results)
-                pair_ok[lang] = ok
+        pair_ok = {lang: True for lang in config.foreign_codes}
+        if per_pair_stages:
+            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+                for lang, (results, ok) in zip(config.foreign_codes,
+                                               pool.map(run_pair, config.foreign_codes)):
+                    report.results.extend(results)
+                    pair_ok[lang] = ok
 
-    if "lexicon" in selected:
-        ready = [lang for lang in config.foreign_codes
-                 if pair_ok.get(lang, False) and os.path.isfile(
-                     runner._pair_paths(lang)["candidates"])]
-        try:
-            report.results.append(runner.stage_lexicon(ready))
-        except Exception as exc:  # noqa: BLE001 - reported per stage
-            report.results.append(StageResult(pair="all", stage="lexicon", error=str(exc)))
+        if "lexicon" in selected:
+            ready = [lang for lang in config.foreign_codes
+                     if pair_ok.get(lang, False) and os.path.isfile(
+                         runner._pair_paths(lang)["candidates"])]
+            try:
+                report.results.append(runner.stage_lexicon(ready))
+            except Exception as exc:  # noqa: BLE001 - reported per stage
+                report.results.append(StageResult(pair="all", stage="lexicon", error=str(exc)))
 
-    write_report(report, config.output_dir)
-    return report
+        write_report(report, config.output_dir)
+        return report
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def render_report(report: RunReport) -> str:

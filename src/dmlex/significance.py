@@ -119,14 +119,13 @@ def prune(table, counts: dict, config: PruneConfig) -> tuple:
         config.threshold_mode, table.corpus_size, config.epsilon, config.custom_neg_log_p
     )
     report = PruneReport(threshold=threshold)
-    scores = {}  # ContingencyTable -> -log p; few distinct tables among many entries
+    scores = {}  # id(table) -> -log p: few tables, and a dataclass hash is a Python call
     for key in sorted(table.entries):
         ct = counts[key]
-        if ct not in scores:
-            scores[ct] = fisher_neg_log_p(ct)
-        score = scores[ct]
-        keep = score > threshold
-        report.rows.append((key[0], key[1], ct, score, keep))
+        score = scores.get(id(ct))
+        if score is None:
+            score = scores[id(ct)] = fisher_neg_log_p(ct)
+        report.rows.append((key[0], key[1], ct, score, score > threshold))
     kept = table.select((f, e) for f, e, _, _, keep in report.rows if keep)
     report.kept_count = len(kept.entries)
     report.pruned_count = len(report.rows) - report.kept_count
@@ -134,10 +133,13 @@ def prune(table, counts: dict, config: PruneConfig) -> tuple:
 
 
 def write_prune_report(report: PruneReport, path) -> None:
+    cells = {}  # id(table) -> its columns; rows sharing a table share its score
+    lines = [f"# threshold={report.threshold:.8g}\n"]
+    for foreign, english, ct, score, keep in report.rows:
+        cell = cells.get(id(ct))
+        if cell is None:
+            cell = cells[id(ct)] = (f"\t{ct.c_s}\t{ct.c_t}\t{ct.c_st}\t{score:.8g}"
+                                    f"\t{'kept' if keep else 'pruned'}\n")
+        lines.append(f"{escape_phrase(foreign)} ||| {escape_phrase(english)}{cell}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# threshold={report.threshold:.8g}\n")
-        for foreign, english, ct, score, keep in report.rows:
-            fh.write(
-                f"{escape_phrase(foreign)} ||| {escape_phrase(english)}"
-                f"\t{ct.c_s}\t{ct.c_t}\t{ct.c_st}\t{score:.8g}\t{'kept' if keep else 'pruned'}\n"
-            )
+        fh.write("".join(lines))

@@ -8,6 +8,7 @@ matching, high-precision arithmetic, per-sentence slice scans).
 import math
 import os
 import re
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -183,6 +184,21 @@ def brute_force_phrase_pairs(src_tokens, tgt_tokens, links, max_phrase_len):
                             frozenset((i - fs, j - es) for i, j in inside),
                         )
                     )
+    return out
+
+
+def naive_phrase_counts(instances) -> dict:
+    """(foreign, english) -> (joint count, most frequent internal alignment),
+    from plain grouping and a Counter per pair; among equally frequent
+    alignments the one whose sorted links come first wins."""
+    groups = {}
+    for inst in instances:
+        key = (tuple(inst.foreign_phrase), tuple(inst.english_phrase))
+        groups.setdefault(key, []).append(frozenset(inst.internal_alignment))
+    out = {}
+    for key, alignments in groups.items():
+        tally = Counter(alignments)
+        out[key] = (len(alignments), min(tally, key=lambda a: (-tally[a], sorted(a))))
     return out
 
 

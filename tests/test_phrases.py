@@ -28,7 +28,7 @@ from dmlex.phrases import (
     write_phrase_table,
 )
 
-from helpers import brute_force_phrase_pairs, tokenizer_phrases
+from helpers import brute_force_phrase_pairs, naive_phrase_counts, tokenizer_phrases
 
 
 def _as_set(instances):
@@ -317,8 +317,21 @@ class TestScoreCounts:
                      _instance(["f0", "f1"], ["e0", "e1"], {(0, 1), (1, 0)}, 2),
                      _instance(["f0"], ["e0"], {(0, 0)}, 1)]
         counts = count_phrase_pairs(instances, 3)
-        assert counts == PhraseCounts({(("f0", "f1"), ("e0", "e1")): (3, "0-1 1-0"),
-                                       (("f0",), ("e0",)): (1, "0-0")}, 3)
+        assert counts == PhraseCounts({(("f0", "f1"), ("e0", "e1")): (3, {(0, 1), (1, 0)}),
+                                       (("f0",), ("e0",)): (1, {(0, 0)})}, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([("f0",), ("f1",), ("f0", "f1")]),
+                              st.sampled_from([("e0",), ("e0", "e1")]),
+                              st.sampled_from([{(0, 0)}, {(0, 1)}, {(1, 0)}, {(0, 0), (1, 1)},
+                                               {(0, 1), (1, 0)}])),
+                    max_size=40))
+    def test_counts_equal_naive_grouping(self, drawn):
+        # few phrases and alignments, so pairs repeat and alignment counts tie
+        instances = [_instance(f, e, links, k) for k, (f, e, links) in enumerate(drawn)]
+        counts = count_phrase_pairs(instances, 7)
+        assert counts.corpus_size == 7
+        assert counts.entries == naive_phrase_counts(instances)
 
 
 class TestPhraseCountsIO:
@@ -337,9 +350,9 @@ class TestPhraseCountsIO:
             assert read_phrase_counts(path) == counts
 
     def test_separator_entity_and_header_like_tokens_round_trip(self, tmp_path):
-        counts = PhraseCounts({(("a", "|||"), ("b",)): (2, "0-0 1-0"),
-                               (("&#124;", "&amp;"), ("x|y", "&")): (1, "0-0"),
-                               (("#", "N=5"), ("#eu",)): (4, "1-0")}, 7)
+        counts = PhraseCounts({(("a", "|||"), ("b",)): (2, frozenset({(0, 0), (1, 0)})),
+                               (("&#124;", "&amp;"), ("x|y", "&")): (1, frozenset({(0, 0)})),
+                               (("#", "N=5"), ("#eu",)): (4, frozenset({(1, 0)}))}, 7)
         path = tmp_path / "phrase-table.txt"
         write_phrase_counts(counts, path)
         assert path.read_text(encoding="utf-8").splitlines() == [
@@ -350,7 +363,9 @@ class TestPhraseCountsIO:
         ]
         assert read_phrase_counts(path) == counts
 
-    @pytest.mark.parametrize("line", ["a ||| b ||| 0-0 ||| 1 ||| 2", "a ||| b ||| 0-0 ||| 1.5"])
+    @pytest.mark.parametrize("line", ["a ||| b ||| 0-0 ||| 1 ||| 2", "a ||| b ||| 0-0 ||| 1.5",
+                                      "a ||| b ||| 0-x ||| 1", "a ||| b ||| 0 ||| 1",
+                                      "a ||| b ||| 1-0 ||| 1", "a ||| b ||| 0-1 ||| 1"])
     def test_malformed_line_reports_line_number(self, tmp_path, line):
         path = tmp_path / "phrase-table.txt"
         path.write_text(f"# N=1\na ||| b ||| 0-0 ||| 1\n{line}\n", encoding="utf-8")
@@ -412,6 +427,17 @@ class TestPhraseTableIO:
         assert lines[1].startswith("&amp;#124; &amp;amp; ||| x&#124;y &amp; ||| ")
         assert lines[2].startswith("a &#124;&#124;&#124; ||| b ||| ")
         assert set(read_phrase_table(path).entries) == set(table.entries)
+
+    @given(tokenizer_phrases(max_len=5))
+    def test_escape_equals_two_replace_reference(self, tokens):
+        escaped = escape_phrase(tokens)
+        assert escaped == " ".join(tokens).replace("&", "&amp;").replace("|", "&#124;")
+        assert unescape_phrase(escaped) == tokens
+
+    @given(st.text(alphabet="ab &|#;124mp", max_size=20))
+    def test_unescape_equals_two_replace_reference(self, text):
+        assert unescape_phrase(text) == tuple(
+            text.replace("&#124;", "|").replace("&amp;", "&").split())
 
     def test_escaping_leaves_other_tokens_alone(self):
         assert escape_phrase(("#eu", "x-y", "l'")) == "#eu x-y l'"

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -346,6 +347,97 @@ class TestRunPipeline:
         assert list(errors) == [stage]
         counts = re.search(pattern, errors[stage]).groups()
         assert sorted(int(c) for c in counts) == [len(lines) - 1, len(lines)]
+
+    @pytest.mark.parametrize("fate", ["pruned", "kept"])
+    def test_bad_links_in_counts_fail_prune_with_line_number(self, corpus_root, tmp_path,
+                                                             fate):
+        out = tmp_path / "out"
+        args = ["--config", _config_path(corpus_root), "--output", str(out)]
+        assert cli_main(args + ["prune"]) == 0
+        pair_dir = out / "pairs" / "xx"
+        report_rows = (pair_dir / "prune-report.tsv").read_text(encoding="utf-8").splitlines()
+        victim = next(row.split("\t")[0] for row in report_rows[1:] if row.endswith(fate))
+        table = pair_dir / "phrase-table.txt"
+        lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+        lineno = next(k for k, line in enumerate(lines, start=1)
+                      if line.startswith(victim + " ||| "))
+        fields = lines[lineno - 1].split(" ||| ")
+        fields[2] = "0-x"
+        lines[lineno - 1] = " ||| ".join(fields)
+        table.write_text("".join(lines), encoding="utf-8")
+
+        assert cli_main(args + ["prune"]) == 1
+        with open(out / "report.json", encoding="utf-8") as fh:
+            errors = {s["stage"]: s["error"] for s in json.load(fh)["stages"] if s["error"]}
+        assert list(errors) == ["prune"]
+        assert errors["prune"].startswith(f"line {lineno}: ")
+
+
+class TestGarbageCollectorPause:
+    """run_pipeline pauses the cyclic collector and always restores the caller's setting."""
+
+    def test_paused_during_stages_and_enabled_after(self, corpus_root, tmp_path, monkeypatch):
+        from dmlex import phrases
+
+        seen = []
+        real = phrases.count_phrase_pairs
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(phrases, "count_phrase_pairs", spy)
+        assert gc.isenabled()
+        cfg = validate_config(_config_path(corpus_root), {"output": str(tmp_path / "out")})
+        assert run_pipeline(cfg).ok
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_enabled_after_a_stage_raises(self, corpus_root, tmp_path, monkeypatch):
+        from dmlex import phrases
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(phrases, "count_phrase_pairs", boom)
+        cfg = validate_config(_config_path(corpus_root), {"output": str(tmp_path / "out")})
+        report = run_pipeline(cfg)
+        assert [r.error for r in report.results if r.error] == ["boom"]
+        assert gc.isenabled()
+
+    def test_enabled_after_the_run_itself_raises(self, corpus_root, tmp_path, monkeypatch):
+        from dmlex import pipeline
+
+        def boom(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline, "write_report", boom)
+        cfg = validate_config(_config_path(corpus_root), {"output": str(tmp_path / "out")})
+        with pytest.raises(OSError, match="disk full"):
+            run_pipeline(cfg)
+        assert gc.isenabled()
+
+    def test_enabled_after_a_two_job_run(self, corpus_root, tmp_path):
+        import shutil
+
+        root = tmp_path / "two"
+        shutil.copytree(corpus_root, root)
+        shutil.copytree(root / "corpus" / "xx", root / "corpus" / "yy")
+        cfg_file = root / "pipeline.cfg"
+        base = open(cfg_file, encoding="utf-8").read()
+        cfg_file.write_text(base.replace("foreign = xx", "foreign = xx,yy"), encoding="utf-8")
+        assert cli_main(["--config", str(cfg_file), "--output", str(root / "out"),
+                         "--jobs", "2", "pipeline"]) == 0
+        assert gc.isenabled()
+
+    def test_caller_who_disabled_it_finds_it_disabled(self, corpus_root, tmp_path):
+        cfg = validate_config(_config_path(corpus_root), {"output": str(tmp_path / "out")})
+        gc.disable()
+        try:
+            assert run_pipeline(cfg).ok
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 def _read_outputs(out_dir):

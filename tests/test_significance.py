@@ -285,6 +285,23 @@ class TestPrune:
         row = path.read_text(encoding="utf-8").splitlines()[1]
         assert row == "a &#124;&#124;&#124; ||| b&amp;c\t1\t1\t1\t0.5\tpruned"
 
+    def test_equal_but_distinct_tables_give_the_same_report(self, tmp_path):
+        pairs = ([(["f0"], ["e0"])] * 4 + [(["f9"], ["e9"]), (["f8"], ["e8"])]
+                 + [(["f1"], ["e1"])] * 3 + [(["f2"], ["e2"])] * 3)
+        table, corpus = _build_table(pairs, [{(0, 0)}] * len(pairs)), AlignedCorpus(pairs)
+        shared = contingency_counts(table, corpus)
+        assert len({id(ct) for ct in shared.values()}) == 3 < len(shared)
+        distinct = {key: ContingencyTable(ct.c_s, ct.c_t, ct.c_st, ct.n)
+                    for key, ct in shared.items()}
+        outputs = []
+        for counts in (shared, distinct):
+            kept, report = prune(table, counts, PruneConfig())
+            path = tmp_path / f"report-{len(outputs)}.tsv"
+            write_prune_report(report, path)
+            outputs.append((set(kept.entries), report.rows, path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert 0 < len(outputs[0][0]) < len(shared)
+
 
 class TestPruneOutputsMatchOracle:
     def test_pipeline_prune_outputs_equal_oracle_count_outputs(self, tmp_path):
