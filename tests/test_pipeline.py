@@ -10,6 +10,7 @@ import pytest
 from dmlex.cli import main as cli_main
 from dmlex.pipeline import (
     _KNOWN_KEYS,
+    STAGES,
     ConfigError,
     _Cache,
     run_pipeline,
@@ -240,6 +241,43 @@ class TestRunPipeline:
                    for r in report.results)
         # and the lexicon was still produced from surviving pairs
         assert any(r.stage == "lexicon" and not r.error for r in report.results)
+
+    def test_english_ingest_failure_skips_every_pair(self, corpus_root, tmp_path):
+        import shutil
+
+        root = tmp_path / "twolang"
+        shutil.copytree(corpus_root, root)
+        shutil.copytree(root / "corpus" / "xx", root / "corpus" / "yy")
+        (root / "corpus" / "en" / "ep-0.txt").write_bytes(b"<P>\n\xff\xfe broken\n")
+        cfg_file = root / "pipeline.cfg"
+        base = open(cfg_file, encoding="utf-8").read()
+        cfg_file.write_text(base.replace("foreign = xx", "foreign = xx,yy"), encoding="utf-8")
+
+        out = root / "out"
+        assert cli_main(["--config", str(cfg_file), "--output", str(out), "pipeline"]) == 1
+        with open(out / "report.json", encoding="utf-8") as fh:
+            rows = [(s["pair"], s["stage"], s["error"]) for s in json.load(fh)["stages"]]
+        assert [row[:2] for row in rows] == [("en", "ingest"), ("xx", "ingest"),
+                                             ("yy", "ingest"), ("xx", "align"),
+                                             ("yy", "align"), ("all", "lexicon")]
+        assert rows[0][2] and rows[1][2] is None and rows[2][2] is None
+        assert rows[3][2] == rows[4][2] == "skipped: ingest failed"
+        assert rows[5][2] is None
+
+    def test_missing_input_fails_its_stage_without_raising(self, corpus_root, tmp_path):
+        import re
+
+        out = tmp_path / "out"
+        cfg = validate_config(_config_path(corpus_root), {"output": str(out)})
+        for stages in (["prune"], ["prune", "markers"]):
+            report = run_pipeline(cfg, stages=stages)
+            assert [(r.pair, r.stage) for r in report.results] == [("xx", "prune")]
+            missing = re.search(r"No such file or directory: '([^']+)'",
+                                report.results[0].error).group(1)
+            assert os.path.dirname(missing) == str(out / "pairs" / "xx")
+            assert not os.path.exists(missing)
+            with open(out / "report.json", encoding="utf-8") as fh:
+                assert [s["stage"] for s in json.load(fh)["stages"]] == ["prune"]
 
 
     def test_corrupt_cache_manifest_reruns_every_stage(self, corpus_root, tmp_path):
@@ -485,12 +523,17 @@ class TestCli:
                   "--no-cache", "pipeline"])
         assert "cached" not in capsys.readouterr().out
 
-    def test_prefix_subcommand_runs_through_stage(self, corpus_root, tmp_path):
+    @pytest.mark.parametrize("command", STAGES + ["pipeline"])
+    def test_prefix_subcommand_runs_through_stage(self, corpus_root, tmp_path, command):
         out = str(tmp_path / "out")
-        rc = cli_main(["--config", _config_path(corpus_root), "--output", out, "prune"])
+        rc = cli_main(["--config", _config_path(corpus_root), "--output", out, command])
         assert rc == 0
-        assert os.path.isfile(os.path.join(out, "pairs", "xx", "prune-report.tsv"))
-        assert not os.path.exists(os.path.join(out, "lexicon.tsv"))
+        with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+            ran = {s["stage"] for s in json.load(fh)["stages"]}
+        assert ran == set(STAGES[:STAGES.index(command) + 1] if command in STAGES else STAGES)
+        assert os.path.isfile(os.path.join(out, "pairs", "xx", "prune-report.tsv")) == (
+            "prune" in ran)
+        assert os.path.exists(os.path.join(out, "lexicon.tsv")) == ("lexicon" in ran)
 
     def test_report_subcommand(self, corpus_root, tmp_path, capsys):
         out = str(tmp_path / "out")
