@@ -10,17 +10,9 @@ import sys
 
 from .pipeline import STAGES, ConfigError, render_report, run_pipeline, validate_config
 
-# subcommand -> stages executed (dependency prefix; caching makes reruns cheap)
-_SUBCOMMAND_STAGES = {
-    "ingest": STAGES[:1],
-    "align": STAGES[:2],
-    "wordalign": STAGES[:3],
-    "phrases": STAGES[:4],
-    "prune": STAGES[:5],
-    "markers": STAGES[:6],
-    "lexicon": STAGES,
-    "pipeline": STAGES,
-}
+# subcommand -> stages executed: STAGES up to its own, or all for pipeline
+_SUBCOMMAND_STAGES = {stage: STAGES[:k + 1] for k, stage in enumerate(STAGES)}
+_SUBCOMMAND_STAGES["pipeline"] = STAGES
 
 
 def build_parser() -> argparse.ArgumentParser:

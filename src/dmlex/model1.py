@@ -4,6 +4,8 @@ import math
 from dataclasses import dataclass, field
 
 NULL_WORD = "<NULL>"
+PROB_FLOOR = 1e-7  # probabilities below it are pruned, and unseen pairs get it
+USE_NULL = True  # every conditioning sentence carries the NULL word
 
 
 @dataclass
@@ -12,8 +14,8 @@ class TranslationTable:
 
     direction: str  # free-form label, e.g. "pt|en"
     probs: dict  # conditioning word -> {generated word: probability}
-    prob_floor: float = 1e-7
-    use_null: bool = True
+    prob_floor: float = PROB_FLOOR
+    use_null: bool = USE_NULL
     log_likelihoods: list = field(default_factory=list)  # one per EM iteration
     generated_vocab: set = field(default_factory=set)
 
@@ -29,8 +31,8 @@ class DirectionalAlignment:
     conditioning_len: int
 
 
-def train_model1(pairs, iterations: int = 5, prob_floor: float = 1e-7,
-                 use_null: bool = True, direction: str = "") -> TranslationTable:
+def train_model1(pairs, iterations: int = 5, prob_floor: float = PROB_FLOOR,
+                 use_null: bool = USE_NULL, direction: str = "") -> TranslationTable:
     """EM for Model 1 over (conditioning_tokens, generated_tokens) pairs.
 
     Uniform initialization over co-occurring word pairs; distributions are
@@ -220,20 +222,30 @@ def write_alignments(link_sets, path) -> None:
             fh.write(" ".join(f"{i}-{j}" for i, j in sorted(links)) + "\n")
 
 
-def read_alignments(path, n_pairs: int) -> list:
-    """The link sets written by write_alignments, which must be n_pairs lines."""
+def read_alignments(path, pairs) -> list:
+    """The link sets written by write_alignments, one line per (src, tgt) sentence
+    pair; every link must be `i-j` with i inside src and j inside tgt."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
-    if len(lines) != n_pairs:
-        raise ValueError(f"{path} has {len(lines)} lines for {n_pairs} sentence pairs")
-    return [{tuple(int(x) for x in link.split("-")) for link in line.split()}
-            for line in lines]
+    if len(lines) != len(pairs):
+        raise ValueError(f"{path} has {len(lines)} lines for {len(pairs)} sentence pairs")
+    link_sets = []
+    for lineno, (line, (src, tgt)) in enumerate(zip(lines, pairs), start=1):
+        links = set()
+        for link in line.split():
+            i, _, j = link.partition("-")
+            if not (i.isdecimal() and j.isdecimal() and int(i) < len(src) and int(j) < len(tgt)):
+                raise ValueError(f"line {lineno}: link {link!r} of {path} is not i-j inside "
+                                 f"its {len(src)}x{len(tgt)} sentence pair")
+            links.add((int(i), int(j)))
+        link_sets.append(links)
+    return link_sets
 
 
 def read_translation_table(path) -> TranslationTable:
     direction = ""
-    floor = 1e-7
-    use_null = True
+    floor = PROB_FLOOR
+    use_null = USE_NULL
     probs = {}
     generated_vocab = set()
     with open(path, encoding="utf-8") as fh:

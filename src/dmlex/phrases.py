@@ -212,14 +212,18 @@ def _format_links(links) -> str:
     return " ".join(f"{i}-{j}" for i, j in sorted(links))
 
 
-def _parse_links(text: str) -> frozenset:
-    return frozenset((int(a), int(b)) for a, b in (link.split("-") for link in text.split()))
-
-
 def _links_and_extent(text: str) -> tuple:
     """The links of text, and the largest foreign and english offsets among them."""
-    align = _parse_links(text)
+    align = frozenset((int(a), int(b)) for a, b in (link.split("-") for link in text.split()))
     return align, max((i for i, _ in align), default=-1), max((j for _, j in align), default=-1)
+
+
+def _links_inside(parsed: _Memo, text: str, f: tuple, e: tuple) -> frozenset:
+    """The links of text, looked up in parsed, which must lie inside the pair (f, e)."""
+    align, last_i, last_j = parsed[text]
+    if last_i >= len(f) or last_j >= len(e):
+        raise ValueError(f"links {text!r} reach outside the phrase pair")
+    return align
 
 
 def write_phrase_table(table: PhraseTable, path) -> None:
@@ -271,17 +275,18 @@ def _data_lines(path, n_fields, table):
 
 def read_phrase_table(path) -> PhraseTable:
     table = PhraseTable()
+    links = _Memo(_links_and_extent)
     for lineno, (f_str, e_str, scores_str, links_str, count_str) in _data_lines(path, 5, table):
+        f, e = unescape_phrase(f_str), unescape_phrase(e_str)
         try:
             scores = [float(x) for x in scores_str.split()]
             if len(scores) != 4:
                 raise ValueError("expected 4 scores")
-            links = _parse_links(links_str)
+            align = _links_inside(links, links_str, f, e)
             count = float(count_str)
         except ValueError as exc:
             raise PhraseTableFormatError(lineno, str(exc)) from exc
-        table.add(PhraseTableEntry(unescape_phrase(f_str), unescape_phrase(e_str), *scores,
-                                   links, count))
+        table.add(PhraseTableEntry(f, e, *scores, align, count))
     return table
 
 
@@ -292,10 +297,7 @@ def read_phrase_counts(path) -> PhraseCounts:
     for lineno, (f_str, e_str, links_str, joint_str) in _data_lines(path, 4, counts):
         f, e = phrase[f_str], phrase[e_str]
         try:
-            align, last_i, last_j = links[links_str]
-            if last_i >= len(f) or last_j >= len(e):
-                raise ValueError(f"links {links_str!r} reach outside the phrase pair")
-            counts.entries[f, e] = (int(joint_str), align)
+            counts.entries[f, e] = (int(joint_str), _links_inside(links, links_str, f, e))
         except ValueError as exc:
             raise PhraseTableFormatError(lineno, str(exc)) from exc
     return counts

@@ -2,7 +2,6 @@
 
 import gc
 import hashlib
-import inspect
 import json
 import os
 import threading
@@ -13,6 +12,7 @@ from dataclasses import dataclass, field
 from . import galechurch, ingest, lexicon as lexmod, model1, phrases, significance
 
 STAGES = ["ingest", "align", "wordalign", "phrases", "prune", "markers", "lexicon"]
+PAIR_STAGES = STAGES[1:-1]  # run per foreign language, each chained to the stage before
 
 _TRUE = {"true", "yes", "1", "on"}
 _FALSE = {"false", "no", "0", "off"}
@@ -274,7 +274,7 @@ class _Cache:
                     os.remove(tmp)
 
     def digest_of(self, key) -> str:
-        rec = self.manifest.get(key)
+        rec = self.manifest.get(key)  # a key of None has no record
         return rec["digest"] if rec else ""
 
 
@@ -287,16 +287,14 @@ class PipelineRunner:
         self.file_ids = sorted(
             os.listdir(os.path.join(config.corpus_root, config.english_code))
         )
+        self.failed = {}  # pair -> its first stage that failed in this run
 
     # ---- paths ----------------------------------------------------------
     def ingest_dir(self, lang):
         return os.path.join(self.out, "ingest", lang)
 
-    def pair_dir(self, lang):
-        return os.path.join(self.out, "pairs", lang)
-
     def _pair_paths(self, lang):
-        d = self.pair_dir(lang)
+        d = os.path.join(self.out, "pairs", lang)
         return {
             "aligned_src": os.path.join(d, "aligned.src"),
             "aligned_tgt": os.path.join(d, "aligned.tgt"),
@@ -310,21 +308,33 @@ class PipelineRunner:
         }
 
     # ---- stage bodies ---------------------------------------------------
-    def _run_stage(self, pair, stage, params, inputs, outputs, upstream_key, body) -> StageResult:
+    def _run_stage(self, pair, stage, params, inputs, outputs, body) -> StageResult:
+        """Run a stage, or take its outputs from the cache, and report how it ended.
+
+        A pair stage chains its cache key to the stage before it, and is skipped
+        once a stage of its own pair or English's ingest has failed in this run.
+        Whatever digesting or the body raises becomes the result's error."""
+        upstream = None  # ingest and lexicon chain to nothing
+        if stage in PAIR_STAGES:
+            failed = self.failed.get(pair) or self.failed.get(self.cfg.english_code)
+            if failed:
+                return StageResult(pair, stage, error=f"skipped: {failed} failed")
+            upstream = f"{STAGES[STAGES.index(stage) - 1]}:{pair}"
         key = f"{stage}:{pair}"
-        upstream = self.cache.digest_of(upstream_key) if upstream_key else ""
-        digest = _digest(params, inputs, upstream)
         started = time.monotonic()
-        cached = self.cache.hit(key, digest, outputs)
-        if cached is not None:
-            return StageResult(pair=pair, stage=stage, cache_hit=True, seconds=0.0,
-                               stats=cached["stats"])
-        for path in outputs:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-        stats = body()
-        self.cache.store(key, digest, outputs, stats)
-        return StageResult(pair=pair, stage=stage, seconds=time.monotonic() - started,
-                           stats=stats)
+        try:
+            digest = _digest(params, inputs, self.cache.digest_of(upstream))
+            cached = self.cache.hit(key, digest, outputs)
+            if cached is not None:
+                return StageResult(pair, stage, cache_hit=True, stats=cached["stats"])
+            for path in outputs:
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+            stats = body()
+            self.cache.store(key, digest, outputs, stats)
+        except Exception as exc:  # noqa: BLE001 - reported per stage
+            self.failed.setdefault(pair, stage)
+            return StageResult(pair, stage, error=str(exc))
+        return StageResult(pair, stage, seconds=time.monotonic() - started, stats=stats)
 
     def stage_ingest(self, lang) -> StageResult:
         src_dir = os.path.join(self.cfg.corpus_root, lang)
@@ -341,7 +351,7 @@ class PipelineRunner:
             return {"files": len(self.file_ids), "paragraphs": n_paragraphs,
                     "sentences": n_sentences}
 
-        return self._run_stage(lang, "ingest", "tokenize-v1", inputs, outputs, None, body)
+        return self._run_stage(lang, "ingest", "tokenize-v1", inputs, outputs, body)
 
     def stage_align(self, lang) -> StageResult:
         p = self._pair_paths(lang)
@@ -363,16 +373,14 @@ class PipelineRunner:
             galechurch.write_aligned_corpus(corpus, p["aligned_src"], p["aligned_tgt"])
             return {"sentence_pairs": len(corpus.pairs)}
 
-        return self._run_stage(lang, "align", params, inputs, outputs,
-                               f"ingest:{lang}", body)
+        return self._run_stage(lang, "align", params, inputs, outputs, body)
 
     def stage_wordalign(self, lang) -> StageResult:
         p = self._pair_paths(lang)
         inputs = [p["aligned_src"], p["aligned_tgt"]]
         outputs = [p["table_fe"], p["table_ef"], p["alignments"]]
-        defaults = inspect.signature(model1.train_model1).parameters
-        em = (self.cfg.em_iterations, defaults["prob_floor"].default,
-              defaults["use_null"].default, self.cfg.symmetrization)
+        em = (self.cfg.em_iterations, model1.PROB_FLOOR, model1.USE_NULL,
+              self.cfg.symmetrization)
 
         def body():
             corpus = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
@@ -393,8 +401,7 @@ class PipelineRunner:
                     "final_ll_f_given_e": table_fe.log_likelihoods[-1],
                     "final_ll_e_given_f": table_ef.log_likelihoods[-1]}
 
-        return self._run_stage(lang, "wordalign", em, inputs, outputs,
-                               f"align:{lang}", body)
+        return self._run_stage(lang, "wordalign", em, inputs, outputs, body)
 
     def stage_phrases(self, lang) -> StageResult:
         p = self._pair_paths(lang)
@@ -403,7 +410,7 @@ class PipelineRunner:
 
         def body():
             corpus = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
-            alignments = model1.read_alignments(p["alignments"], len(corpus.pairs))
+            alignments = model1.read_alignments(p["alignments"], corpus.pairs)
             instances = []
             for idx, (links, (src, tgt)) in enumerate(zip(alignments, corpus.pairs)):
                 instances.extend(phrases.extract_phrase_pairs(
@@ -412,8 +419,7 @@ class PipelineRunner:
             phrases.write_phrase_counts(counts, p["phrase_table"])
             return {"instances": len(instances), "entries": len(counts.entries)}
 
-        return self._run_stage(lang, "phrases", self.cfg.max_phrase_len, inputs,
-                               outputs, f"wordalign:{lang}", body)
+        return self._run_stage(lang, "phrases", self.cfg.max_phrase_len, inputs, outputs, body)
 
     def stage_prune(self, lang) -> StageResult:
         """Prune on counts alone, then score only the surviving pairs."""
@@ -436,8 +442,7 @@ class PipelineRunner:
                     "entries_pruned": report.pruned_count,
                     "threshold": report.threshold}
 
-        return self._run_stage(lang, "prune", self.cfg.prune_config, inputs, outputs,
-                               f"phrases:{lang}", body)
+        return self._run_stage(lang, "prune", self.cfg.prune_config, inputs, outputs, body)
 
     def stage_markers(self, lang) -> StageResult:
         p = self._pair_paths(lang)
@@ -458,8 +463,7 @@ class PipelineRunner:
             return {"markers": len(seeds.markers), "candidates_selected": selected,
                     "candidates_kept": len(rows)}
 
-        return self._run_stage(lang, "markers", self.cfg.filter_policy, inputs,
-                               outputs, f"prune:{lang}", body)
+        return self._run_stage(lang, "markers", self.cfg.filter_policy, inputs, outputs, body)
 
     def stage_lexicon(self, languages) -> StageResult:
         inputs = [self._pair_paths(lang)["candidates"] for lang in languages]
@@ -480,72 +484,42 @@ class PipelineRunner:
                     "records": len(rows)}
 
         params = ("lexicon-v1", tuple(languages))
-        return self._run_stage("all", "lexicon", params, inputs, outputs, None, body)
+        return self._run_stage("all", "lexicon", params, inputs, outputs, body)
 
 
 def run_pipeline(config: PipelineConfig, stages=None) -> RunReport:
-    """Execute the stage graph for every language pair; failures halt only
-    the affected pair. Results appear in config order. The cyclic garbage
-    collector is paused meanwhile: reference counting frees the acyclic stage data."""
+    """Run the selected stages: ingest for every language, the pair stages of up
+    to `jobs` foreign languages at a time, then the lexicon of the pairs that did
+    not fail. A failure stops only its own pair. Results appear in config order.
+    The cyclic garbage collector is paused meanwhile: reference counting frees the
+    acyclic stage data."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         selected = [s for s in STAGES if stages is None or s in stages]
         runner = PipelineRunner(config)
         report = RunReport()
-
-        ingest_langs = []
         if "ingest" in selected:
-            ingest_langs = [config.english_code] + list(config.foreign_codes)
-        ingest_ok = {}
-        for lang in ingest_langs:
-            try:
-                report.results.append(runner.stage_ingest(lang))
-                ingest_ok[lang] = True
-            except Exception as exc:  # noqa: BLE001 - reported per stage
-                report.results.append(StageResult(pair=lang, stage="ingest", error=str(exc)))
-                ingest_ok[lang] = False
-
-        per_pair_stages = [s for s in selected if s in ("align", "wordalign", "phrases",
-                                                        "prune", "markers")]
+            report.results.extend(runner.stage_ingest(lang)
+                                  for lang in [config.english_code, *config.foreign_codes])
 
         def run_pair(lang):
             results = []
-            if not ingest_ok.get(lang, True) or not ingest_ok.get(config.english_code, True):
-                results.append(StageResult(pair=lang, stage="align",
-                                           error="skipped: ingest failed"))
-                return results, False
-            stage_fns = {
-                "align": runner.stage_align,
-                "wordalign": runner.stage_wordalign,
-                "phrases": runner.stage_phrases,
-                "prune": runner.stage_prune,
-                "markers": runner.stage_markers,
-            }
-            for stage in per_pair_stages:
-                try:
-                    results.append(stage_fns[stage](lang))
-                except Exception as exc:  # noqa: BLE001 - reported per stage
-                    results.append(StageResult(pair=lang, stage=stage, error=str(exc)))
-                    return results, False
-            return results, True
+            for stage in (s for s in selected if s in PAIR_STAGES):
+                results.append(getattr(runner, f"stage_{stage}")(lang))
+                if results[-1].error:
+                    break
+            return results
 
-        pair_ok = {lang: True for lang in config.foreign_codes}
-        if per_pair_stages:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                for lang, (results, ok) in zip(config.foreign_codes,
-                                               pool.map(run_pair, config.foreign_codes)):
-                    report.results.extend(results)
-                    pair_ok[lang] = ok
+        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+            for results in pool.map(run_pair, config.foreign_codes):
+                report.results.extend(results)
 
         if "lexicon" in selected:
-            ready = [lang for lang in config.foreign_codes
-                     if pair_ok.get(lang, False) and os.path.isfile(
-                         runner._pair_paths(lang)["candidates"])]
-            try:
-                report.results.append(runner.stage_lexicon(ready))
-            except Exception as exc:  # noqa: BLE001 - reported per stage
-                report.results.append(StageResult(pair="all", stage="lexicon", error=str(exc)))
+            failed = {r.pair for r in report.results if r.error}
+            report.results.append(runner.stage_lexicon(
+                [lang for lang in config.foreign_codes if lang not in failed
+                 and os.path.isfile(runner._pair_paths(lang)["candidates"])]))
 
         write_report(report, config.output_dir)
         return report

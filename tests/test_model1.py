@@ -242,7 +242,8 @@ class TestSerialization:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "alignments.txt")
             write_alignments(link_sets, path)
-            assert read_alignments(path, len(link_sets)) == link_sets
+            pairs = [(["f"] * 201, ["e"] * 201)] * len(link_sets)
+            assert read_alignments(path, pairs) == link_sets
 
 
 def test_directional_links_drops_null():

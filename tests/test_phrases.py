@@ -466,10 +466,12 @@ class TestPhraseTableIO:
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "pt.txt"
-        path.write_text("# N=1\nbroken line without separators\n", encoding="utf-8")
-        with pytest.raises(PhraseTableFormatError) as exc:
-            read_phrase_table(path)
-        assert exc.value.line_number == 2
+        for line in ["broken line without separators",
+                     "a b ||| c ||| 0.5 0.5 0.5 0.5 ||| 0-9 1-0 ||| 2"]:
+            path.write_text(f"# N=1\n{line}\n", encoding="utf-8")
+            with pytest.raises(PhraseTableFormatError) as exc:
+                read_phrase_table(path)
+            assert exc.value.line_number == 2
 
     def test_entries_sorted_lexicographically(self, tmp_path):
         table = self._toy_table()

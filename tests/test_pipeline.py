@@ -248,21 +248,23 @@ class TestRunPipeline:
         root = tmp_path / "twolang"
         shutil.copytree(corpus_root, root)
         shutil.copytree(root / "corpus" / "xx", root / "corpus" / "yy")
-        (root / "corpus" / "en" / "ep-0.txt").write_bytes(b"<P>\n\xff\xfe broken\n")
         cfg_file = root / "pipeline.cfg"
         base = open(cfg_file, encoding="utf-8").read()
         cfg_file.write_text(base.replace("foreign = xx", "foreign = xx,yy"), encoding="utf-8")
+        args = ["--config", str(cfg_file), "--output", str(root / "out"), "pipeline"]
+        assert cli_main(args) == 0  # leaves candidates that the lexicon must not read
 
-        out = root / "out"
-        assert cli_main(["--config", str(cfg_file), "--output", str(out), "pipeline"]) == 1
-        with open(out / "report.json", encoding="utf-8") as fh:
-            rows = [(s["pair"], s["stage"], s["error"]) for s in json.load(fh)["stages"]]
+        (root / "corpus" / "en" / "ep-0.txt").write_bytes(b"<P>\n\xff\xfe broken\n")
+        assert cli_main(args) == 1
+        with open(root / "out" / "report.json", encoding="utf-8") as fh:
+            stages = json.load(fh)["stages"]
+        rows = [(s["pair"], s["stage"], s["error"]) for s in stages]
         assert [row[:2] for row in rows] == [("en", "ingest"), ("xx", "ingest"),
                                              ("yy", "ingest"), ("xx", "align"),
                                              ("yy", "align"), ("all", "lexicon")]
         assert rows[0][2] and rows[1][2] is None and rows[2][2] is None
         assert rows[3][2] == rows[4][2] == "skipped: ingest failed"
-        assert rows[5][2] is None
+        assert rows[5][2] is None and stages[5]["stats"]["records"] == 0
 
     def test_missing_input_fails_its_stage_without_raising(self, corpus_root, tmp_path):
         import re
@@ -386,29 +388,39 @@ class TestRunPipeline:
         counts = re.search(pattern, errors[stage]).groups()
         assert sorted(int(c) for c in counts) == [len(lines) - 1, len(lines)]
 
-    @pytest.mark.parametrize("fate", ["pruned", "kept"])
+    @pytest.mark.parametrize("fate", ["pruned", "kept", "alignments 0-99", "alignments 0-x"],
+                             ids=["pruned", "kept", "alignments-range", "alignments-int"])
     def test_bad_links_in_counts_fail_prune_with_line_number(self, corpus_root, tmp_path,
                                                              fate):
+        """A bad link in the counts of a pruned or a kept pair fails prune, and one
+        added to a line of alignments.txt fails phrases, naming the line."""
         out = tmp_path / "out"
         args = ["--config", _config_path(corpus_root), "--output", str(out)]
         assert cli_main(args + ["prune"]) == 0
         pair_dir = out / "pairs" / "xx"
-        report_rows = (pair_dir / "prune-report.tsv").read_text(encoding="utf-8").splitlines()
-        victim = next(row.split("\t")[0] for row in report_rows[1:] if row.endswith(fate))
-        table = pair_dir / "phrase-table.txt"
-        lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
-        lineno = next(k for k, line in enumerate(lines, start=1)
-                      if line.startswith(victim + " ||| "))
-        fields = lines[lineno - 1].split(" ||| ")
-        fields[2] = "0-x"
-        lines[lineno - 1] = " ||| ".join(fields)
-        table.write_text("".join(lines), encoding="utf-8")
+        if fate.startswith("alignments"):
+            stage, path, lineno = "phrases", pair_dir / "alignments.txt", 2
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[lineno - 1] = lines[lineno - 1].rstrip("\n") + f" {fate.split()[1]}\n"
+        else:
+            stage, path = "prune", pair_dir / "phrase-table.txt"
+            report_rows = (pair_dir / "prune-report.tsv").read_text(
+                encoding="utf-8").splitlines()
+            victim = next(row.split("\t")[0] for row in report_rows[1:] if row.endswith(fate))
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            lineno = next(k for k, line in enumerate(lines, start=1)
+                          if line.startswith(victim + " ||| "))
+            fields = lines[lineno - 1].split(" ||| ")
+            fields[2] = "0-x"
+            lines[lineno - 1] = " ||| ".join(fields)
+        path.write_text("".join(lines), encoding="utf-8")
 
         assert cli_main(args + ["prune"]) == 1
         with open(out / "report.json", encoding="utf-8") as fh:
             errors = {s["stage"]: s["error"] for s in json.load(fh)["stages"] if s["error"]}
-        assert list(errors) == ["prune"]
-        assert errors["prune"].startswith(f"line {lineno}: ")
+        assert list(errors) == [stage]
+        assert errors[stage].startswith(f"line {lineno}: ")
+        assert stage == "prune" or "alignments.txt" in errors[stage]
 
 
 class TestGarbageCollectorPause:
