@@ -3,7 +3,7 @@
 Run as:  python3 demos/01_sentence_and_word_alignment.py
 """
 
-from dmlex.galechurch import AlignerParams, align_paragraph
+from dmlex.galechurch import align_paragraph
 from dmlex.model1 import symmetrize, train_model1, viterbi_align
 
 # A three-sentence "English" paragraph against a two-sentence "foreign" one.
@@ -19,7 +19,7 @@ foreign = [
     "o debate foi longo e foi dificil".split(),
 ]
 
-beads = align_paragraph(english, foreign, AlignerParams())
+beads = align_paragraph(english, foreign)
 print("sentence alignment:")
 for bead in beads:
     src = " / ".join(" ".join(s) for s in english[bead.src_span[0]:bead.src_span[1]])

@@ -1,6 +1,6 @@
 """dmlex: multilingual discourse-marker lexicon induction from parallel corpora."""
 
-from .galechurch import AlignedCorpus, AlignerParams, align_corpus, align_paragraph
+from .galechurch import AlignedCorpus, align_corpus, align_paragraph
 from .ingest import Document, ParagraphPair, pair_documents, parse_europarl_file, tokenize
 from .lexicon import FilterPolicy, Lexicon, build_lexicon, export_lexicon, load_seed_markers
 from .model1 import TranslationTable, symmetrize, train_model1, viterbi_align
@@ -10,7 +10,6 @@ from .significance import PruneConfig, fisher_neg_log_p, prune
 
 __all__ = [
     "AlignedCorpus",
-    "AlignerParams",
     "Document",
     "FilterPolicy",
     "Lexicon",

@@ -11,34 +11,21 @@ SHAPE_NAMES = {s: f"{s[0]}-{s[1]}" for s in SHAPES}
 # model cannot score.
 DELETION_DELTA = 4.0
 
+# Gale & Church's length model: a target length has mean c * (source length)
+# and variance s^2 * (source length), with c = MEAN_CHAR_RATIO, s^2 = VARIANCE.
+MEAN_CHAR_RATIO = 1.0
+VARIANCE = 6.8
 
-def default_bead_priors() -> dict:
-    """Classical prior mass per shape, renormalized to sum to 1."""
-    raw = {
-        "1-1": 0.89,
-        "1-0": 0.0099,
-        "0-1": 0.0099,
-        "2-1": 0.089 / 2,
-        "1-2": 0.089 / 2,
-        "2-2": 0.011,
-    }
-    total = sum(raw.values())
-    return {k: v / total for k, v in raw.items()}
-
-
-@dataclass
-class AlignerParams:
-    mean_char_ratio: float = 1.0
-    variance: float = 6.8
-    bead_priors: dict = field(default_factory=default_bead_priors)
-
-    def __post_init__(self):
-        for name in ("mean_char_ratio", "variance"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        total = sum(self.bead_priors.values())
-        if abs(total - 1.0) > 1e-9 or any(v <= 0 for v in self.bead_priors.values()):
-            raise ValueError("bead priors must be positive and sum to 1")
+# Classical prior mass per shape, renormalized to sum to 1.
+_PRIOR_MASS = {
+    "1-1": 0.89,
+    "1-0": 0.0099,
+    "0-1": 0.0099,
+    "2-1": 0.089 / 2,
+    "1-2": 0.089 / 2,
+    "2-2": 0.011,
+}
+BEAD_PRIORS = {k: v / sum(_PRIOR_MASS.values()) for k, v in _PRIOR_MASS.items()}
 
 
 @dataclass(frozen=True)
@@ -78,7 +65,7 @@ def _log_two_tail(abs_delta: float) -> float:
     return -z * z - math.log(z * math.sqrt(math.pi)) + math.log(series)
 
 
-def length_cost(src_len: int, tgt_len: int, shape, params: AlignerParams) -> float:
+def length_cost(src_len: int, tgt_len: int, shape) -> float:
     """-log prior(shape) - log P(delta) for a candidate bead."""
     if src_len < 0 or tgt_len < 0:
         raise ValueError("lengths must be non-negative")
@@ -86,18 +73,15 @@ def length_cost(src_len: int, tgt_len: int, shape, params: AlignerParams) -> flo
         raise ValueError("at least one side must be non-empty")
     if isinstance(shape, tuple):
         shape = SHAPE_NAMES[shape]
-    prior = params.bead_priors[shape]
     if shape in ("1-0", "0-1"):
         abs_delta = DELETION_DELTA
     else:
-        c = params.mean_char_ratio
-        s2 = params.variance
-        denom = math.sqrt(src_len * s2) if src_len > 0 else math.sqrt(s2)
-        abs_delta = abs(tgt_len - src_len * c) / denom
-    return -math.log(prior) - _log_two_tail(abs_delta)
+        denom = math.sqrt(src_len * VARIANCE) if src_len > 0 else math.sqrt(VARIANCE)
+        abs_delta = abs(tgt_len - src_len * MEAN_CHAR_RATIO) / denom
+    return -math.log(BEAD_PRIORS[shape]) - _log_two_tail(abs_delta)
 
 
-def align_paragraph(src: list, tgt: list, params: AlignerParams) -> list:
+def align_paragraph(src: list, tgt: list) -> list:
     """Minimum-cost bead tiling of the two sentence lists.
 
     Ties at each DP cell are broken by SHAPES order (1-1 first).
@@ -125,7 +109,7 @@ def align_paragraph(src: list, tgt: list, params: AlignerParams) -> list:
                     continue
                 sl = sum(src_lens[pi:i])
                 tl = sum(tgt_lens[pj:j])
-                cand = cost[pi][pj] + length_cost(sl, tl, (s, t), params)
+                cand = cost[pi][pj] + length_cost(sl, tl, (s, t))
                 if cand < best:
                     best = cand
                     best_shape = (s, t)
@@ -149,12 +133,12 @@ def align_paragraph(src: list, tgt: list, params: AlignerParams) -> list:
     return beads
 
 
-def align_corpus(pairs: list, params: AlignerParams) -> AlignedCorpus:
+def align_corpus(pairs: list) -> AlignedCorpus:
     """One sentence pair per bead, concatenating multi-sentence sides;
     insertion/deletion beads are dropped."""
     corpus = AlignedCorpus()
     for pp in pairs:
-        beads = align_paragraph(pp.src_paragraph, pp.tgt_paragraph, params)
+        beads = align_paragraph(pp.src_paragraph, pp.tgt_paragraph)
         for bead in beads:
             if bead.shape in ("1-0", "0-1"):
                 continue

@@ -35,7 +35,6 @@ class FilterPolicy:
     min_inv_phrase_prob: float = 0.05
     min_joint_count: int = 2
     max_length_delta: int = 3
-    require_full_marker_alignment: bool = True
 
     def __post_init__(self):
         if not (0 <= self.min_dir_phrase_prob <= 1 and 0 <= self.min_inv_phrase_prob <= 1):
@@ -135,10 +134,9 @@ def filter_candidates(candidates, policy: FilterPolicy) -> list:
             continue
         if abs(len(cand.translation) - len(cand.marker)) > policy.max_length_delta:
             continue
-        if policy.require_full_marker_alignment:
-            aligned_e = {j for _, j in entry.most_frequent_internal_alignment}
-            if any(pos not in aligned_e for pos in _marker_positions(cand)):
-                continue
+        aligned_e = {j for _, j in entry.most_frequent_internal_alignment}
+        if any(pos not in aligned_e for pos in _marker_positions(cand)):
+            continue
         scored = replace(cand, score=entry.dir_phrase_prob * entry.inv_phrase_prob)
         key = (scored.marker, scored.language, scored.translation)
         if key not in best:

@@ -215,30 +215,43 @@ def write_translation_table(table: TranslationTable, path) -> None:
                 fh.write(f"{cond}\t{gen}\t{table.probs[cond][gen]:.8g}\n")
 
 
+def format_links(links) -> str:
+    """(i, j) links as sorted, space-separated `i-j` tokens."""
+    return " ".join(f"{i}-{j}" for i, j in sorted(links))
+
+
+def parse_links(text: str, n_src: int, n_tgt: int) -> frozenset:
+    """The links of a format_links text, which must lie inside an n_src x n_tgt
+    pair; each token must be two ASCII decimal integers joined by `-`."""
+    tokens = [token.partition("-") for token in text.split()]
+    if not (text.isascii() and all(i.isdigit() and j.isdigit() for i, _, j in tokens)):
+        raise ValueError(f"links {text.strip()!r} are not all i-j")
+    links = frozenset((int(i), int(j)) for i, _, j in tokens)
+    if any(i >= n_src or j >= n_tgt for i, j in links):
+        raise ValueError(f"links {text.strip()!r} reach outside the {n_src}x{n_tgt} pair")
+    return links
+
+
 def write_alignments(link_sets, path) -> None:
-    """One line per sentence pair: its (src, tgt) links as sorted `i-j` tokens."""
+    """One line per sentence pair: its (src, tgt) links."""
     with open(path, "w", encoding="utf-8") as fh:
         for links in link_sets:
-            fh.write(" ".join(f"{i}-{j}" for i, j in sorted(links)) + "\n")
+            fh.write(format_links(links) + "\n")
 
 
 def read_alignments(path, pairs) -> list:
     """The link sets written by write_alignments, one line per (src, tgt) sentence
-    pair; every link must be `i-j` with i inside src and j inside tgt."""
+    pair; every link must lie inside its pair."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     if len(lines) != len(pairs):
         raise ValueError(f"{path} has {len(lines)} lines for {len(pairs)} sentence pairs")
     link_sets = []
     for lineno, (line, (src, tgt)) in enumerate(zip(lines, pairs), start=1):
-        links = set()
-        for link in line.split():
-            i, _, j = link.partition("-")
-            if not (i.isdecimal() and j.isdecimal() and int(i) < len(src) and int(j) < len(tgt)):
-                raise ValueError(f"line {lineno}: link {link!r} of {path} is not i-j inside "
-                                 f"its {len(src)}x{len(tgt)} sentence pair")
-            links.add((int(i), int(j)))
-        link_sets.append(links)
+        try:
+            link_sets.append(parse_links(line, len(src), len(tgt)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc} in {path}") from None
     return link_sets
 
 

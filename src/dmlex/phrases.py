@@ -4,7 +4,7 @@ from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .model1 import NULL_WORD, TranslationTable
+from .model1 import NULL_WORD, TranslationTable, format_links, parse_links
 
 
 # internal_alignment: frozenset of (foreign offset, english offset) links;
@@ -208,24 +208,6 @@ class _Memo(dict):
         return value
 
 
-def _format_links(links) -> str:
-    return " ".join(f"{i}-{j}" for i, j in sorted(links))
-
-
-def _links_and_extent(text: str) -> tuple:
-    """The links of text, and the largest foreign and english offsets among them."""
-    align = frozenset((int(a), int(b)) for a, b in (link.split("-") for link in text.split()))
-    return align, max((i for i, _ in align), default=-1), max((j for _, j in align), default=-1)
-
-
-def _links_inside(parsed: _Memo, text: str, f: tuple, e: tuple) -> frozenset:
-    """The links of text, looked up in parsed, which must lie inside the pair (f, e)."""
-    align, last_i, last_j = parsed[text]
-    if last_i >= len(f) or last_j >= len(e):
-        raise ValueError(f"links {text!r} reach outside the phrase pair")
-    return align
-
-
 def write_phrase_table(table: PhraseTable, path) -> None:
     """`f ||| e ||| 4 scores ||| i-j links ||| count`, lexicographically sorted."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -234,14 +216,14 @@ def write_phrase_table(table: PhraseTable, path) -> None:
             entry = table.entries[(f, e)]
             scores = " ".join(_fmt(x) for x in (entry.inv_phrase_prob, entry.inv_lex_weight,
                                                 entry.dir_phrase_prob, entry.dir_lex_weight))
-            links = _format_links(entry.most_frequent_internal_alignment)
+            links = format_links(entry.most_frequent_internal_alignment)
             fh.write(f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {scores} ||| {links} ||| "
                      f"{_fmt(entry.joint_count)}\n")
 
 
 def write_phrase_counts(counts: PhraseCounts, path) -> None:
     """`f ||| e ||| i-j links ||| joint count`, lexicographically sorted."""
-    links = _Memo(_format_links)
+    links = _Memo(format_links)
     lines = [f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {links[align]} ||| {joint}\n"
              for (f, e), (joint, align) in sorted(counts.entries.items(), key=itemgetter(0))]
     with open(path, "w", encoding="utf-8") as fh:
@@ -275,14 +257,14 @@ def _data_lines(path, n_fields, table):
 
 def read_phrase_table(path) -> PhraseTable:
     table = PhraseTable()
-    links = _Memo(_links_and_extent)
+    links = _Memo(lambda key: parse_links(*key))  # (text, len(f), len(e)) -> links
     for lineno, (f_str, e_str, scores_str, links_str, count_str) in _data_lines(path, 5, table):
         f, e = unescape_phrase(f_str), unescape_phrase(e_str)
         try:
             scores = [float(x) for x in scores_str.split()]
             if len(scores) != 4:
                 raise ValueError("expected 4 scores")
-            align = _links_inside(links, links_str, f, e)
+            align = links[links_str, len(f), len(e)]
             count = float(count_str)
         except ValueError as exc:
             raise PhraseTableFormatError(lineno, str(exc)) from exc
@@ -291,13 +273,14 @@ def read_phrase_table(path) -> PhraseTable:
 
 
 def read_phrase_counts(path) -> PhraseCounts:
-    """Each distinct phrase or links text is parsed once; entries share the result."""
+    """Each distinct phrase, or links text within a pair shape, is parsed once;
+    entries share the result."""
     counts = PhraseCounts()
-    phrase, links = _Memo(unescape_phrase), _Memo(_links_and_extent)
+    phrase, links = _Memo(unescape_phrase), _Memo(lambda key: parse_links(*key))
     for lineno, (f_str, e_str, links_str, joint_str) in _data_lines(path, 4, counts):
         f, e = phrase[f_str], phrase[e_str]
         try:
-            counts.entries[f, e] = (int(joint_str), _links_inside(links, links_str, f, e))
+            counts.entries[f, e] = (int(joint_str), links[links_str, len(f), len(e)])
         except ValueError as exc:
             raise PhraseTableFormatError(lineno, str(exc)) from exc
     return counts

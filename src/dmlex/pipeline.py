@@ -70,7 +70,7 @@ def _known_heuristic(key, name):
 # key -> (parser, default as a string or None if required, check or None); a
 # check returns the error for a parsed value it rejects. The Gale-Church
 # parameters, Model 1's NULL word and floor, and the epsilon of alpha+epsilon
-# are the method's constants: stages use the library defaults.
+# are the method's constants, defined in their modules.
 _KNOWN_KEYS = {
     "corpus_root": (str, None, None),
     "english": (str, None, None),
@@ -229,7 +229,7 @@ def _digest(param_obj, input_files, upstream: str = "") -> str:
     h = hashlib.sha256()
     h.update(repr(param_obj).encode("utf-8"))
     h.update(upstream.encode("utf-8"))
-    for path in sorted(str(p) for p in input_files):
+    for path in input_files:  # declared order: a full-path sort moves with the output dir
         h.update(os.path.basename(path).encode("utf-8"))
         h.update(_sha256_file(path).encode("utf-8"))
     return h.hexdigest()
@@ -358,7 +358,7 @@ class PipelineRunner:
         inputs = [os.path.join(self.ingest_dir(code), f)
                   for code in (lang, self.cfg.english_code) for f in self.file_ids]
         outputs = [p["aligned_src"], p["aligned_tgt"]]
-        params = galechurch.AlignerParams()
+        params = (galechurch.MEAN_CHAR_RATIO, galechurch.VARIANCE, galechurch.BEAD_PRIORS)
 
         def body():
             paragraph_pairs = []
@@ -369,7 +369,7 @@ class PipelineRunner:
                     os.path.join(self.ingest_dir(self.cfg.english_code), file_id),
                     self.cfg.english_code, file_id)
                 paragraph_pairs.extend(ingest.pair_documents(src_doc, tgt_doc))
-            corpus = galechurch.align_corpus(paragraph_pairs, params)
+            corpus = galechurch.align_corpus(paragraph_pairs)
             galechurch.write_aligned_corpus(corpus, p["aligned_src"], p["aligned_tgt"])
             return {"sentence_pairs": len(corpus.pairs)}
 
@@ -442,7 +442,8 @@ class PipelineRunner:
                     "entries_pruned": report.pruned_count,
                     "threshold": report.threshold}
 
-        return self._run_stage(lang, "prune", self.cfg.prune_config, inputs, outputs, body)
+        params = (self.cfg.prune_config, significance.EPSILON)
+        return self._run_stage(lang, "prune", params, inputs, outputs, body)
 
     def stage_markers(self, lang) -> StageResult:
         p = self._pair_paths(lang)
@@ -466,6 +467,8 @@ class PipelineRunner:
         return self._run_stage(lang, "markers", self.cfg.filter_policy, inputs, outputs, body)
 
     def stage_lexicon(self, languages) -> StageResult:
+        if not languages:  # the last good lexicon stays in place
+            return StageResult("all", "lexicon", error="skipped: no language pair left")
         inputs = [self._pair_paths(lang)["candidates"] for lang in languages]
         inputs.append(self.cfg.markers_file)
         lex_tsv = os.path.join(self.out, "lexicon.tsv")

@@ -18,19 +18,30 @@ class ContingencyTable:
             raise ValueError(f"invalid contingency counts: {self}")
 
 
+EPSILON = 1e-9  # alpha_plus_epsilon sits this far above alpha
+
+
 @dataclass
 class PruneConfig:
     threshold_mode: str = "alpha_plus_epsilon"  # alpha | alpha_plus_epsilon | custom
     custom_neg_log_p: float = 0.0
-    epsilon: float = 1e-9
 
     def __post_init__(self):
         if self.threshold_mode not in ("alpha", "alpha_plus_epsilon", "custom"):
             raise ValueError(f"unknown threshold mode: {self.threshold_mode}")
         if self.threshold_mode == "custom" and not 0 <= self.custom_neg_log_p < math.inf:
             raise ValueError("custom_neg_log_p must be finite and >= 0")
-        if not 0 <= self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and >= 0")
+
+    def threshold(self, n: int) -> float:
+        """Pruning threshold on -log p for n sentence pairs: alpha is ln(n), the
+        score of a 1-1-1 entry."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if self.threshold_mode == "custom":
+            return self.custom_neg_log_p
+        if self.threshold_mode == "alpha":
+            return math.log(n)
+        return math.log(n) + EPSILON
 
 
 def _postings(sentences, phrases) -> dict:
@@ -88,19 +99,6 @@ def fisher_neg_log_p(ct: ContingencyTable) -> float:
     return max(0.0, -log_p)
 
 
-def threshold_for(mode: str, n: int, epsilon: float = 1e-9, custom: float = 0.0) -> float:
-    """Pruning threshold on -log p: alpha is ln(n), the score of a 1-1-1 entry."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if mode == "alpha":
-        return math.log(n)
-    if mode == "alpha_plus_epsilon":
-        return math.log(n) + epsilon
-    if mode == "custom":
-        return custom
-    raise ValueError(f"unknown threshold mode: {mode}")
-
-
 @dataclass
 class PruneReport:
     threshold: float
@@ -115,9 +113,7 @@ def prune(table, counts: dict, config: PruneConfig) -> tuple:
     table is a PhraseTable or PhraseCounts, and its surviving entries are
     carried over unchanged into one of the same type. Returns (kept, report).
     """
-    threshold = threshold_for(
-        config.threshold_mode, table.corpus_size, config.epsilon, config.custom_neg_log_p
-    )
+    threshold = config.threshold(table.corpus_size)
     report = PruneReport(threshold=threshold)
     scores = {}  # id(table) -> -log p: few tables, and a dataclass hash is a Python call
     for key in sorted(table.entries):

@@ -14,23 +14,24 @@ from fractions import Fraction
 import mpmath
 from hypothesis import strategies as st
 
-from dmlex.galechurch import SHAPES, SHAPE_NAMES, AlignerParams, sentence_char_length
+from dmlex.galechurch import (BEAD_PRIORS, MEAN_CHAR_RATIO, SHAPES, SHAPE_NAMES, VARIANCE,
+                              sentence_char_length)
 from dmlex.ingest import tokenize
 
 # ---------------------------------------------------------------------------
 # Gale-Church oracles
 
 
-def mp_length_cost(src_len, tgt_len, shape, params: AlignerParams) -> float:
+def mp_length_cost(src_len, tgt_len, shape) -> float:
     """High-precision reference for the bead cost formula."""
     mpmath.mp.dps = 60
     name = shape if isinstance(shape, str) else SHAPE_NAMES[shape]
-    prior = params.bead_priors[name]
+    prior = BEAD_PRIORS[name]
     if name in ("1-0", "0-1"):
         abs_delta = mpmath.mpf(4)
     else:
-        denom = mpmath.sqrt(src_len * mpmath.mpf(params.variance))
-        abs_delta = abs(tgt_len - src_len * mpmath.mpf(params.mean_char_ratio)) / denom
+        denom = mpmath.sqrt(src_len * mpmath.mpf(VARIANCE))
+        abs_delta = abs(tgt_len - src_len * mpmath.mpf(MEAN_CHAR_RATIO)) / denom
     return float(-mpmath.log(prior) - mp_log_two_tail(abs_delta))
 
 
@@ -56,7 +57,7 @@ def enumerate_tilings(m, n):
                 stack.append((ni, nj, beads + [((s, t), (i, ni), (j, nj))]))
 
 
-def brute_force_align(src, tgt, params: AlignerParams, cost_fn):
+def brute_force_align(src, tgt, cost_fn):
     """Minimum-cost tiling by full enumeration; ties broken by comparing the
     shape sequence from the last bead backwards (SHAPES preference order)."""
     m, n = len(src), len(tgt)
@@ -70,7 +71,7 @@ def brute_force_align(src, tgt, params: AlignerParams, cost_fn):
         key = (shape, ss, ts)
         if key not in cost_cache:
             cost_cache[key] = cost_fn(
-                sum(src_lens[ss[0]:ss[1]]), sum(tgt_lens[ts[0]:ts[1]]), shape, params
+                sum(src_lens[ss[0]:ss[1]]), sum(tgt_lens[ts[0]:ts[1]]), shape
             )
         return cost_cache[key]
 
@@ -87,7 +88,7 @@ def brute_force_align(src, tgt, params: AlignerParams, cost_fn):
     return best_key[0] if best_key else 0.0, best or []
 
 
-def fast_brute_force_align(src, tgt, params: AlignerParams, cost_fn):
+def fast_brute_force_align(src, tgt, cost_fn):
     """Same oracle as brute_force_align, tuned for larger paragraphs.
 
     Bead costs are precomputed per grid cell and the depth-first walk keeps
@@ -113,7 +114,7 @@ def fast_brute_force_align(src, tgt, params: AlignerParams, cost_fn):
                 ni, nj = i + di, j + dj
                 if ni <= m and nj <= n:
                     c = cost_fn(
-                        sum(src_lens[i:ni]), sum(tgt_lens[j:nj]), (di, dj), params
+                        sum(src_lens[i:ni]), sum(tgt_lens[j:nj]), (di, dj)
                     )
                     if not c > 0:
                         raise ValueError(

@@ -11,7 +11,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from dmlex.galechurch import SHAPE_NAMES, AlignerParams, align_paragraph, length_cost
+from dmlex.galechurch import SHAPE_NAMES, align_paragraph, length_cost
 from dmlex.lexicon import select_candidates
 from dmlex.model1 import train_model1
 from dmlex.phrases import PhraseTable, PhraseTableEntry, extract_phrase_pairs, score_phrase_table
@@ -89,7 +89,6 @@ def test_c02_end_to_end_synthetic_recovery(tmp_path):
 
 def test_c03_sentence_aligner_matches_exhaustive_enumeration():
     with verdict("C03 sentence aligner: DP == exhaustive enumeration on 500 paragraphs, < 30 s"):
-        params = AlignerParams()
         rng = random.Random(20240815)
         start = time.monotonic()
         for _ in range(500):
@@ -97,9 +96,9 @@ def test_c03_sentence_aligner_matches_exhaustive_enumeration():
             src = [["x" * rng.randint(3, 60)] for _ in range(m)]
             tgt = [["x" * rng.randint(3, 60)] for _ in range(n)]
             expected_cost, expected_tiling = fast_brute_force_align(
-                src, tgt, params, length_cost
+                src, tgt, length_cost
             )
-            beads = align_paragraph(src, tgt, params)
+            beads = align_paragraph(src, tgt)
             got_cost = 0.0
             for bead in beads:
                 got_cost += bead.cost

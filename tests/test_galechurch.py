@@ -7,12 +7,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dmlex.galechurch import (
+    BEAD_PRIORS,
     SHAPES,
-    AlignerParams,
     _log_two_tail,
     align_corpus,
     align_paragraph,
-    default_bead_priors,
     length_cost,
     read_aligned_corpus,
     sentence_char_length,
@@ -29,33 +28,23 @@ from helpers import (
 )
 
 
-PARAMS = AlignerParams()
-
-
-@pytest.mark.parametrize("field", ["mean_char_ratio", "variance"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
-def test_aligner_params_must_be_finite_and_positive(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
-        AlignerParams(**{field: value})
-
-
 class TestLengthCost:
     def test_zero_deviation_is_prior_only(self):
-        cost = length_cost(100, 100, "1-1", PARAMS)
-        assert cost == pytest.approx(-math.log(PARAMS.bead_priors["1-1"]), abs=1e-12)
+        cost = length_cost(100, 100, "1-1")
+        assert cost == pytest.approx(-math.log(BEAD_PRIORS["1-1"]), abs=1e-12)
 
     def test_symmetric_in_deviation(self):
         for k in (1, 5, 20, 80):
-            assert length_cost(100, 100 + k, "1-1", PARAMS) == pytest.approx(
-                length_cost(100, 100 - k, "1-1", PARAMS), rel=1e-12
+            assert length_cost(100, 100 + k, "1-1") == pytest.approx(
+                length_cost(100, 100 - k, "1-1"), rel=1e-12
             )
 
     def test_matches_high_precision_oracle(self):
         # frozen from the mpmath oracle: src=50, tgt=80, shape 1-1
-        assert mp_length_cost(50, 80, "1-1", PARAMS) == pytest.approx(
+        assert mp_length_cost(50, 80, "1-1") == pytest.approx(
             2.3921374405552086, rel=1e-12
         )
-        assert length_cost(50, 80, "1-1", PARAMS) == pytest.approx(
+        assert length_cost(50, 80, "1-1") == pytest.approx(
             2.3921374405552086, rel=1e-10
         )
 
@@ -67,13 +56,13 @@ class TestLengthCost:
                    (1000, 3332), (1000, 3333), (1, 10**5))
         for shape in ("1-1", "2-1", "1-2", "2-2", "1-0", "0-1"):
             for src_len, tgt_len in lengths:
-                assert length_cost(src_len, tgt_len, shape, PARAMS) == pytest.approx(
-                    mp_length_cost(src_len, tgt_len, shape, PARAMS), rel=1e-9
+                assert length_cost(src_len, tgt_len, shape) == pytest.approx(
+                    mp_length_cost(src_len, tgt_len, shape), rel=1e-9
                 )
 
     def test_monotone_in_deviation(self):
         # d = 700 gives z = |delta| / sqrt(2) ~ 26.8, past the series switch at 20
-        costs = [length_cost(50, 50 + d, "1-1", PARAMS) for d in range(0, 701, 3)]
+        costs = [length_cost(50, 50 + d, "1-1") for d in range(0, 701, 3)]
         assert all(a <= b + 1e-12 for a, b in zip(costs, costs[1:]))
 
     def test_log_two_tail_matches_oracle(self):
@@ -85,10 +74,10 @@ class TestLengthCost:
 
     def test_both_zero_is_an_error(self):
         with pytest.raises(ValueError):
-            length_cost(0, 0, "1-1", PARAMS)
+            length_cost(0, 0, "1-1")
 
     def test_priors_sum_to_one(self):
-        assert sum(default_bead_priors().values()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(BEAD_PRIORS.values()) == pytest.approx(1.0, abs=1e-9)
 
     # fast_brute_force_align prunes by running cost; that is exact only while
     # every bead cost is strictly positive.
@@ -99,7 +88,7 @@ class TestLengthCost:
     )
     def test_cost_is_strictly_positive(self, src_len, tgt_len, shape):
         assume(src_len or tgt_len)
-        assert length_cost(src_len, tgt_len, shape, PARAMS) > 0
+        assert length_cost(src_len, tgt_len, shape) > 0
 
 
 def _sent(n_chars):
@@ -111,24 +100,24 @@ class TestAlignParagraph:
     def test_matched_lengths_give_one_to_one(self):
         src = [_sent(30), _sent(25), _sent(40)]
         tgt = [_sent(30), _sent(25), _sent(40)]
-        beads = align_paragraph(src, tgt, PARAMS)
+        beads = align_paragraph(src, tgt)
         assert [b.shape for b in beads] == ["1-1", "1-1", "1-1"]
 
     def test_two_to_one_merge(self):
         src = [_sent(20), _sent(22)]
         tgt = [_sent(43)]
-        beads = align_paragraph(src, tgt, PARAMS)
+        beads = align_paragraph(src, tgt)
         assert [b.shape for b in beads] == ["2-1"]
         # cross-check against the exhaustive tiling oracle
-        cost, oracle = brute_force_align(src, tgt, PARAMS, length_cost)
+        cost, oracle = brute_force_align(src, tgt, length_cost)
         assert [shape for shape, _, _ in oracle] == [(2, 1)]
 
     def test_forced_deletion(self):
-        beads = align_paragraph([_sent(20)], [], PARAMS)
+        beads = align_paragraph([_sent(20)], [])
         assert [b.shape for b in beads] == ["1-0"]
 
     def test_empty_both_sides(self):
-        assert align_paragraph([], [], PARAMS) == []
+        assert align_paragraph([], []) == []
 
     def test_tiling_covers_both_sides(self):
         rng = random.Random(7)
@@ -137,7 +126,7 @@ class TestAlignParagraph:
             tgt = [_sent(rng.randint(5, 60)) for _ in range(rng.randint(0, 6))]
             if not src and not tgt:
                 continue
-            beads = align_paragraph(src, tgt, PARAMS)
+            beads = align_paragraph(src, tgt)
             covered_src = [k for b in beads for k in range(*b.src_span)]
             covered_tgt = [k for b in beads for k in range(*b.tgt_span)]
             assert covered_src == list(range(len(src)))
@@ -148,8 +137,8 @@ class TestAlignParagraph:
         for _ in range(60):
             src = [_sent(rng.randint(3, 80)) for _ in range(rng.randint(1, 5))]
             tgt = [_sent(rng.randint(3, 80)) for _ in range(rng.randint(1, 5))]
-            beads = align_paragraph(src, tgt, PARAMS)
-            oracle_cost, oracle = brute_force_align(src, tgt, PARAMS, length_cost)
+            beads = align_paragraph(src, tgt)
+            oracle_cost, oracle = brute_force_align(src, tgt, length_cost)
             assert sum(b.cost for b in beads) == pytest.approx(oracle_cost, abs=1e-9)
             got = [(tuple(map(int, b.shape.split("-"))), b.src_span, b.tgt_span) for b in beads]
             assert got == oracle
@@ -167,8 +156,8 @@ class TestAlignParagraph:
             for _ in range(3):
                 src = [draw() for _ in range(m)]
                 tgt = [draw() for _ in range(n)]
-                expected = brute_force_align(src, tgt, PARAMS, length_cost)
-                assert fast_brute_force_align(src, tgt, PARAMS, length_cost) == expected
+                expected = brute_force_align(src, tgt, length_cost)
+                assert fast_brute_force_align(src, tgt, length_cost) == expected
                 costs = []
                 for tiling in enumerate_tilings(m, n):
                     cost = 0.0
@@ -177,7 +166,6 @@ class TestAlignParagraph:
                             sum(sentence_char_length(s) for s in src[ss[0]:ss[1]]),
                             sum(sentence_char_length(t) for t in tgt[ts[0]:ts[1]]),
                             shape,
-                            PARAMS,
                         )
                     costs.append(cost)
                 ties += costs.count(expected[0]) > 1
@@ -185,12 +173,12 @@ class TestAlignParagraph:
 
     def test_pruned_oracle_rejects_non_positive_costs(self):
         with pytest.raises(ValueError):
-            fast_brute_force_align([_sent(10)], [_sent(10)], PARAMS, lambda *args: 0.0)
+            fast_brute_force_align([_sent(10)], [_sent(10)], lambda *args: 0.0)
 
     def test_deterministic(self):
         src = [_sent(30), _sent(30)]
         tgt = [_sent(30), _sent(30)]
-        assert align_paragraph(src, tgt, PARAMS) == align_paragraph(src, tgt, PARAMS)
+        assert align_paragraph(src, tgt) == align_paragraph(src, tgt)
 
 
 class TestAlignCorpus:
@@ -199,7 +187,7 @@ class TestAlignCorpus:
             src_paragraph=[["aaa", "bbb"], ["cc"]],
             tgt_paragraph=[["xxx", "yyy"], ["zz"]],
         )
-        corpus = align_corpus([para], PARAMS)
+        corpus = align_corpus([para])
         assert corpus.pairs == [(["aaa", "bbb"], ["xxx", "yyy"]), (["cc"], ["zz"])]
 
     def test_two_to_one_concatenates_source(self):
@@ -207,7 +195,7 @@ class TestAlignCorpus:
             src_paragraph=[["aaaaa" * 4], ["bbbbb" * 4]],
             tgt_paragraph=[["x" * 41]],
         )
-        corpus = align_corpus([para], PARAMS)
+        corpus = align_corpus([para])
         assert len(corpus.pairs) == 1
         src, tgt = corpus.pairs[0]
         assert src == ["aaaaa" * 4, "bbbbb" * 4]
@@ -215,7 +203,7 @@ class TestAlignCorpus:
 
     def test_deletion_beads_emit_nothing(self):
         para = ParagraphPair(src_paragraph=[["aaa"]], tgt_paragraph=[])
-        corpus = align_corpus([para], PARAMS)
+        corpus = align_corpus([para])
         assert corpus.pairs == []
 
     def test_no_empty_sides(self):
@@ -228,7 +216,7 @@ class TestAlignCorpus:
                     tgt_paragraph=[_sent(rng.randint(3, 50)) for _ in range(rng.randint(0, 4))],
                 )
             )
-        corpus = align_corpus(paras, PARAMS)
+        corpus = align_corpus(paras)
         assert all(src and tgt for src, tgt in corpus.pairs)
 
     def test_file_round_trip(self, tmp_path):
@@ -236,7 +224,7 @@ class TestAlignCorpus:
             src_paragraph=[["ab", "cd"], ["ef"]],
             tgt_paragraph=[["gh", "ij"], ["kl"]],
         )
-        corpus = align_corpus([para], PARAMS)
+        corpus = align_corpus([para])
         src_p, tgt_p = tmp_path / "s.txt", tmp_path / "t.txt"
         write_aligned_corpus(corpus, src_p, tgt_p)
         back = read_aligned_corpus(src_p, tgt_p)

@@ -41,12 +41,12 @@ NOT_PINNED = {"report.txt", "report.json", ".cache.json"}
 GOLDEN_CACHE = {
     "ingest:en": "1abdb9d2f6851628d88771a53ac4f2ac864b4612c7ee68a4366fd18edb924cc0",
     "ingest:xx": "25a17dadc8a24abf071a00640bd0d989bf22a30f5812ddf63d16b517473773fd",
-    "align:xx": "f3466e0c1a0033b54c34de0422c3cb1dc09a205bbbb13dd837946d9451f75d5a",
-    "wordalign:xx": "014150f3d3954f82ddffbd8144196119623e71353afee89566f7e01eaefae700",
-    "phrases:xx": "78c116459401673cc6a3e2f10d244c6635ae8c2ec9d1071b56dc20eb0503d2b0",
-    "prune:xx": "eb02fc600442739e800a27154d8922abd7630255c0d74153d78e9afc301156a2",
-    "markers:xx": "5e7978f9b87e6b923e779df5c2f6945364f21fd7904277aaef20e0aa2401703b",
-    "lexicon:all": "8db500e6b4d970ced34dd435838f150f714d28cfe8086e06422c32fef1172af0",
+    "align:xx": "00f186c62081650d1aab71e47b4eb38cf6b24241de3c82c5595769ffdb91591c",
+    "wordalign:xx": "c131f1a9c932eb2fd6824e9681c62a622def6cf7ffbc92cd28f875e0c98c57d1",
+    "phrases:xx": "9be516d911b14c615dae3d69ee1a8ad090b1b95d56951a121974b6a0ea9581ce",
+    "prune:xx": "300a1852ee048456aef0617848f2fc52f4d6460736e4dc7f0d16dc09e10a0743",
+    "markers:xx": "b2bbad61fdbf593d9b4455319af52a1df7c5e01ffc5e9642b5fb3595f61bc025",
+    "lexicon:all": "17e76bf99612b6b7997b62cbac09767dc2e9f907d5f7fa9f26b0c1869fc8d7d9",
 }
 
 

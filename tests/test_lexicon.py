@@ -165,10 +165,7 @@ class TestFilterCandidates:
 
     def test_unaligned_marker_token_rejected(self):
         entry = _entry("sobretudo", "above all", alignment=frozenset({(0, 0)}))
-        policy = FilterPolicy(require_full_marker_alignment=True)
-        assert filter_candidates([self._cand(entry)], policy) == []
-        relaxed = FilterPolicy(require_full_marker_alignment=False)
-        assert len(filter_candidates([self._cand(entry)], relaxed)) == 1
+        assert filter_candidates([self._cand(entry)], FilterPolicy()) == []
 
     def test_marker_offset_respects_preceding_punctuation(self):
         # english ", above all": marker tokens sit at positions 1 and 2

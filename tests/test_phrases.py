@@ -365,7 +365,9 @@ class TestPhraseCountsIO:
 
     @pytest.mark.parametrize("line", ["a ||| b ||| 0-0 ||| 1 ||| 2", "a ||| b ||| 0-0 ||| 1.5",
                                       "a ||| b ||| 0-x ||| 1", "a ||| b ||| 0 ||| 1",
-                                      "a ||| b ||| 1-0 ||| 1", "a ||| b ||| 0-1 ||| 1"])
+                                      "a ||| b ||| 1-0 ||| 1", "a ||| b ||| 0-1 ||| 1",
+                                      "a ||| b ||| +0-+0 ||| 1", "a ||| b ||| 0-0_0 ||| 1",
+                                      "a ||| b ||| \u0660-\u0660 ||| 1"])
     def test_malformed_line_reports_line_number(self, tmp_path, line):
         path = tmp_path / "phrase-table.txt"
         path.write_text(f"# N=1\na ||| b ||| 0-0 ||| 1\n{line}\n", encoding="utf-8")
@@ -467,7 +469,10 @@ class TestPhraseTableIO:
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "pt.txt"
         for line in ["broken line without separators",
-                     "a b ||| c ||| 0.5 0.5 0.5 0.5 ||| 0-9 1-0 ||| 2"]:
+                     "a b ||| c ||| 0.5 0.5 0.5 0.5 ||| 0-9 1-0 ||| 2",
+                     "a b ||| c ||| 0.5 0.5 0.5 0.5 ||| +0-+0 ||| 2",
+                     "a b ||| c ||| 0.5 0.5 0.5 0.5 ||| 0-0_0 ||| 2",
+                     "a b ||| c ||| 0.5 0.5 0.5 0.5 ||| \u0660-\u0660 ||| 2"]:
             path.write_text(f"# N=1\n{line}\n", encoding="utf-8")
             with pytest.raises(PhraseTableFormatError) as exc:
                 read_phrase_table(path)

@@ -138,6 +138,23 @@ class TestRunPipeline:
         assert all(r.cache_hit for r in second.results)
         assert _read_outputs(out) == snapshot
 
+    def test_cache_digests_do_not_depend_on_the_output_path(self, corpus_root, tmp_path):
+        """Output directories whose paths sort before and after the markers file's
+        give the same digests."""
+        import shutil
+
+        markers = tmp_path / "m.txt"
+        shutil.copy(os.path.join(corpus_root, "markers.txt"), markers)
+        digests = []
+        for name in ("a", "z"):
+            out = tmp_path / name
+            cfg = validate_config(_config_path(corpus_root),
+                                  {"output": str(out), "markers": str(markers)})
+            assert run_pipeline(cfg).ok
+            with open(out / ".cache.json", encoding="utf-8") as fh:
+                digests.append({key: rec["digest"] for key, rec in json.load(fh).items()})
+        assert digests[0] == digests[1]
+
     def test_parameter_change_recomputes_downstream_only(self, corpus_root, tmp_path):
         out = str(tmp_path / "out")
         cfg = validate_config(_config_path(corpus_root), {"output": out})
@@ -253,6 +270,8 @@ class TestRunPipeline:
         cfg_file.write_text(base.replace("foreign = xx", "foreign = xx,yy"), encoding="utf-8")
         args = ["--config", str(cfg_file), "--output", str(root / "out"), "pipeline"]
         assert cli_main(args) == 0  # leaves candidates that the lexicon must not read
+        lexicon = {name: (root / "out" / name).read_bytes()
+                   for name in ("lexicon.tsv", "lexicon.json")}
 
         (root / "corpus" / "en" / "ep-0.txt").write_bytes(b"<P>\n\xff\xfe broken\n")
         assert cli_main(args) == 1
@@ -264,7 +283,8 @@ class TestRunPipeline:
                                              ("yy", "align"), ("all", "lexicon")]
         assert rows[0][2] and rows[1][2] is None and rows[2][2] is None
         assert rows[3][2] == rows[4][2] == "skipped: ingest failed"
-        assert rows[5][2] is None and stages[5]["stats"]["records"] == 0
+        assert rows[5][2] == "skipped: no language pair left"
+        assert {name: (root / "out" / name).read_bytes() for name in lexicon} == lexicon
 
     def test_missing_input_fails_its_stage_without_raising(self, corpus_root, tmp_path):
         import re
@@ -388,30 +408,39 @@ class TestRunPipeline:
         counts = re.search(pattern, errors[stage]).groups()
         assert sorted(int(c) for c in counts) == [len(lines) - 1, len(lines)]
 
-    @pytest.mark.parametrize("fate", ["pruned", "kept", "alignments 0-99", "alignments 0-x"],
-                             ids=["pruned", "kept", "alignments-range", "alignments-int"])
+    @pytest.mark.parametrize("fate", ["pruned 0-x", "kept 0-x", "alignments 0-99",
+                                      "alignments 0-x", "kept +0-+0", "kept 0-0_0",
+                                      "kept \u0660-\u0660", "alignments +0-+0",
+                                      "alignments 0-0_0", "alignments \u0660-\u0660"],
+                             ids=["pruned", "kept", "alignments-range", "alignments-int",
+                                  "kept-sign", "kept-underscore", "kept-arabic-digits",
+                                  "alignments-sign", "alignments-underscore",
+                                  "alignments-arabic-digits"])
     def test_bad_links_in_counts_fail_prune_with_line_number(self, corpus_root, tmp_path,
                                                              fate):
         """A bad link in the counts of a pruned or a kept pair fails prune, and one
-        added to a line of alignments.txt fails phrases, naming the line."""
+        added to a line of alignments.txt fails phrases, naming the line. A link
+        is two ASCII decimal integers joined by `-`, as the writers write it."""
         out = tmp_path / "out"
         args = ["--config", _config_path(corpus_root), "--output", str(out)]
         assert cli_main(args + ["prune"]) == 0
         pair_dir = out / "pairs" / "xx"
-        if fate.startswith("alignments"):
+        target, link = fate.split()
+        if target == "alignments":
             stage, path, lineno = "phrases", pair_dir / "alignments.txt", 2
             lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-            lines[lineno - 1] = lines[lineno - 1].rstrip("\n") + f" {fate.split()[1]}\n"
+            lines[lineno - 1] = lines[lineno - 1].rstrip("\n") + f" {link}\n"
         else:
             stage, path = "prune", pair_dir / "phrase-table.txt"
             report_rows = (pair_dir / "prune-report.tsv").read_text(
                 encoding="utf-8").splitlines()
-            victim = next(row.split("\t")[0] for row in report_rows[1:] if row.endswith(fate))
+            victim = next(row.split("\t")[0] for row in report_rows[1:]
+                          if row.endswith(target))
             lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
             lineno = next(k for k, line in enumerate(lines, start=1)
                           if line.startswith(victim + " ||| "))
             fields = lines[lineno - 1].split(" ||| ")
-            fields[2] = "0-x"
+            fields[2] = link
             lines[lineno - 1] = " ||| ".join(fields)
         path.write_text("".join(lines), encoding="utf-8")
 
@@ -452,7 +481,8 @@ class TestGarbageCollectorPause:
         monkeypatch.setattr(phrases, "count_phrase_pairs", boom)
         cfg = validate_config(_config_path(corpus_root), {"output": str(tmp_path / "out")})
         report = run_pipeline(cfg)
-        assert [r.error for r in report.results if r.error] == ["boom"]
+        assert [r.error for r in report.results if r.error] == [
+            "boom", "skipped: no language pair left"]
         assert gc.isenabled()
 
     def test_enabled_after_the_run_itself_raises(self, corpus_root, tmp_path, monkeypatch):

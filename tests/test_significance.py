@@ -23,7 +23,6 @@ from dmlex.significance import (
     contingency_counts,
     fisher_neg_log_p,
     prune,
-    threshold_for,
     write_prune_report,
 )
 
@@ -196,27 +195,26 @@ class TestFisherNegLogP:
 
 class TestThresholdFor:
     def test_alpha_is_log_n(self):
-        assert threshold_for("alpha", 10000) == pytest.approx(math.log(10000), rel=1e-12)
+        assert PruneConfig("alpha").threshold(10000) == pytest.approx(math.log(10000), rel=1e-12)
 
     def test_alpha_of_one(self):
-        assert threshold_for("alpha", 1) == 0.0
+        assert PruneConfig("alpha").threshold(1) == 0.0
 
     def test_custom_passthrough(self):
-        assert threshold_for("custom", 99, custom=5.0) == 5.0
+        assert PruneConfig("custom", 5.0).threshold(99) == 5.0
 
     def test_alpha_plus_epsilon_exceeds_alpha(self):
         n = 123
-        assert threshold_for("alpha_plus_epsilon", n) > threshold_for("alpha", n)
+        assert PruneConfig().threshold(n) > PruneConfig("alpha").threshold(n)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_custom_threshold_must_be_finite_and_non_negative(self, value):
         with pytest.raises(ValueError, match="custom_neg_log_p must be finite and >= 0"):
             PruneConfig(threshold_mode="custom", custom_neg_log_p=value)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
-    def test_epsilon_must_be_finite_and_non_negative(self, value):
-        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
-            PruneConfig(epsilon=value)
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown threshold mode: alpha\+e"):
+            PruneConfig("alpha+e")
 
 
 class TestPrune:
