@@ -11,10 +11,9 @@ SHAPE_NAMES = {s: f"{s[0]}-{s[1]}" for s in SHAPES}
 # model cannot score.
 DELETION_DELTA = 4.0
 
-# Gale & Church's length model: a target length has mean c * (source length)
-# and variance s^2 * (source length), with c = MEAN_CHAR_RATIO, s^2 = VARIANCE.
-MEAN_CHAR_RATIO = 1.0
-VARIANCE = 6.8
+# Gale & Church: a bead's target length ~ N(c * source length, s^2 * source length)
+MEAN_CHAR_RATIO = 1.0  # c
+VARIANCE = 6.8  # s^2
 
 # Classical prior mass per shape, renormalized to sum to 1.
 _PRIOR_MASS = {

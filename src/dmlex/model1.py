@@ -220,14 +220,20 @@ def format_links(links) -> str:
     return " ".join(f"{i}-{j}" for i, j in sorted(links))
 
 
-def parse_links(text: str, n_src: int, n_tgt: int) -> frozenset:
-    """The links of a format_links text, which must lie inside an n_src x n_tgt
-    pair; each token must be two ASCII decimal integers joined by `-`."""
+def parse_links(text: str) -> tuple:
+    """The links of a format_links text, whose tokens must each be two ASCII
+    decimal integers joined by `-`, with their largest i and j (-1 if none)."""
     tokens = [token.partition("-") for token in text.split()]
     if not (text.isascii() and all(i.isdigit() and j.isdigit() for i, _, j in tokens)):
         raise ValueError(f"links {text.strip()!r} are not all i-j")
     links = frozenset((int(i), int(j)) for i, _, j in tokens)
-    if any(i >= n_src or j >= n_tgt for i, j in links):
+    return links, max((i for i, _ in links), default=-1), max((j for _, j in links), default=-1)
+
+
+def links_inside(parsed: tuple, text: str, n_src: int, n_tgt: int) -> frozenset:
+    """The links of parse_links(text), which must lie inside an n_src x n_tgt pair."""
+    links, last_i, last_j = parsed
+    if last_i >= n_src or last_j >= n_tgt:
         raise ValueError(f"links {text.strip()!r} reach outside the {n_src}x{n_tgt} pair")
     return links
 
@@ -249,7 +255,7 @@ def read_alignments(path, pairs) -> list:
     link_sets = []
     for lineno, (line, (src, tgt)) in enumerate(zip(lines, pairs), start=1):
         try:
-            link_sets.append(parse_links(line, len(src), len(tgt)))
+            link_sets.append(links_inside(parse_links(line), line, len(src), len(tgt)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc} in {path}") from None
     return link_sets

@@ -4,7 +4,7 @@ from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .model1 import NULL_WORD, TranslationTable, format_links, parse_links
+from .model1 import NULL_WORD, TranslationTable, format_links, links_inside, parse_links
 
 
 # internal_alignment: frozenset of (foreign offset, english offset) links;
@@ -257,14 +257,14 @@ def _data_lines(path, n_fields, table):
 
 def read_phrase_table(path) -> PhraseTable:
     table = PhraseTable()
-    links = _Memo(lambda key: parse_links(*key))  # (text, len(f), len(e)) -> links
+    links = _Memo(parse_links)
     for lineno, (f_str, e_str, scores_str, links_str, count_str) in _data_lines(path, 5, table):
         f, e = unescape_phrase(f_str), unescape_phrase(e_str)
         try:
             scores = [float(x) for x in scores_str.split()]
             if len(scores) != 4:
                 raise ValueError("expected 4 scores")
-            align = links[links_str, len(f), len(e)]
+            align = links_inside(links[links_str], links_str, len(f), len(e))
             count = float(count_str)
         except ValueError as exc:
             raise PhraseTableFormatError(lineno, str(exc)) from exc
@@ -273,14 +273,14 @@ def read_phrase_table(path) -> PhraseTable:
 
 
 def read_phrase_counts(path) -> PhraseCounts:
-    """Each distinct phrase, or links text within a pair shape, is parsed once;
-    entries share the result."""
+    """Each distinct phrase or links text is parsed once; entries share the result."""
     counts = PhraseCounts()
-    phrase, links = _Memo(unescape_phrase), _Memo(lambda key: parse_links(*key))
+    phrase, links = _Memo(unescape_phrase), _Memo(parse_links)
     for lineno, (f_str, e_str, links_str, joint_str) in _data_lines(path, 4, counts):
         f, e = phrase[f_str], phrase[e_str]
         try:
-            counts.entries[f, e] = (int(joint_str), links[links_str, len(f), len(e)])
+            align = links_inside(links[links_str], links_str, len(f), len(e))
+            counts.entries[f, e] = (int(joint_str), align)
         except ValueError as exc:
             raise PhraseTableFormatError(lineno, str(exc)) from exc
     return counts

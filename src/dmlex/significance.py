@@ -39,9 +39,7 @@ class PruneConfig:
             raise ValueError("n must be >= 1")
         if self.threshold_mode == "custom":
             return self.custom_neg_log_p
-        if self.threshold_mode == "alpha":
-            return math.log(n)
-        return math.log(n) + EPSILON
+        return math.log(n) + (EPSILON if self.threshold_mode == "alpha_plus_epsilon" else 0.0)
 
 
 def _postings(sentences, phrases) -> dict:
