@@ -1,12 +1,11 @@
-"""Build a phrase table from aligned sentence pairs, then prune it with
-Fisher's exact test and watch the 1-1-1 noise disappear.
+"""Count phrase pairs in aligned sentence pairs, prune them with Fisher's
+exact test and watch the 1-1-1 noise disappear, then score the survivors.
 
 Run as:  python3 demos/02_phrase_table_and_pruning.py
 """
 
-from dmlex.galechurch import AlignedCorpus
 from dmlex.model1 import directional_links, train_model1, viterbi_align
-from dmlex.phrases import extract_phrase_pairs, score_phrase_table
+from dmlex.phrases import count_phrase_pairs, extract_phrase_pairs, score_counts
 from dmlex.significance import PruneConfig, contingency_counts, prune
 
 # foreign / english pairs; "bom dia" <-> "good morning" recurs, while the
@@ -23,31 +22,32 @@ table_ef = train_model1(pairs, iterations=8, direction="f->e")
 table_fe = train_model1([(e, f) for f, e in pairs], iterations=8, direction="e->f")
 
 instances = []
-for k, (f, e) in enumerate(pairs):
+for f, e in pairs:
     # foreign conditions, english generated: links come back as (f_pos, e_pos)
     alignment = viterbi_align(f, e, table_ef)
     links = directional_links(alignment)
-    instances.extend(extract_phrase_pairs(f, e, links, max_phrase_len=3, origin=k))
+    instances.extend(extract_phrase_pairs(f, e, links, max_phrase_len=3))
 
-table = score_phrase_table(instances, table_fe, table_ef, corpus_size=len(pairs))
-print(f"extracted {len(table)} phrase pairs from {len(pairs)} sentence pairs")
+phrase_counts = count_phrase_pairs(instances, corpus_size=len(pairs))
+print(f"extracted {len(phrase_counts.entries)} phrase pairs from {len(pairs)} sentence pairs")
 
-corpus = AlignedCorpus(pairs=pairs)
-counts = contingency_counts(table, corpus)
-kept, report = prune(table, counts, PruneConfig())
+# prune on counts alone, then compute probabilities and lexical weights for
+# the surviving pairs only
+counts = contingency_counts(phrase_counts, pairs)
+kept, report = prune(phrase_counts, counts, PruneConfig())
+scored = score_counts(phrase_counts, kept.entries, table_fe, table_ef)
 
 n = len(pairs)
 print(f"threshold = ln({n}) + eps = {report.threshold:.4f}")
 print(f"kept {report.kept_count}, pruned {report.pruned_count}\n")
 
 print("surviving entries:")
-for (f, e), entry in sorted(kept.entries.items()):
-    ct = counts[(f, e)]
-    print(f"  {' '.join(f):24s} ||| {' '.join(e):24s} joint={ct.c_st}")
+for f, e in sorted(scored.entries):
+    print(f"  {' '.join(f):24s} ||| {' '.join(e):24s} joint={counts[(f, e)].c_st}")
 
 dropped_111 = sum(
     1
-    for key in table.entries
+    for key in phrase_counts.entries
     if key not in kept.entries
     and (counts[key].c_s, counts[key].c_t, counts[key].c_st) == (1, 1, 1)
 )

@@ -1,18 +1,16 @@
 """dmlex: multilingual discourse-marker lexicon induction from parallel corpora."""
 
-from .galechurch import AlignedCorpus, align_corpus, align_paragraph
+from .galechurch import align_corpus, align_paragraph
 from .ingest import Document, ParagraphPair, pair_documents, parse_europarl_file, tokenize
-from .lexicon import FilterPolicy, Lexicon, build_lexicon, export_lexicon, load_seed_markers
+from .lexicon import FilterPolicy, build_lexicon, export_lexicon, load_seed_markers
 from .model1 import TranslationTable, symmetrize, train_model1, viterbi_align
 from .phrases import PhraseTable, extract_phrase_pairs, score_phrase_table
 from .pipeline import PipelineConfig, run_pipeline, validate_config
 from .significance import PruneConfig, fisher_neg_log_p, prune
 
 __all__ = [
-    "AlignedCorpus",
     "Document",
     "FilterPolicy",
-    "Lexicon",
     "ParagraphPair",
     "PhraseTable",
     "PipelineConfig",

@@ -1,7 +1,7 @@
 """Length-based sentence alignment (Gale & Church dynamic program)."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Bead shapes in tie-break preference order: (src sentences, tgt sentences).
 SHAPES = [(1, 1), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2)]
@@ -33,11 +33,6 @@ class Bead:
     tgt_span: tuple
     shape: str
     cost: float
-
-
-@dataclass
-class AlignedCorpus:
-    pairs: list = field(default_factory=list)  # (src_tokens, tgt_tokens)
 
 
 def sentence_char_length(tokens: list) -> int:
@@ -132,10 +127,10 @@ def align_paragraph(src: list, tgt: list) -> list:
     return beads
 
 
-def align_corpus(pairs: list) -> AlignedCorpus:
-    """One sentence pair per bead, concatenating multi-sentence sides;
-    insertion/deletion beads are dropped."""
-    corpus = AlignedCorpus()
+def align_corpus(pairs: list) -> list:
+    """One (src_tokens, tgt_tokens) sentence pair per bead, concatenating
+    multi-sentence sides; insertion/deletion beads are dropped."""
+    corpus = []
     for pp in pairs:
         beads = align_paragraph(pp.src_paragraph, pp.tgt_paragraph)
         for bead in beads:
@@ -143,21 +138,22 @@ def align_corpus(pairs: list) -> AlignedCorpus:
                 continue
             src = [tok for k in range(*bead.src_span) for tok in pp.src_paragraph[k]]
             tgt = [tok for k in range(*bead.tgt_span) for tok in pp.tgt_paragraph[k]]
-            corpus.pairs.append((src, tgt))
+            corpus.append((src, tgt))
     return corpus
 
 
-def write_aligned_corpus(corpus: AlignedCorpus, src_path, tgt_path) -> None:
+def write_aligned_corpus(pairs: list, src_path, tgt_path) -> None:
     with open(src_path, "w", encoding="utf-8") as fs, open(tgt_path, "w", encoding="utf-8") as ft:
-        for src_tokens, tgt_tokens in corpus.pairs:
+        for src_tokens, tgt_tokens in pairs:
             fs.write(" ".join(src_tokens) + "\n")
             ft.write(" ".join(tgt_tokens) + "\n")
 
 
-def read_aligned_corpus(src_path, tgt_path) -> AlignedCorpus:
+def read_aligned_corpus(src_path, tgt_path) -> list:
+    """The (src_tokens, tgt_tokens) sentence pairs written by write_aligned_corpus."""
     with open(src_path, encoding="utf-8") as fs, open(tgt_path, encoding="utf-8") as ft:
         src_lines, tgt_lines = fs.readlines(), ft.readlines()
     if len(src_lines) != len(tgt_lines):
         raise ValueError(f"{src_path} has {len(src_lines)} lines but {tgt_path} "
                          f"has {len(tgt_lines)}")
-    return AlignedCorpus(pairs=[(s.split(), t.split()) for s, t in zip(src_lines, tgt_lines)])
+    return [(s.split(), t.split()) for s, t in zip(src_lines, tgt_lines)]

@@ -1,7 +1,7 @@
 """Marker candidate selection, filtering and lexicon assembly/export."""
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .ingest import PUNCTUATION, normalize_case, tokenize
 from .phrases import PhraseTable, PhraseTableEntry
@@ -9,14 +9,11 @@ from .phrases import PhraseTable, PhraseTableEntry
 # Single-character punctuation tokens produced by the tokenizer.
 PUNCT_TOKENS = set(PUNCTUATION)
 
+CANDIDATES_HEADER = "marker\tlanguage\ttranslation\tscore\tjoint_count\tcontext\n"
+
 
 def is_punct_token(token: str) -> bool:
     return all(ch in PUNCTUATION for ch in token)
-
-
-@dataclass
-class SeedMarkerList:
-    markers: list  # ordered list of token tuples
 
 
 @dataclass
@@ -53,13 +50,8 @@ class LexiconRecord:
     context: str
 
 
-@dataclass
-class Lexicon:
-    entries: dict = field(default_factory=dict)  # marker -> {language: [LexiconRecord]}
-
-
-def load_seed_markers(path) -> SeedMarkerList:
-    """One marker per line; `#` comments and blank lines skipped;
+def load_seed_markers(path) -> list:
+    """Marker token tuples, one per line; `#` comments and blank lines skipped;
     tokenized/lowercased with the corpus tokenizer; first-seen order kept."""
     markers = []
     seen = set()
@@ -74,7 +66,7 @@ def load_seed_markers(path) -> SeedMarkerList:
                 markers.append(marker)
     if not markers:
         raise ValueError(f"seed marker file {path} contains no markers")
-    return SeedMarkerList(markers=markers)
+    return markers
 
 
 def select_candidates(table: PhraseTable, marker, language: str = "") -> list:
@@ -157,7 +149,7 @@ def candidate_row(cand: MarkerCandidate) -> tuple:
 def write_candidates(rows, path) -> None:
     """One tab-separated line per (marker, language, LexiconRecord) row."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("marker\tlanguage\ttranslation\tscore\tjoint_count\tcontext\n")
+        fh.write(CANDIDATES_HEADER)
         for marker, language, rec in rows:
             fh.write(f"{' '.join(marker)}\t{language}\t{' '.join(rec.translation)}"
                      f"\t{rec.score:.6g}\t{rec.joint_count:g}\t{rec.context}\n")
@@ -167,41 +159,42 @@ def read_candidates(path) -> list:
     """Rows as written by write_candidates, scores at their written precision."""
     rows = []
     with open(path, encoding="utf-8") as fh:
-        next(fh)  # header
-        for line in fh:
-            marker, language, translation, score, count, context = (
-                line.rstrip("\n").split("\t"))
-            rows.append((tuple(marker.split()), language, LexiconRecord(
-                translation=tuple(translation.split()), score=float(score),
-                joint_count=float(count), context=context)))
+        if fh.readline() != CANDIDATES_HEADER:
+            raise ValueError(f"line 1: no candidates header in {path}")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                marker, language, translation, score, count, context = (
+                    line.rstrip("\n").split("\t"))
+                rows.append((tuple(marker.split()), language, LexiconRecord(
+                    translation=tuple(translation.split()), score=float(score),
+                    joint_count=float(count), context=context)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc} in {path}") from None
     return rows
 
 
-def build_lexicon(rows, markers: SeedMarkerList | None = None) -> Lexicon:
-    """Group (marker, language, LexiconRecord) rows by marker then language,
-    ranked by score; markers and languages keep first-seen order.
+def build_lexicon(rows, markers: list | None = None) -> dict:
+    """Group (marker, language, LexiconRecord) rows into marker -> {language:
+    [LexiconRecord]}, ranked by score; markers and languages keep first-seen order.
 
     Markers from the seed list come first, and appear even when no row
     names them.
     """
-    lex = Lexicon()
-    if markers is not None:
-        for marker in markers.markers:
-            lex.entries[marker] = {}
+    lex = {marker: {} for marker in markers or ()}
     for marker, language, rec in rows:
-        lex.entries.setdefault(marker, {}).setdefault(language, []).append(rec)
-    for langs in lex.entries.values():
+        lex.setdefault(marker, {}).setdefault(language, []).append(rec)
+    for langs in lex.values():
         for records in langs.values():
             records.sort(key=lambda r: (-r.score, " ".join(r.translation)))
     return lex
 
 
-def export_lexicon(lex: Lexicon, fmt: str, path) -> None:
+def export_lexicon(lex: dict, fmt: str, path) -> None:
     """tsv: one line per (marker, language, translation); structured: JSON."""
     if fmt == "tsv":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("marker\tlanguage\ttranslation\tscore\tjoint_count\n")
-            for marker, langs in lex.entries.items():
+            for marker, langs in lex.items():
                 for language in sorted(langs):
                     for rec in langs[language]:
                         fh.write(
@@ -226,7 +219,7 @@ def export_lexicon(lex: Lexicon, fmt: str, path) -> None:
                         for language in sorted(langs)
                     },
                 }
-                for marker, langs in lex.entries.items()
+                for marker, langs in lex.items()
             ]
         }
         with open(path, "w", encoding="utf-8") as fh:
@@ -235,24 +228,3 @@ def export_lexicon(lex: Lexicon, fmt: str, path) -> None:
     else:
         raise ValueError(f"unknown export format: {fmt}")
 
-
-def import_lexicon(path) -> Lexicon:
-    """Read back a structured export."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    lex = Lexicon()
-    for item in doc["markers"]:
-        marker = tuple(item["marker"].split())
-        langs = {}
-        for language, records in item["languages"].items():
-            langs[language] = [
-                LexiconRecord(
-                    translation=tuple(rec["translation"].split()),
-                    score=rec["score"],
-                    joint_count=rec["joint_count"],
-                    context=rec["context"],
-                )
-                for rec in records
-            ]
-        lex.entries[marker] = langs
-    return lex

@@ -193,17 +193,6 @@ def _transpose_links(tgt_to_src: DirectionalAlignment):
             yield (i, j)
 
 
-def corpus_log_likelihood(pairs, table: TranslationTable) -> float:
-    """Sum of log P(generated | conditioning) under Model 1 (epsilon = 1)."""
-    total = 0.0
-    for cond, gen in pairs:
-        ctoks = [NULL_WORD] + list(cond) if table.use_null else list(cond)
-        for g in gen:
-            s = sum(table.lookup(c, g) for c in ctoks)
-            total += math.log(s) - math.log(len(ctoks))
-    return total
-
-
 def write_translation_table(table: TranslationTable, path) -> None:
     """Tab-separated `cond \\t gen \\t prob`, 8 significant digits, sorted."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -268,21 +257,24 @@ def read_translation_table(path) -> TranslationTable:
     probs = {}
     generated_vocab = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            if "\t" not in line and line.startswith("#"):  # data lines all have fields
-                key, _, value = line[1:].strip().partition("=")
-                if key == "direction":
-                    direction = value
-                elif key == "floor":
-                    floor = float(value)
-                elif key == "null":
-                    use_null = value == "true"
-                continue
-            cond, gen, prob = line.split("\t")
-            probs.setdefault(cond, {})[gen] = float(prob)
+            try:
+                if "\t" not in line and line.startswith("#"):  # data lines all have fields
+                    key, _, value = line[1:].strip().partition("=")
+                    if key == "direction":
+                        direction = value
+                    elif key == "floor":
+                        floor = float(value)
+                    elif key == "null":
+                        use_null = value == "true"
+                    continue
+                cond, gen, prob = line.split("\t")
+                probs.setdefault(cond, {})[gen] = float(prob)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc} in {path}") from None
             generated_vocab.add(gen)
     return TranslationTable(
         direction=direction,

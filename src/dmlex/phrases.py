@@ -7,10 +7,10 @@ from operator import itemgetter
 from .model1 import NULL_WORD, TranslationTable, format_links, links_inside, parse_links
 
 
-# internal_alignment: frozenset of (foreign offset, english offset) links;
-# origin: sentence-pair index. A tuple, so that building one is cheap.
+# internal_alignment: frozenset of (foreign offset, english offset) links.
+# A tuple, so that building one is cheap.
 PhrasePairInstance = namedtuple(
-    "PhrasePairInstance", "foreign_phrase english_phrase internal_alignment origin")
+    "PhrasePairInstance", "foreign_phrase english_phrase internal_alignment")
 
 
 @dataclass
@@ -36,13 +36,6 @@ class PhraseTable:
         self.entries[key] = entry
         self.by_english.setdefault(entry.english_phrase, []).append(entry)
 
-    def select(self, keys) -> "PhraseTable":
-        """The entries under these keys, carried over unchanged."""
-        kept = PhraseTable(corpus_size=self.corpus_size)
-        for key in keys:
-            kept.add(self.entries[key])
-        return kept
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -57,8 +50,7 @@ class PhraseCounts:
         return PhraseCounts({key: self.entries[key] for key in keys}, self.corpus_size)
 
 
-def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int = 7,
-                         origin: int = 0) -> list:
+def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int = 7) -> list:
     """All consistent phrase pairs up to max_phrase_len tokens per side.
 
     src is the foreign side, tgt the english side; alignment links are
@@ -98,8 +90,7 @@ def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int 
                 align = frozenset((i - fs, j) for i, j in inside)
                 fe = f_max
                 while fe - fs < max_phrase_len:
-                    out.append(PhrasePairInstance(tuple(src_tokens[fs:fe + 1]), english,
-                                                  align, origin))
+                    out.append(PhrasePairInstance(tuple(src_tokens[fs:fe + 1]), english, align))
                     fe += 1
                     if fe >= n_src or src_aligned[fe]:
                         break
@@ -138,7 +129,7 @@ def count_phrase_pairs(instances, corpus_size: int) -> PhraseCounts:
     """Each pair's joint count and most frequent internal alignment; a tie
     goes to the alignment whose sorted links come first."""
     groups = defaultdict(list)
-    for foreign, english, align, _ in instances:
+    for foreign, english, align in instances:
         groups[foreign, english].append(align)
     counts = PhraseCounts(corpus_size=corpus_size)
     for key, seen in groups.items():

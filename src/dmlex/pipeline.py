@@ -138,11 +138,13 @@ def validate_config(path, overrides: dict | None = None) -> PipelineConfig:
         raise ConfigError(errors)
 
     english = parsed["english"]
-    foreign = [c.strip() for c in parsed["foreign"].split(",") if c.strip()]
-    if not foreign:
-        errors.append("foreign must list at least one language code")
-    if english in foreign:
-        errors.append(f"english code {english!r} repeated in foreign codes")
+    foreign = [c.strip() for c in parsed["foreign"].split(",")]
+    codes = [english, *foreign]
+    for k, code in enumerate(codes):  # each names its own directories under the output
+        if code in ("", ".", "..") or os.path.basename(code) != code:
+            errors.append(f"language code {code!r} is not a directory name")
+        elif code in codes[:k]:
+            errors.append(f"language code {code!r} repeated in english/foreign")
 
     base = os.path.dirname(os.path.abspath(path))  # os.path.join keeps absolute paths
     corpus_root = os.path.join(base, parsed["corpus_root"])
@@ -244,9 +246,13 @@ class _Cache:
         if enabled and os.path.isfile(path):
             try:
                 with open(path, encoding="utf-8") as fh:
-                    self.manifest = json.load(fh)
+                    manifest = json.load(fh)
             except ValueError:  # truncated or corrupt: every stage misses and reruns
-                pass
+                manifest = {}
+            if isinstance(manifest, dict):  # other JSON reads as empty, a bad record as none
+                self.manifest = {key: rec for key, rec in manifest.items()
+                                 if isinstance(rec, dict) and isinstance(rec.get("digest"), str)
+                                 and isinstance(rec.get("stats"), dict)}
 
     def hit(self, key, digest, outputs) -> dict | None:
         if not self.enabled:
@@ -256,12 +262,11 @@ class _Cache:
             return rec
         return None
 
-    def store(self, key, digest, outputs, stats) -> None:
+    def store(self, key, digest, stats) -> None:
         """Record a stage and rewrite the manifest through a temp file, so an
         interrupted write leaves the previous manifest in place."""
         with self.lock:
-            self.manifest[key] = {"digest": digest, "outputs": [str(p) for p in outputs],
-                                  "stats": stats}
+            self.manifest[key] = {"digest": digest, "stats": stats}
             if not self.enabled:
                 return
             tmp = f"{self.path}.{os.getpid()}.tmp"
@@ -330,10 +335,11 @@ class PipelineRunner:
             for path in outputs:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
             stats = body()
-            self.cache.store(key, digest, outputs, stats)
+            self.cache.store(key, digest, stats)
         except Exception as exc:  # noqa: BLE001 - reported per stage
             self.failed.setdefault(pair, stage)
-            return StageResult(pair, stage, error=str(exc))
+            # str() of some exceptions, a bare StopIteration among them, is empty
+            return StageResult(pair, stage, error=str(exc) or type(exc).__name__)
         return StageResult(pair, stage, seconds=time.monotonic() - started, stats=stats)
 
     def stage_ingest(self, lang) -> StageResult:
@@ -369,9 +375,9 @@ class PipelineRunner:
                     os.path.join(self.ingest_dir(self.cfg.english_code), file_id),
                     self.cfg.english_code, file_id)
                 paragraph_pairs.extend(ingest.pair_documents(src_doc, tgt_doc))
-            corpus = galechurch.align_corpus(paragraph_pairs)
-            galechurch.write_aligned_corpus(corpus, p["aligned_src"], p["aligned_tgt"])
-            return {"sentence_pairs": len(corpus.pairs)}
+            pairs = galechurch.align_corpus(paragraph_pairs)
+            galechurch.write_aligned_corpus(pairs, p["aligned_src"], p["aligned_tgt"])
+            return {"sentence_pairs": len(pairs)}
 
         return self._run_stage(lang, "align", params, inputs, outputs, body)
 
@@ -383,9 +389,9 @@ class PipelineRunner:
               self.cfg.symmetrization)
 
         def body():
-            corpus = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
-            pairs_fe = [(tgt, src) for src, tgt in corpus.pairs]  # t(f|e): english conditions
-            pairs_ef = corpus.pairs  # t(e|f): foreign conditions
+            pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
+            pairs_fe = [(tgt, src) for src, tgt in pairs]  # t(f|e): english conditions
+            pairs_ef = pairs  # t(e|f): foreign conditions
             table_fe = model1.train_model1(pairs_fe, self.cfg.em_iterations,
                                            direction=f"{lang}|{self.cfg.english_code}")
             table_ef = model1.train_model1(pairs_ef, self.cfg.em_iterations,
@@ -396,8 +402,8 @@ class PipelineRunner:
                 (model1.symmetrize(model1.viterbi_align(src, tgt, table_ef),
                                    model1.viterbi_align(tgt, src, table_fe),
                                    self.cfg.symmetrization)
-                 for src, tgt in corpus.pairs), p["alignments"])
-            return {"sentence_pairs": len(corpus.pairs),
+                 for src, tgt in pairs), p["alignments"])
+            return {"sentence_pairs": len(pairs),
                     "final_ll_f_given_e": table_fe.log_likelihoods[-1],
                     "final_ll_e_given_f": table_ef.log_likelihoods[-1]}
 
@@ -409,13 +415,13 @@ class PipelineRunner:
         outputs = [p["phrase_table"]]
 
         def body():
-            corpus = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
-            alignments = model1.read_alignments(p["alignments"], corpus.pairs)
+            pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
+            alignments = model1.read_alignments(p["alignments"], pairs)
             instances = []
-            for idx, (links, (src, tgt)) in enumerate(zip(alignments, corpus.pairs)):
+            for links, (src, tgt) in zip(alignments, pairs):
                 instances.extend(phrases.extract_phrase_pairs(
-                    src, tgt, links, self.cfg.max_phrase_len, origin=idx))
-            counts = phrases.count_phrase_pairs(instances, len(corpus.pairs))
+                    src, tgt, links, self.cfg.max_phrase_len))
+            counts = phrases.count_phrase_pairs(instances, len(pairs))
             phrases.write_phrase_counts(counts, p["phrase_table"])
             return {"instances": len(instances), "entries": len(counts.entries)}
 
@@ -430,8 +436,8 @@ class PipelineRunner:
 
         def body():
             pair_counts = phrases.read_phrase_counts(p["phrase_table"])
-            corpus = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
-            counts = significance.contingency_counts(pair_counts, corpus)
+            pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
+            counts = significance.contingency_counts(pair_counts, pairs)
             kept, report = significance.prune(pair_counts, counts, self.cfg.prune_config)
             table = phrases.score_counts(pair_counts, kept.entries,
                                          model1.read_translation_table(p["table_fe"]),
@@ -454,14 +460,14 @@ class PipelineRunner:
             table = phrases.read_phrase_table(p["pruned_table"])
             seeds = lexmod.load_seed_markers(self.cfg.markers_file)
             selected, rows = 0, []
-            for marker in seeds.markers:
+            for marker in seeds:
                 raw = lexmod.select_candidates(table, marker, language=lang)
                 selected += len(raw)
                 stripped = [lexmod.strip_punctuation_context(c) for c in raw]
                 rows.extend(lexmod.candidate_row(c) for c in
                             lexmod.filter_candidates(stripped, self.cfg.filter_policy))
             lexmod.write_candidates(rows, p["candidates"])
-            return {"markers": len(seeds.markers), "candidates_selected": selected,
+            return {"markers": len(seeds), "candidates_selected": selected,
                     "candidates_kept": len(rows)}
 
         return self._run_stage(lang, "markers", self.cfg.filter_policy, inputs, outputs, body)
@@ -482,8 +488,8 @@ class PipelineRunner:
             lex = lexmod.build_lexicon(rows, seeds)
             lexmod.export_lexicon(lex, "tsv", lex_tsv)
             lexmod.export_lexicon(lex, "structured", lex_json)
-            covered = sum(1 for langs in lex.entries.values() if langs)
-            return {"markers": len(lex.entries), "markers_with_translations": covered,
+            covered = sum(1 for langs in lex.values() if langs)
+            return {"markers": len(lex), "markers_with_translations": covered,
                     "records": len(rows)}
 
         params = ("lexicon-v1", tuple(languages))
@@ -510,7 +516,7 @@ def run_pipeline(config: PipelineConfig, stages=None) -> RunReport:
             results = []
             for stage in (s for s in selected if s in PAIR_STAGES):
                 results.append(getattr(runner, f"stage_{stage}")(lang))
-                if results[-1].error:
+                if results[-1].error is not None:
                     break
             return results
 
@@ -519,7 +525,7 @@ def run_pipeline(config: PipelineConfig, stages=None) -> RunReport:
                 report.results.extend(results)
 
         if "lexicon" in selected:
-            failed = {r.pair for r in report.results if r.error}
+            failed = {r.pair for r in report.results if r.error is not None}
             report.results.append(runner.stage_lexicon(
                 [lang for lang in config.foreign_codes if lang not in failed
                  and os.path.isfile(runner._pair_paths(lang)["candidates"])]))
@@ -534,10 +540,10 @@ def run_pipeline(config: PipelineConfig, stages=None) -> RunReport:
 def render_report(report: RunReport) -> str:
     lines = []
     for r in report.results:
-        status = "FAILED" if r.error else ("cached" if r.cache_hit else "ran")
+        status = "FAILED" if r.error is not None else ("cached" if r.cache_hit else "ran")
         stats = " ".join(f"{k}={v}" for k, v in sorted(r.stats.items()))
         line = f"{r.stage:10s} {r.pair:8s} {status:7s} {r.seconds:8.3f}s  {stats}"
-        if r.error:
+        if r.error is not None:
             line += f"  error: {r.error}"
         lines.append(line)
     lines.append(f"overall: {'ok' if report.ok else 'FAILED'}")

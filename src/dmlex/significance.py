@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass, field
 
-from .phrases import escape_phrase
+from .phrases import PhraseCounts, escape_phrase
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,12 @@ def _postings(sentences, phrases) -> dict:
     return postings
 
 
-def contingency_counts(table, corpus) -> dict:
-    """Per-entry contingency counts against the extraction corpus; table is a
-    PhraseTable or PhraseCounts, and only its keys are read."""
-    src_ids = _postings((src for src, _ in corpus.pairs), {f for f, _ in table.entries})
-    tgt_ids = _postings((tgt for _, tgt in corpus.pairs), {e for _, e in table.entries})
-    n = len(corpus.pairs)
+def contingency_counts(table: PhraseCounts, pairs: list) -> dict:
+    """Per-entry contingency counts against the extraction corpus, a list of
+    (src_tokens, tgt_tokens) sentence pairs."""
+    src_ids = _postings((src for src, _ in pairs), {f for f, _ in table.entries})
+    tgt_ids = _postings((tgt for _, tgt in pairs), {e for _, e in table.entries})
+    n = len(pairs)
     tables = {}  # (c_s, c_t, c_st) -> the one ContingencyTable shared by its entries
     counts = {}
     for key in table.entries:
@@ -105,11 +105,11 @@ class PruneReport:
     pruned_count: int = 0
 
 
-def prune(table, counts: dict, config: PruneConfig) -> tuple:
+def prune(table: PhraseCounts, counts: dict, config: PruneConfig) -> tuple:
     """Keep entries whose -log p exceeds the configured threshold.
 
-    table is a PhraseTable or PhraseCounts, and its surviving entries are
-    carried over unchanged into one of the same type. Returns (kept, report).
+    Returns (kept, report); kept is a PhraseCounts holding the surviving
+    entries unchanged.
     """
     threshold = config.threshold(table.corpus_size)
     report = PruneReport(threshold=threshold)

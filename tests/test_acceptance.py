@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dmlex.galechurch import SHAPE_NAMES, align_paragraph, length_cost
 from dmlex.lexicon import select_candidates
 from dmlex.model1 import train_model1
-from dmlex.phrases import PhraseTable, PhraseTableEntry, extract_phrase_pairs, score_phrase_table
+from dmlex.phrases import PhraseTable, PhraseTableEntry, count_phrase_pairs, extract_phrase_pairs
 from dmlex.pipeline import run_pipeline, validate_config
 from dmlex.significance import (
     ContingencyTable,
@@ -177,7 +177,7 @@ def test_c06_fisher_matches_exact_rational_oracle():
             assert math.isclose(got, math.log(n), rel_tol=1e-9, abs_tol=1e-12)
 
 
-def _random_scored_table(rng, n_pairs):
+def _random_phrase_counts(rng, n_pairs):
     pairs = []
     alignments = []
     for _ in range(n_pairs):
@@ -188,31 +188,26 @@ def _random_scored_table(rng, n_pairs):
     # one guaranteed singleton pair
     pairs.append((["fsingle"], ["esingle"]))
     alignments.append({(0, 0)})
-    t_fe = train_model1([(e, f) for f, e in pairs], iterations=2, use_null=False)
-    t_ef = train_model1(pairs, iterations=2, use_null=False)
     instances = []
-    for k, ((f, e), links) in enumerate(zip(pairs, alignments)):
-        instances.extend(extract_phrase_pairs(f, e, links, 7, origin=k))
-    table = score_phrase_table(instances, t_fe, t_ef, len(pairs))
-    from dmlex.galechurch import AlignedCorpus
-
-    return table, AlignedCorpus(pairs=pairs)
+    for (f, e), links in zip(pairs, alignments):
+        instances.extend(extract_phrase_pairs(f, e, links, 7))
+    return count_phrase_pairs(instances, len(pairs)), pairs
 
 
 def test_c07_pruning_contract():
     with verdict("C07 pruning: alpha+epsilon removes every 1-1-1 entry; threshold monotone"):
         rng = random.Random(31337)
         for trial in range(6):
-            table, corpus = _random_scored_table(rng, n_pairs=rng.randint(5, 40))
-            counts = contingency_counts(table, corpus)
+            table, pairs = _random_phrase_counts(rng, n_pairs=rng.randint(5, 40))
+            counts = contingency_counts(table, pairs)
             kept, report = prune(table, counts, PruneConfig())
             for key in kept.entries:
                 ct = counts[key]
                 assert (ct.c_s, ct.c_t, ct.c_st) != (1, 1, 1), key
-            assert report.kept_count + report.pruned_count == len(table)
+            assert report.kept_count + report.pruned_count == len(table.entries)
 
-        table, corpus = _random_scored_table(rng, n_pairs=30)
-        counts = contingency_counts(table, corpus)
+        table, pairs = _random_phrase_counts(rng, n_pairs=30)
+        counts = contingency_counts(table, pairs)
         thresholds = sorted(rng.uniform(0.0, 8.0) for _ in range(20))
         sizes = [
             len(
@@ -220,7 +215,7 @@ def test_c07_pruning_contract():
                     table,
                     counts,
                     PruneConfig(threshold_mode="custom", custom_neg_log_p=t),
-                )[0]
+                )[0].entries
             )
             for t in thresholds
         ]

@@ -187,24 +187,24 @@ class TestAlignCorpus:
             src_paragraph=[["aaa", "bbb"], ["cc"]],
             tgt_paragraph=[["xxx", "yyy"], ["zz"]],
         )
-        corpus = align_corpus([para])
-        assert corpus.pairs == [(["aaa", "bbb"], ["xxx", "yyy"]), (["cc"], ["zz"])]
+        pairs = align_corpus([para])
+        assert pairs == [(["aaa", "bbb"], ["xxx", "yyy"]), (["cc"], ["zz"])]
 
     def test_two_to_one_concatenates_source(self):
         para = ParagraphPair(
             src_paragraph=[["aaaaa" * 4], ["bbbbb" * 4]],
             tgt_paragraph=[["x" * 41]],
         )
-        corpus = align_corpus([para])
-        assert len(corpus.pairs) == 1
-        src, tgt = corpus.pairs[0]
+        pairs = align_corpus([para])
+        assert len(pairs) == 1
+        src, tgt = pairs[0]
         assert src == ["aaaaa" * 4, "bbbbb" * 4]
         assert tgt == ["x" * 41]
 
     def test_deletion_beads_emit_nothing(self):
         para = ParagraphPair(src_paragraph=[["aaa"]], tgt_paragraph=[])
-        corpus = align_corpus([para])
-        assert corpus.pairs == []
+        pairs = align_corpus([para])
+        assert pairs == []
 
     def test_no_empty_sides(self):
         rng = random.Random(3)
@@ -216,19 +216,19 @@ class TestAlignCorpus:
                     tgt_paragraph=[_sent(rng.randint(3, 50)) for _ in range(rng.randint(0, 4))],
                 )
             )
-        corpus = align_corpus(paras)
-        assert all(src and tgt for src, tgt in corpus.pairs)
+        pairs = align_corpus(paras)
+        assert all(src and tgt for src, tgt in pairs)
 
     def test_file_round_trip(self, tmp_path):
         para = ParagraphPair(
             src_paragraph=[["ab", "cd"], ["ef"]],
             tgt_paragraph=[["gh", "ij"], ["kl"]],
         )
-        corpus = align_corpus([para])
+        pairs = align_corpus([para])
         src_p, tgt_p = tmp_path / "s.txt", tmp_path / "t.txt"
-        write_aligned_corpus(corpus, src_p, tgt_p)
+        write_aligned_corpus(pairs, src_p, tgt_p)
         back = read_aligned_corpus(src_p, tgt_p)
-        assert back.pairs == corpus.pairs
+        assert back == pairs
 
 
 def test_sentence_char_length_counts_joined_chars():

@@ -1,17 +1,16 @@
 import itertools
+import json
 
 import pytest
 
 from dmlex.lexicon import (
     FilterPolicy,
-    Lexicon,
     LexiconRecord,
     MarkerCandidate,
     build_lexicon,
     candidate_row,
     export_lexicon,
     filter_candidates,
-    import_lexicon,
     load_seed_markers,
     read_candidates,
     select_candidates,
@@ -54,17 +53,17 @@ class TestLoadSeedMarkers:
         path = tmp_path / "seeds.txt"
         path.write_text("above all\nsince\n", encoding="utf-8")
         seeds = load_seed_markers(path)
-        assert seeds.markers == [("above", "all"), ("since",)]
+        assert seeds == [("above", "all"), ("since",)]
 
     def test_case_fold_dedup(self, tmp_path):
         path = tmp_path / "seeds.txt"
         path.write_text("Since\nsince\n", encoding="utf-8")
-        assert load_seed_markers(path).markers == [("since",)]
+        assert load_seed_markers(path) == [("since",)]
 
     def test_blank_lines_and_comments_skipped(self, tmp_path):
         path = tmp_path / "seeds.txt"
         path.write_text("\n# comment\nwell\n\n", encoding="utf-8")
-        assert load_seed_markers(path).markers == [("well",)]
+        assert load_seed_markers(path) == [("well",)]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "seeds.txt"
@@ -259,19 +258,17 @@ class TestBuildLexicon:
             "fr": [_scored(marker, "fr", "avant tout", 0.4)],
         }
         lex = build_lexicon(_rows(per_language))
-        langs = lex.entries[marker]
+        langs = lex[marker]
         assert [r.translation for r in langs["pt"]] == [
             ("sobretudo",), ("acima", "de", "tudo"),
         ]
         assert [r.translation for r in langs["fr"]] == [("avant", "tout")]
 
     def test_markers_without_candidates_keep_explicit_gaps(self):
-        from dmlex.lexicon import SeedMarkerList
-
-        seeds = SeedMarkerList(markers=[("since",), ("well",)])
+        seeds = [("since",), ("well",)]
         lex = build_lexicon(_rows({"pt": [_scored(("since",), "pt", "pois", 0.5)]}), seeds)
-        assert lex.entries[("well",)] == {}
-        assert ("since",) in lex.entries
+        assert lex[("well",)] == {}
+        assert ("since",) in lex
 
     def test_equal_scores_order_lexicographically(self):
         marker = ("since",)
@@ -282,7 +279,7 @@ class TestBuildLexicon:
             ]
         }
         lex = build_lexicon(_rows(per_language))
-        assert [r.translation for r in lex.entries[marker]["pt"]] == [
+        assert [r.translation for r in lex[marker]["pt"]] == [
             ("desde",), ("pois",),
         ]
 
@@ -295,7 +292,7 @@ class TestBuildLexicon:
     def test_rows_keep_first_seen_language_order(self):
         rows = _rows({"pt": [_scored(("since",), "pt", "pois", 0.5)],
                       "fr": [_scored(("since",), "fr", "puisque", 0.5)]})
-        assert list(build_lexicon(rows).entries[("since",)]) == ["pt", "fr"]
+        assert list(build_lexicon(rows)[("since",)]) == ["pt", "fr"]
 
 
 class TestCandidatesFile:
@@ -341,17 +338,25 @@ class TestExportLexicon:
 
     def test_empty_lexicon_header_only(self, tmp_path):
         path = tmp_path / "lex.tsv"
-        export_lexicon(Lexicon(), "tsv", path)
+        export_lexicon({}, "tsv", path)
         assert path.read_text(encoding="utf-8") == (
             "marker\tlanguage\ttranslation\tscore\tjoint_count\n"
         )
 
-    def test_structured_round_trip(self, tmp_path):
-        lex = self._lexicon()
+    def test_structured_document(self, tmp_path):
         path = tmp_path / "lex.json"
-        export_lexicon(lex, "structured", path)
-        back = import_lexicon(path)
-        assert back.entries == lex.entries
+        export_lexicon(self._lexicon(), "structured", path)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+
+        def record(translation, score):
+            return {"translation": translation, "score": score, "joint_count": 3.0,
+                    "context": "none"}
+
+        assert doc == {"markers": [{"marker": "above all", "languages": {
+            "fr": [record("avant tout", 0.4)],
+            "pt": [record("sobretudo", 0.3), record("acima de tudo", 0.2)],
+        }}]}
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -361,4 +366,4 @@ class TestExportLexicon:
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            export_lexicon(Lexicon(), "xml", tmp_path / "lex.xml")
+            export_lexicon({}, "xml", tmp_path / "lex.xml")

@@ -181,10 +181,10 @@ class TestLexicalWeight:
         assert w == pytest.approx(0.7)
 
 
-def _instance(f, e, links, origin=0):
+def _instance(f, e, links):
     return PhrasePairInstance(
         foreign_phrase=tuple(f), english_phrase=tuple(e),
-        internal_alignment=frozenset(links), origin=origin,
+        internal_alignment=frozenset(links),
     )
 
 
@@ -206,8 +206,8 @@ class TestScorePhraseTable:
 
     def test_relative_frequency(self):
         t_fe, t_ef = self._tables()
-        instances = [_instance(["f0"], ["e0"], {(0, 0)}, origin=k) for k in range(3)]
-        instances.append(_instance(["f1"], ["e0"], {(0, 0)}, origin=3))
+        instances = [_instance(["f0"], ["e0"], {(0, 0)}) for _ in range(3)]
+        instances.append(_instance(["f1"], ["e0"], {(0, 0)}))
         table = score_phrase_table(instances, t_fe, t_ef, 4)
         entry = table.entries[(("f0",), ("e0",))]
         assert entry.inv_phrase_prob == pytest.approx(0.75)
@@ -223,8 +223,8 @@ class TestScorePhraseTable:
         t_fe = train_model1([(e, f) for f, e in corpus], iterations=2, use_null=False)
         t_ef = train_model1(corpus, iterations=2, use_null=False)
         instances = []
-        for k, ((f, e), links) in enumerate(zip(corpus, alignments)):
-            instances.extend(extract_phrase_pairs(f, e, links, 7, origin=k))
+        for (f, e), links in zip(corpus, alignments):
+            instances.extend(extract_phrase_pairs(f, e, links, 7))
         table = score_phrase_table(instances, t_fe, t_ef, 3)
 
         # independent naive recount
@@ -243,10 +243,10 @@ class TestScorePhraseTable:
     def test_conditional_distributions_sum_to_one(self):
         rng = random.Random(5)
         instances = []
-        for k in range(200):
+        for _ in range(200):
             f = [f"f{rng.randrange(6)}" for _ in range(rng.randint(1, 3))]
             e = [f"e{rng.randrange(6)}" for _ in range(rng.randint(1, 3))]
-            instances.append(_instance(f, e, {(0, 0)}, origin=k))
+            instances.append(_instance(f, e, {(0, 0)}))
         t_fe = _uniform_table([(["e0"], ["f0"])])
         t_ef = _uniform_table([(["f0"], ["e0"])])
         table = score_phrase_table(instances, t_fe, t_ef, 200)
@@ -266,8 +266,8 @@ class TestScorePhraseTable:
         a1 = {(0, 0), (1, 1)}
         a2 = {(0, 1), (1, 0)}
         instances = [
-            _instance(["f0", "f1"], ["e0", "e1"], a1, 0),
-            _instance(["f0", "f1"], ["e0", "e1"], a2, 1),
+            _instance(["f0", "f1"], ["e0", "e1"], a1),
+            _instance(["f0", "f1"], ["e0", "e1"], a2),
         ]
         table = score_phrase_table(instances, t_fe, t_ef, 2)
         entry = table.entries[(("f0", "f1"), ("e0", "e1"))]
@@ -296,8 +296,8 @@ class TestScoreCounts:
         for float, the entries that scoring every extracted pair gives."""
         pairs, alignments = drawn
         instances = []
-        for k, ((f, e), links) in enumerate(zip(pairs, alignments)):
-            instances.extend(extract_phrase_pairs(f, e, links, 7, origin=k))
+        for (f, e), links in zip(pairs, alignments):
+            instances.extend(extract_phrase_pairs(f, e, links, 7))
         assume(instances)
         t_fe = train_model1([(e, f) for f, e in pairs], iterations=2)
         t_ef = train_model1(pairs, iterations=2)
@@ -312,10 +312,10 @@ class TestScoreCounts:
         assert survivors.entries == {key: full.entries[key] for key in keys}
 
     def test_counts_keep_joint_count_and_most_frequent_alignment(self):
-        instances = [_instance(["f0", "f1"], ["e0", "e1"], {(0, 1), (1, 0)}, 0),
-                     _instance(["f0", "f1"], ["e0", "e1"], {(0, 0), (1, 1)}, 1),
-                     _instance(["f0", "f1"], ["e0", "e1"], {(0, 1), (1, 0)}, 2),
-                     _instance(["f0"], ["e0"], {(0, 0)}, 1)]
+        instances = [_instance(["f0", "f1"], ["e0", "e1"], {(0, 1), (1, 0)}),
+                     _instance(["f0", "f1"], ["e0", "e1"], {(0, 0), (1, 1)}),
+                     _instance(["f0", "f1"], ["e0", "e1"], {(0, 1), (1, 0)}),
+                     _instance(["f0"], ["e0"], {(0, 0)})]
         counts = count_phrase_pairs(instances, 3)
         assert counts == PhraseCounts({(("f0", "f1"), ("e0", "e1")): (3, {(0, 1), (1, 0)}),
                                        (("f0",), ("e0",)): (1, {(0, 0)})}, 3)
@@ -328,7 +328,7 @@ class TestScoreCounts:
                     max_size=40))
     def test_counts_equal_naive_grouping(self, drawn):
         # few phrases and alignments, so pairs repeat and alignment counts tie
-        instances = [_instance(f, e, links, k) for k, (f, e, links) in enumerate(drawn)]
+        instances = [_instance(f, e, links) for f, e, links in drawn]
         counts = count_phrase_pairs(instances, 7)
         assert counts.corpus_size == 7
         assert counts.entries == naive_phrase_counts(instances)
@@ -341,8 +341,8 @@ class TestPhraseCountsIO:
         instances = []
         for f, e, n in pairs:
             link = st.tuples(st.integers(0, len(f) - 1), st.integers(0, len(e) - 1))
-            instances += [_instance(f, e, data.draw(st.sets(link, min_size=1, max_size=3)), k)
-                          for k in range(n)]
+            instances += [_instance(f, e, data.draw(st.sets(link, min_size=1, max_size=3)))
+                          for _ in range(n)]
         counts = count_phrase_pairs(instances, len(pairs))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "phrase-table.txt")
@@ -381,9 +381,9 @@ class TestPhraseTableIO:
         t_fe = _uniform_table([(["e0"], ["f0"])])
         t_ef = _uniform_table([(["f0"], ["e0"])])
         instances = [
-            _instance(["f0"], ["e0"], {(0, 0)}, 0),
-            _instance(["f0", "f1"], ["e0", "e1"], {(0, 0), (1, 1)}, 1),
-            _instance(["f2"], ["e2"], {(0, 0)}, 2),
+            _instance(["f0"], ["e0"], {(0, 0)}),
+            _instance(["f0", "f1"], ["e0", "e1"], {(0, 0), (1, 1)}),
+            _instance(["f2"], ["e2"], {(0, 0)}),
         ]
         return score_phrase_table(instances, t_fe, t_ef, 3)
 

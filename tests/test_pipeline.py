@@ -259,6 +259,35 @@ class TestRunPipeline:
         # and the lexicon was still produced from surviving pairs
         assert any(r.stage == "lexicon" and not r.error for r in report.results)
 
+    @pytest.mark.parametrize("module, function, stage", [
+        ("phrases", "count_phrase_pairs", "phrases"),
+        ("lexicon", "read_candidates", "lexicon"),
+    ])
+    def test_exception_with_empty_text_fails_its_stage(self, corpus_root, tmp_path,
+                                                       monkeypatch, module, function, stage):
+        """str(StopIteration()) is empty: the error names the exception's type, the
+        stage reads FAILED in both reports, and its pair runs no further stage."""
+        import importlib
+
+        def body_step(*args):
+            raise StopIteration()
+
+        monkeypatch.setattr(importlib.import_module(f"dmlex.{module}"), function, body_step)
+        out = tmp_path / "out"
+        assert cli_main(["--config", _config_path(corpus_root), "--output", str(out),
+                         "pipeline"]) == 1
+        with open(out / "report.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        rows = [(s["stage"], s["error"]) for s in doc["stages"] if s["pair"] in ("xx", "all")]
+        k = STAGES.index(stage)
+        assert rows[:k + 1] == [(name, None) for name in STAGES[:k]] + [(stage, "StopIteration")]
+        assert [name for name, _ in rows[k + 1:]] == (["lexicon"] if stage != "lexicon" else [])
+        assert doc["ok"] is False
+        row = next(line for line in (out / "report.txt").read_text(encoding="utf-8").splitlines()
+                   if line.startswith(f"{stage} "))
+        assert row.split()[2] == "FAILED"
+        assert row.endswith("  error: StopIteration")
+
     def test_english_ingest_failure_skips_every_pair(self, corpus_root, tmp_path):
         import shutil
 
@@ -324,6 +353,37 @@ class TestRunPipeline:
                 os.path.join(clean, ".cache.json"), encoding="utf-8")))
         assert _read_outputs(out) == _read_outputs(clean)
 
+    @pytest.mark.parametrize("damage", ["not-an-object", "record-without-digest",
+                                        "record-not-an-object"])
+    def test_manifest_of_the_wrong_shape_reads_as_missing(self, corpus_root, tmp_path,
+                                                           damage):
+        """Valid JSON that is not an object reads as an empty manifest, and a record
+        without a string digest as no record: the stages rerun and none fails."""
+        out = str(tmp_path / "out")
+        args = ["--config", _config_path(corpus_root), "--output", out, "pipeline"]
+        assert cli_main(args) == 0
+        manifest = os.path.join(out, ".cache.json")
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if damage == "not-an-object":
+            doc = []
+        elif damage == "record-without-digest":
+            del doc["align:xx"]["digest"]
+        else:
+            doc["align:xx"] = "stale"
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+
+        assert cli_main(args) == 0
+        with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+            hits = {f"{s['stage']}:{s['pair']}": s["cache_hit"]
+                    for s in json.load(fh)["stages"]}
+        assert hits["align:xx"] is False
+        assert hits["ingest:xx"] is (damage != "not-an-object")
+        assert cli_main(args) == 0  # the rewritten manifest is whole again
+        with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+            assert all(s["cache_hit"] for s in json.load(fh)["stages"])
+
     def test_failed_manifest_write_keeps_previous_manifest(self, corpus_root, tmp_path,
                                                            monkeypatch):
         clean = str(tmp_path / "clean")
@@ -366,7 +426,7 @@ class TestRunPipeline:
         def worker(w):
             try:
                 for k in range(25):
-                    cache.store(f"stage{k}:{w}", "d", [], {"k": k})
+                    cache.store(f"stage{k}:{w}", "d", {"k": k})
             except Exception as exc:  # noqa: BLE001 - reported by the assert below
                 errors.append(exc)
 
@@ -450,6 +510,37 @@ class TestRunPipeline:
         assert list(errors) == [stage]
         assert errors[stage].startswith(f"line {lineno}: ")
         assert stage == "prune" or "alignments.txt" in errors[stage]
+
+    @pytest.mark.parametrize("victim, lineno, text, stage", [
+        ("model1.f_given_e.tsv", 5, "the\tla\n", "prune"),
+        ("model1.e_given_f.tsv", 4, "la\tthe\tx\n", "prune"),
+        ("model1.e_given_f.tsv", 2, "# floor=x\n", "prune"),
+        ("candidates.tsv", 2, "since\txx\n", "lexicon"),
+        ("candidates.tsv", 3, "since\txx\tdesde\tx\t3\tnone\n", "lexicon"),
+        ("candidates.tsv", 1, "", "lexicon"),
+    ], ids=["t-table-short-line", "t-table-bad-probability", "t-table-bad-floor",
+            "candidates-short-line", "candidates-bad-score", "candidates-empty"])
+    def test_corrupt_reader_input_fails_its_stage_naming_line_and_file(
+            self, corpus_root, tmp_path, victim, lineno, text, stage):
+        """A bad line in a t-table fails prune, and one in candidates.tsv fails
+        lexicon, with an error that gives the line number and the file."""
+        out = tmp_path / "out"
+        args = ["--config", _config_path(corpus_root), "--output", str(out)]
+        assert cli_main(args + ["pipeline"]) == 0
+        path = out / "pairs" / "xx" / victim
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if text:
+            lines[lineno - 1:lineno] = [text]
+        else:
+            lines = []
+        path.write_text("".join(lines), encoding="utf-8")
+
+        assert cli_main(args + ["pipeline"]) == 1
+        with open(out / "report.json", encoding="utf-8") as fh:
+            errors = {s["stage"]: s["error"] for s in json.load(fh)["stages"] if s["error"]}
+        assert list(errors)[0] == stage  # after prune, lexicon has no pair left
+        assert errors[stage].startswith(f"line {lineno}: ")
+        assert errors[stage].endswith(f" in {path}")
 
 
 class TestGarbageCollectorPause:
@@ -631,11 +722,21 @@ class TestCli:
         ("prune.epsilon = nan", [], "unknown config key: prune.epsilon"),
         ("filter.require_full_marker_alignment = false", [],
          "unknown config key: filter.require_full_marker_alignment"),
+        # a language code names directories of its own under the output
+        ("foreign = xx,xx", [], "language code 'xx' repeated in english/foreign"),
+        ("english = xx", [], "language code 'xx' repeated in english/foreign"),
+        ("foreign = xx,", [], "language code '' is not a directory name"),
+        ("english =", [], "language code '' is not a directory name"),
+        ("foreign = .", [], "language code '.' is not a directory name"),
+        ("foreign = xx,..", [], "language code '..' is not a directory name"),
+        ("foreign = ../xx", [], "language code '../xx' is not a directory name"),
     ], ids=["jobs", "symmetrization", "em.iterations", "phrases.max_len",
             "filter.max_length_delta", "prune.mode-nan", "prune.mode-inf",
             "filter.min_joint_count", "filter.min_dir_phrase_prob",
             "aligner.mean_char_ratio", "aligner.variance", "em.prob_floor", "em.null",
-            "prune.epsilon", "filter.require_full_marker_alignment"])
+            "prune.epsilon", "filter.require_full_marker_alignment", "foreign-repeated",
+            "english-in-foreign", "foreign-empty", "english-empty", "foreign-dot",
+            "foreign-dot-dot", "foreign-separator"])
     def test_bad_value_is_a_config_error(self, corpus_root, tmp_path, capsys,
                                          line, flags, message):
         out = tmp_path / "out"

@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmlex.galechurch import AlignedCorpus, read_aligned_corpus
-from dmlex.model1 import read_translation_table, train_model1
+from dmlex.galechurch import read_aligned_corpus
+from dmlex.model1 import read_translation_table
 from dmlex.phrases import (
-    PhraseTable,
-    PhraseTableEntry,
+    PhraseCounts,
+    count_phrase_pairs,
     extract_phrase_pairs,
     read_phrase_counts,
     score_counts,
-    score_phrase_table,
     write_phrase_table,
 )
 from dmlex.pipeline import STAGES, run_pipeline, validate_config
@@ -34,20 +33,15 @@ from helpers import (
 
 
 def _build_table(corpus_pairs, alignments):
-    t_fe = train_model1([(e, f) for f, e in corpus_pairs], iterations=2, use_null=False)
-    t_ef = train_model1(corpus_pairs, iterations=2, use_null=False)
     instances = []
-    for k, ((f, e), links) in enumerate(zip(corpus_pairs, alignments)):
-        instances.extend(extract_phrase_pairs(f, e, links, 7, origin=k))
-    return score_phrase_table(instances, t_fe, t_ef, len(corpus_pairs))
+    for (f, e), links in zip(corpus_pairs, alignments):
+        instances.extend(extract_phrase_pairs(f, e, links, 7))
+    return count_phrase_pairs(instances, len(corpus_pairs))
 
 
 def _table_of(keys, corpus_size):
-    """A phrase table holding just these (foreign, english) keys."""
-    table = PhraseTable(corpus_size=corpus_size)
-    for foreign, english in keys:
-        table.add(PhraseTableEntry(foreign, english, 1.0, 1.0, 1.0, 1.0, frozenset(), 1.0))
-    return table
+    """Phrase counts holding just these (foreign, english) keys."""
+    return PhraseCounts({key: (1, frozenset()) for key in keys}, corpus_size)
 
 
 def _sentence(vocab):
@@ -80,13 +74,12 @@ class TestContingencyCounts:
     @given(_corpus_and_keys())
     def test_matches_brute_force_oracle(self, drawn):
         pairs, keys = drawn
-        corpus = AlignedCorpus(pairs=pairs)
         oracle = brute_force_contingency_counts(_table_of(keys, len(pairs)), pairs)
         occurring = [key for key in keys if oracle[key][2] > 0]
         if len(occurring) < len(keys):
             with pytest.raises(RuntimeError, match="never co-occurs"):
-                contingency_counts(_table_of(keys, len(pairs)), corpus)
-        counts = contingency_counts(_table_of(occurring, len(pairs)), corpus)
+                contingency_counts(_table_of(keys, len(pairs)), pairs)
+        counts = contingency_counts(_table_of(occurring, len(pairs)), pairs)
         assert {key: (ct.c_s, ct.c_t, ct.c_st, ct.n) for key, ct in counts.items()} == {
             key: oracle[key] for key in occurring
         }
@@ -99,21 +92,19 @@ class TestContingencyCounts:
         pairs = [(["f0", "f1", "f0"], ["e0"]), (["f1"], ["e1"])]
         table = _table_of([(("f0",), ("e0",)), key], len(pairs))
         with pytest.raises(RuntimeError, match="never co-occurs"):
-            contingency_counts(table, AlignedCorpus(pairs=pairs))
+            contingency_counts(table, pairs)
 
     def test_single_pair_corpus(self):
         pairs = [(["f0"], ["e0"])]
         table = _build_table(pairs, [{(0, 0)}])
-        corpus = AlignedCorpus(pairs=pairs)
-        counts = contingency_counts(table, corpus)
+        counts = contingency_counts(table, pairs)
         ct = counts[(("f0",), ("e0",))]
         assert (ct.c_s, ct.c_t, ct.c_st, ct.n) == (1, 1, 1, 1)
 
     def test_multiplicity_counts_once_per_pair(self):
         pairs = [(["f0", "f0"], ["e0"]), (["f1"], ["e1"])]
         table = _build_table(pairs, [{(0, 0)}, {(0, 0)}])
-        corpus = AlignedCorpus(pairs=pairs)
-        counts = contingency_counts(table, corpus)
+        counts = contingency_counts(table, pairs)
         assert counts[(("f0",), ("e0",))].c_s == 1
 
     def test_matches_naive_quadratic_scan(self):
@@ -132,8 +123,7 @@ class TestContingencyCounts:
             {(0, 0)},
         ]
         table = _build_table(pairs, alignments)
-        corpus = AlignedCorpus(pairs=pairs)
-        counts = contingency_counts(table, corpus)
+        counts = contingency_counts(table, pairs)
 
         def contains(sentence, phrase):
             k = len(phrase)
@@ -218,26 +208,26 @@ class TestThresholdFor:
 
 
 class TestPrune:
-    def _table_and_corpus(self):
+    def _table_and_pairs(self):
         # f0/e0 co-occur 4 times; f9/e9 is a 1-1-1 singleton
         pairs = [(["f0"], ["e0"])] * 4 + [(["f9"], ["e9"])] + [(["f1"], ["e1"])] * 3
         alignments = [{(0, 0)}] * len(pairs)
         table = _build_table(pairs, alignments)
-        return table, AlignedCorpus(pairs=pairs)
+        return table, pairs
 
     def test_alpha_plus_epsilon_kills_singletons(self):
-        table, corpus = self._table_and_corpus()
-        counts = contingency_counts(table, corpus)
+        table, pairs = self._table_and_pairs()
+        counts = contingency_counts(table, pairs)
         kept, report = prune(table, counts, PruneConfig())
         for key, entry in kept.entries.items():
             ct = counts[key]
             assert (ct.c_s, ct.c_t, ct.c_st) != (1, 1, 1)
         assert report.pruned_count >= 1
-        assert report.kept_count == len(kept)
+        assert report.kept_count == len(kept.entries)
 
     def test_zero_threshold_keeps_everything_significant(self):
-        table, corpus = self._table_and_corpus()
-        counts = contingency_counts(table, corpus)
+        table, pairs = self._table_and_pairs()
+        counts = contingency_counts(table, pairs)
         kept, _ = prune(
             table, counts, PruneConfig(threshold_mode="custom", custom_neg_log_p=0.0)
         )
@@ -245,27 +235,27 @@ class TestPrune:
         assert set(kept.entries) == set(table.entries)
 
     def test_threshold_monotonicity(self):
-        table, corpus = self._table_and_corpus()
-        counts = contingency_counts(table, corpus)
+        table, pairs = self._table_and_pairs()
+        counts = contingency_counts(table, pairs)
         sizes = []
         for threshold in [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0]:
             kept, _ = prune(
                 table, counts,
                 PruneConfig(threshold_mode="custom", custom_neg_log_p=threshold),
             )
-            sizes.append(len(kept))
+            sizes.append(len(kept.entries))
         assert sizes == sorted(sizes, reverse=True)
 
     def test_survivors_unchanged(self):
-        table, corpus = self._table_and_corpus()
-        counts = contingency_counts(table, corpus)
+        table, pairs = self._table_and_pairs()
+        counts = contingency_counts(table, pairs)
         kept, _ = prune(table, counts, PruneConfig())
         for key, entry in kept.entries.items():
             assert entry is table.entries[key]
 
     def test_report_file(self, tmp_path):
-        table, corpus = self._table_and_corpus()
-        counts = contingency_counts(table, corpus)
+        table, pairs = self._table_and_pairs()
+        counts = contingency_counts(table, pairs)
         _, report = prune(table, counts, PruneConfig())
         path = tmp_path / "report.tsv"
         write_prune_report(report, path)
@@ -286,8 +276,8 @@ class TestPrune:
     def test_equal_but_distinct_tables_give_the_same_report(self, tmp_path):
         pairs = ([(["f0"], ["e0"])] * 4 + [(["f9"], ["e9"]), (["f8"], ["e8"])]
                  + [(["f1"], ["e1"])] * 3 + [(["f2"], ["e2"])] * 3)
-        table, corpus = _build_table(pairs, [{(0, 0)}] * len(pairs)), AlignedCorpus(pairs)
-        shared = contingency_counts(table, corpus)
+        table = _build_table(pairs, [{(0, 0)}] * len(pairs))
+        shared = contingency_counts(table, pairs)
         assert len({id(ct) for ct in shared.values()}) == 3 < len(shared)
         distinct = {key: ContingencyTable(ct.c_s, ct.c_t, ct.c_st, ct.n)
                     for key, ct in shared.items()}
@@ -310,8 +300,8 @@ class TestPruneOutputsMatchOracle:
         assert run_pipeline(cfg, stages=STAGES[:STAGES.index("prune") + 1]).ok
         pair_dir = tmp_path / "run" / "out" / "pairs" / "xx"
         pair_counts = read_phrase_counts(pair_dir / "phrase-table.txt")
-        corpus = read_aligned_corpus(pair_dir / "aligned.src", pair_dir / "aligned.tgt")
-        oracle = brute_force_contingency_counts(pair_counts, corpus.pairs)
+        pairs = read_aligned_corpus(pair_dir / "aligned.src", pair_dir / "aligned.tgt")
+        oracle = brute_force_contingency_counts(pair_counts, pairs)
         counts = {key: ContingencyTable(*cell) for key, cell in oracle.items()}
 
         kept, report = prune(pair_counts, counts, cfg.prune_config)
