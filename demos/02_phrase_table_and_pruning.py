@@ -4,7 +4,7 @@ exact test and watch the 1-1-1 noise disappear, then score the survivors.
 Run as:  python3 demos/02_phrase_table_and_pruning.py
 """
 
-from dmlex.model1 import directional_links, train_model1, viterbi_align
+from dmlex.model1 import train_model1, viterbi_align
 from dmlex.phrases import count_phrase_pairs, extract_phrase_pairs, score_counts
 from dmlex.significance import PruneConfig, contingency_counts, prune
 
@@ -23,9 +23,9 @@ table_fe = train_model1([(e, f) for f, e in pairs], iterations=8, direction="e->
 
 instances = []
 for f, e in pairs:
-    # foreign conditions, english generated: links come back as (f_pos, e_pos)
+    # foreign conditions, english generated: one f_pos (or None) per e_pos
     alignment = viterbi_align(f, e, table_ef)
-    links = directional_links(alignment)
+    links = {(i, j) for j, i in enumerate(alignment) if i is not None}
     instances.extend(extract_phrase_pairs(f, e, links, max_phrase_len=3))
 
 phrase_counts = count_phrase_pairs(instances, corpus_size=len(pairs))

@@ -1,7 +1,7 @@
 """dmlex: multilingual discourse-marker lexicon induction from parallel corpora."""
 
 from .galechurch import align_corpus, align_paragraph
-from .ingest import Document, ParagraphPair, pair_documents, parse_europarl_file, tokenize
+from .ingest import Document, pair_documents, parse_europarl_file, tokenize
 from .lexicon import FilterPolicy, build_lexicon, export_lexicon, load_seed_markers
 from .model1 import TranslationTable, symmetrize, train_model1, viterbi_align
 from .phrases import PhraseTable, extract_phrase_pairs, score_phrase_table
@@ -11,7 +11,6 @@ from .significance import PruneConfig, fisher_neg_log_p, prune
 __all__ = [
     "Document",
     "FilterPolicy",
-    "ParagraphPair",
     "PhraseTable",
     "PipelineConfig",
     "PruneConfig",

@@ -128,16 +128,17 @@ def align_paragraph(src: list, tgt: list) -> list:
 
 
 def align_corpus(pairs: list) -> list:
-    """One (src_tokens, tgt_tokens) sentence pair per bead, concatenating
+    """One (src_tokens, tgt_tokens) sentence pair per bead of each
+    (src_sentences, tgt_sentences) paragraph pair, concatenating
     multi-sentence sides; insertion/deletion beads are dropped."""
     corpus = []
-    for pp in pairs:
-        beads = align_paragraph(pp.src_paragraph, pp.tgt_paragraph)
+    for src_para, tgt_para in pairs:
+        beads = align_paragraph(src_para, tgt_para)
         for bead in beads:
             if bead.shape in ("1-0", "0-1"):
                 continue
-            src = [tok for k in range(*bead.src_span) for tok in pp.src_paragraph[k]]
-            tgt = [tok for k in range(*bead.tgt_span) for tok in pp.tgt_paragraph[k]]
+            src = [tok for k in range(*bead.src_span) for tok in src_para[k]]
+            tgt = [tok for k in range(*bead.tgt_span) for tok in tgt_para[k]]
             corpus.append((src, tgt))
     return corpus
 

@@ -29,12 +29,6 @@ class Document:
     paragraphs: list  # list of paragraphs; paragraph = list of token lists
 
 
-@dataclass
-class ParagraphPair:
-    src_paragraph: list
-    tgt_paragraph: list
-
-
 def decode_utf8(data: bytes) -> str:
     try:
         return data.decode("utf-8")
@@ -117,8 +111,9 @@ def build_document(raw_paragraphs: list, language: str, file_id: str) -> Documen
 
 
 def pair_documents(src: Document, tgt: Document) -> list:
-    """Pair paragraphs positionally; on count mismatch collapse each document
-    into one synthetic paragraph (the corpus collapse rule)."""
+    """(src_sentences, tgt_sentences) paragraph pairs, paired positionally; on
+    count mismatch each document collapses into one paragraph (the corpus
+    collapse rule)."""
     if not src.paragraphs or not tgt.paragraphs:
         log.warning(
             "empty document side for %s (%s: %d paragraphs, %s: %d paragraphs)",
@@ -126,11 +121,10 @@ def pair_documents(src: Document, tgt: Document) -> list:
         )
         return []
     if len(src.paragraphs) == len(tgt.paragraphs):
-        return [ParagraphPair(src_paragraph=s, tgt_paragraph=t)
-                for s, t in zip(src.paragraphs, tgt.paragraphs)]
+        return list(zip(src.paragraphs, tgt.paragraphs))
     src_all = [sent for para in src.paragraphs for sent in para]
     tgt_all = [sent for para in tgt.paragraphs for sent in para]
-    return [ParagraphPair(src_paragraph=src_all, tgt_paragraph=tgt_all)]
+    return [(src_all, tgt_all)]
 
 
 def load_document(path, language: str, file_id: str | None = None) -> Document:

@@ -6,9 +6,6 @@ from dataclasses import dataclass, replace
 from .ingest import PUNCTUATION, normalize_case, tokenize
 from .phrases import PhraseTable, PhraseTableEntry
 
-# Single-character punctuation tokens produced by the tokenizer.
-PUNCT_TOKENS = set(PUNCTUATION)
-
 CANDIDATES_HEADER = "marker\tlanguage\ttranslation\tscore\tjoint_count\tcontext\n"
 
 
@@ -23,7 +20,6 @@ class MarkerCandidate:
     translation: tuple
     raw_entry: PhraseTableEntry
     context: str  # none | preceded | followed | both
-    score: float = 0.0
 
 
 @dataclass
@@ -74,10 +70,10 @@ def select_candidates(table: PhraseTable, marker, language: str = "") -> list:
     marker with one punctuation token before and/or after it."""
     marker = tuple(marker)
     patterns = [(marker, "none")]
-    for p in sorted(PUNCT_TOKENS):
+    for p in sorted(PUNCTUATION):
         patterns.append((marker + (p,), "followed"))
         patterns.append(((p,) + marker, "preceded"))
-        for q in sorted(PUNCT_TOKENS):
+        for q in sorted(PUNCTUATION):
             patterns.append(((p,) + marker + (q,), "both"))
 
     candidates = []
@@ -111,9 +107,9 @@ def _marker_positions(candidate: MarkerCandidate):
 
 
 def filter_candidates(candidates, policy: FilterPolicy) -> list:
-    """Score and filter candidates; duplicates keep their best-scoring instance."""
+    """(marker, language, LexiconRecord) rows of the candidates that pass the policy,
+    scored phi(e|f) * phi(f|e); duplicates keep their best score, in first-seen order."""
     best = {}
-    order = []
     for cand in candidates:
         entry = cand.raw_entry
         if not cand.translation or all(is_punct_token(t) for t in cand.translation):
@@ -129,21 +125,11 @@ def filter_candidates(candidates, policy: FilterPolicy) -> list:
         aligned_e = {j for _, j in entry.most_frequent_internal_alignment}
         if any(pos not in aligned_e for pos in _marker_positions(cand)):
             continue
-        scored = replace(cand, score=entry.dir_phrase_prob * entry.inv_phrase_prob)
-        key = (scored.marker, scored.language, scored.translation)
-        if key not in best:
-            best[key] = scored
-            order.append(key)
-        elif scored.score > best[key].score:
-            best[key] = scored
-    return [best[key] for key in order]
-
-
-def candidate_row(cand: MarkerCandidate) -> tuple:
-    """(marker, language, LexiconRecord) row for a filtered candidate."""
-    return cand.marker, cand.language, LexiconRecord(
-        translation=cand.translation, score=cand.score,
-        joint_count=cand.raw_entry.joint_count, context=cand.context)
+        score = entry.dir_phrase_prob * entry.inv_phrase_prob
+        key = (cand.marker, cand.language, cand.translation)
+        if key not in best or score > best[key].score:
+            best[key] = LexiconRecord(cand.translation, score, entry.joint_count, cand.context)
+    return [(marker, language, rec) for (marker, language, _), rec in best.items()]
 
 
 def write_candidates(rows, path) -> None:
@@ -152,7 +138,7 @@ def write_candidates(rows, path) -> None:
         fh.write(CANDIDATES_HEADER)
         for marker, language, rec in rows:
             fh.write(f"{' '.join(marker)}\t{language}\t{' '.join(rec.translation)}"
-                     f"\t{rec.score:.6g}\t{rec.joint_count:g}\t{rec.context}\n")
+                     f"\t{rec.score:.6g}\t{rec.joint_count:.0f}\t{rec.context}\n")
 
 
 def read_candidates(path) -> list:
@@ -199,7 +185,7 @@ def export_lexicon(lex: dict, fmt: str, path) -> None:
                     for rec in langs[language]:
                         fh.write(
                             f"{' '.join(marker)}\t{language}\t{' '.join(rec.translation)}"
-                            f"\t{rec.score:.6g}\t{rec.joint_count:g}\n"
+                            f"\t{rec.score:.6g}\t{rec.joint_count:.0f}\n"
                         )
     elif fmt == "structured":
         doc = {

@@ -23,14 +23,6 @@ class TranslationTable:
         return self.probs.get(cond, {}).get(gen, self.prob_floor)
 
 
-@dataclass
-class DirectionalAlignment:
-    """For each generated-side position, a conditioning-side position or None."""
-
-    links: list  # list[Optional[int]]
-    conditioning_len: int
-
-
 def train_model1(pairs, iterations: int = 5, prob_floor: float = PROB_FLOOR,
                  use_null: bool = USE_NULL, direction: str = "") -> TranslationTable:
     """EM for Model 1 over (conditioning_tokens, generated_tokens) pairs.
@@ -103,8 +95,8 @@ def train_model1(pairs, iterations: int = 5, prob_floor: float = PROB_FLOOR,
     )
 
 
-def viterbi_align(cond_tokens, gen_tokens, table: TranslationTable) -> DirectionalAlignment:
-    """Link every generated token to its best conditioning position.
+def viterbi_align(cond_tokens, gen_tokens, table: TranslationTable) -> list:
+    """For each generated token, its best conditioning position, or None.
 
     Ties go to the smallest conditioning index; NULL loses all ties;
     out-of-vocabulary generated tokens link to NULL.
@@ -124,12 +116,7 @@ def viterbi_align(cond_tokens, gen_tokens, table: TranslationTable) -> Direction
         if table.use_null and table.lookup(NULL_WORD, g) > best_p:
             best_i = None
         links.append(best_i)
-    return DirectionalAlignment(links=links, conditioning_len=len(cond_tokens))
-
-
-def directional_links(src_to_tgt: DirectionalAlignment) -> set:
-    """Non-NULL links of a src-conditioned alignment as (src, tgt) pairs."""
-    return {(i, j) for j, i in enumerate(src_to_tgt.links) if i is not None}
+    return links
 
 
 HEURISTICS = ("intersection", "union", "grow-diag-final-and")
@@ -137,18 +124,16 @@ HEURISTICS = ("intersection", "union", "grow-diag-final-and")
 _NEIGHBORS = [(-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
-def symmetrize(src_to_tgt: DirectionalAlignment, tgt_to_src: DirectionalAlignment,
-               heuristic: str = "grow-diag-final-and") -> set:
-    """Combine the two directional alignments into one (src, tgt) link set."""
+def symmetrize(src_to_tgt: list, tgt_to_src: list, heuristic: str = "grow-diag-final-and") -> set:
+    """Combine two viterbi_align results into one (src, tgt) link set:
+    src_to_tgt holds a src position or None per tgt token, tgt_to_src the
+    reverse, so each one's length is the other's sentence length."""
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic: {heuristic}")
-    src_len = len(tgt_to_src.links)
-    tgt_len = len(src_to_tgt.links)
-    if src_to_tgt.conditioning_len != src_len or tgt_to_src.conditioning_len != tgt_len:
+    a = {(i, j) for j, i in enumerate(src_to_tgt) if i is not None}
+    b = {(i, j) for i, j in enumerate(tgt_to_src) if j is not None}
+    if any(i >= len(tgt_to_src) for i, _ in a) or any(j >= len(src_to_tgt) for _, j in b):
         raise ValueError("directional alignments cover different sentence lengths")
-
-    a = directional_links(src_to_tgt)
-    b = set(_transpose_links(tgt_to_src))
     inter = a & b
     union = a | b
 
@@ -185,12 +170,6 @@ def symmetrize(src_to_tgt: DirectionalAlignment, tgt_to_src: DirectionalAlignmen
             tgt_aligned.add(j)
 
     return aligned
-
-
-def _transpose_links(tgt_to_src: DirectionalAlignment):
-    for i, j in enumerate(tgt_to_src.links):
-        if j is not None:
-            yield (i, j)
 
 
 def write_translation_table(table: TranslationTable, path) -> None:
@@ -251,6 +230,8 @@ def read_alignments(path, pairs) -> list:
 
 
 def read_translation_table(path) -> TranslationTable:
+    """The table written by write_translation_table; every probability must lie
+    in (0, 1] and the floor in (0, 1)."""
     direction = ""
     floor = PROB_FLOOR
     use_null = USE_NULL
@@ -268,11 +249,16 @@ def read_translation_table(path) -> TranslationTable:
                         direction = value
                     elif key == "floor":
                         floor = float(value)
+                        if not 0.0 < floor < 1.0:  # NaN fails every comparison
+                            raise ValueError(f"floor {value!r} is not in (0, 1)")
                     elif key == "null":
                         use_null = value == "true"
                     continue
                 cond, gen, prob = line.split("\t")
-                probs.setdefault(cond, {})[gen] = float(prob)
+                p = float(prob)
+                if not 0.0 < p <= 1.0:
+                    raise ValueError(f"probability {prob!r} is not in (0, 1]")
+                probs.setdefault(cond, {})[gen] = p
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc} in {path}") from None
             generated_vocab.add(gen)

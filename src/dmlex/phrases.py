@@ -46,9 +46,6 @@ class PhraseCounts:
     entries: dict = field(default_factory=dict)  # (foreign, english) -> (joint count, frozenset)
     corpus_size: int = 0
 
-    def select(self, keys) -> "PhraseCounts":
-        return PhraseCounts({key: self.entries[key] for key in keys}, self.corpus_size)
-
 
 def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int = 7) -> list:
     """All consistent phrase pairs up to max_phrase_len tokens per side.
@@ -221,45 +218,41 @@ def write_phrase_counts(counts: PhraseCounts, path) -> None:
         fh.write(f"# N={counts.corpus_size}\n" + "".join(lines))
 
 
-class PhraseTableFormatError(ValueError):
-    def __init__(self, line_number, message):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
-
-
-def _data_lines(path, n_fields, table):
-    """(line number, fields) of each data line; `# N=` sets table.corpus_size."""
+def _read_data_lines(path, n_fields, table, add) -> None:
+    """add(*fields) for each data line; `# N=` sets table.corpus_size. A bad
+    line raises ValueError naming it and the file."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            if " ||| " not in line and line.startswith("#"):  # data lines all have fields
-                key, _, value = line[1:].strip().partition("=")
-                if key == "N":
-                    table.corpus_size = int(value)
-                continue
-            fields = line.split(" ||| ")
-            if len(fields) != n_fields:
-                raise PhraseTableFormatError(
-                    lineno, f"expected {n_fields} fields, got {len(fields)}")
-            yield lineno, fields
+            try:
+                if " ||| " not in line and line.startswith("#"):  # data lines all have fields
+                    key, _, value = line[1:].strip().partition("=")
+                    if key == "N":
+                        table.corpus_size = int(value)
+                    continue
+                fields = line.split(" ||| ")
+                if len(fields) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
+                add(*fields)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc} in {path}") from None
 
 
 def read_phrase_table(path) -> PhraseTable:
     table = PhraseTable()
     links = _Memo(parse_links)
-    for lineno, (f_str, e_str, scores_str, links_str, count_str) in _data_lines(path, 5, table):
+
+    def add(f_str, e_str, scores_str, links_str, count_str):
         f, e = unescape_phrase(f_str), unescape_phrase(e_str)
-        try:
-            scores = [float(x) for x in scores_str.split()]
-            if len(scores) != 4:
-                raise ValueError("expected 4 scores")
-            align = links_inside(links[links_str], links_str, len(f), len(e))
-            count = float(count_str)
-        except ValueError as exc:
-            raise PhraseTableFormatError(lineno, str(exc)) from exc
-        table.add(PhraseTableEntry(f, e, *scores, align, count))
+        scores = [float(x) for x in scores_str.split()]
+        if len(scores) != 4:
+            raise ValueError("expected 4 scores")
+        align = links_inside(links[links_str], links_str, len(f), len(e))
+        table.add(PhraseTableEntry(f, e, *scores, align, float(count_str)))
+
+    _read_data_lines(path, 5, table, add)
     return table
 
 
@@ -267,11 +260,11 @@ def read_phrase_counts(path) -> PhraseCounts:
     """Each distinct phrase or links text is parsed once; entries share the result."""
     counts = PhraseCounts()
     phrase, links = _Memo(unescape_phrase), _Memo(parse_links)
-    for lineno, (f_str, e_str, links_str, joint_str) in _data_lines(path, 4, counts):
+
+    def add(f_str, e_str, links_str, joint_str):
         f, e = phrase[f_str], phrase[e_str]
-        try:
-            align = links_inside(links[links_str], links_str, len(f), len(e))
-            counts.entries[f, e] = (int(joint_str), align)
-        except ValueError as exc:
-            raise PhraseTableFormatError(lineno, str(exc)) from exc
+        align = links_inside(links[links_str], links_str, len(f), len(e))
+        counts.entries[f, e] = (int(joint_str), align)
+
+    _read_data_lines(path, 4, counts, add)
     return counts

@@ -464,8 +464,7 @@ class PipelineRunner:
                 raw = lexmod.select_candidates(table, marker, language=lang)
                 selected += len(raw)
                 stripped = [lexmod.strip_punctuation_context(c) for c in raw]
-                rows.extend(lexmod.candidate_row(c) for c in
-                            lexmod.filter_candidates(stripped, self.cfg.filter_policy))
+                rows.extend(lexmod.filter_candidates(stripped, self.cfg.filter_policy))
             lexmod.write_candidates(rows, p["candidates"])
             return {"markers": len(seeds), "candidates_selected": selected,
                     "candidates_kept": len(rows)}

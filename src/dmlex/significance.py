@@ -1,21 +1,23 @@
 """Significance pruning of phrase tables via Fisher's exact test."""
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .phrases import PhraseCounts, escape_phrase
+from .phrases import PhraseCounts, _Memo, escape_phrase
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    c_s: int  # sentence pairs whose foreign side contains the foreign phrase
-    c_t: int  # pairs whose english side contains the english phrase
-    c_st: int  # pairs containing both
-    n: int  # total sentence pairs
+class ContingencyTable(namedtuple("ContingencyTable", "c_s c_t c_st n")):
+    """c_s: sentence pairs whose foreign side contains the foreign phrase;
+    c_t: pairs whose english side contains the english phrase; c_st: pairs
+    containing both; n: total sentence pairs. A tuple, so its hash is cheap."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.c_st <= min(self.c_s, self.c_t) <= self.n):
+    def __new__(cls, c_s, c_t, c_st, n):
+        self = super().__new__(cls, c_s, c_t, c_st, n)
+        if not (0 < c_st <= min(c_s, c_t) <= n):
             raise ValueError(f"invalid contingency counts: {self}")
+        return self
 
 
 EPSILON = 1e-9  # alpha_plus_epsilon sits this far above alpha
@@ -61,7 +63,10 @@ def _postings(sentences, phrases) -> dict:
 
 def contingency_counts(table: PhraseCounts, pairs: list) -> dict:
     """Per-entry contingency counts against the extraction corpus, a list of
-    (src_tokens, tgt_tokens) sentence pairs."""
+    the table's N (src_tokens, tgt_tokens) sentence pairs."""
+    if table.corpus_size != len(pairs):
+        raise ValueError(f"phrase table is for N={table.corpus_size} sentence pairs, "
+                         f"but the aligned corpus has {len(pairs)}")
     src_ids = _postings((src for src, _ in pairs), {f for f, _ in table.entries})
     tgt_ids = _postings((tgt for _, tgt in pairs), {e for _, e in table.entries})
     n = len(pairs)
@@ -113,27 +118,27 @@ def prune(table: PhraseCounts, counts: dict, config: PruneConfig) -> tuple:
     """
     threshold = config.threshold(table.corpus_size)
     report = PruneReport(threshold=threshold)
-    scores = {}  # id(table) -> -log p: few tables, and a dataclass hash is a Python call
+    kept = PhraseCounts(corpus_size=table.corpus_size)
+    scores = _Memo(fisher_neg_log_p)  # few distinct tables
     for key in sorted(table.entries):
         ct = counts[key]
-        score = scores.get(id(ct))
-        if score is None:
-            score = scores[id(ct)] = fisher_neg_log_p(ct)
+        score = scores[ct]
         report.rows.append((key[0], key[1], ct, score, score > threshold))
-    kept = table.select((f, e) for f, e, _, _, keep in report.rows if keep)
+        if score > threshold:
+            kept.entries[key] = table.entries[key]
     report.kept_count = len(kept.entries)
     report.pruned_count = len(report.rows) - report.kept_count
     return kept, report
 
 
 def write_prune_report(report: PruneReport, path) -> None:
-    cells = {}  # id(table) -> its columns; rows sharing a table share its score
+    cells = {}  # table -> its columns; rows sharing a table share its score
     lines = [f"# threshold={report.threshold:.8g}\n"]
     for foreign, english, ct, score, keep in report.rows:
-        cell = cells.get(id(ct))
+        cell = cells.get(ct)
         if cell is None:
-            cell = cells[id(ct)] = (f"\t{ct.c_s}\t{ct.c_t}\t{ct.c_st}\t{score:.8g}"
-                                    f"\t{'kept' if keep else 'pruned'}\n")
+            cell = cells[ct] = (f"\t{ct.c_s}\t{ct.c_t}\t{ct.c_st}\t{score:.8g}"
+                                f"\t{'kept' if keep else 'pruned'}\n")
         lines.append(f"{escape_phrase(foreign)} ||| {escape_phrase(english)}{cell}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(lines))

@@ -17,7 +17,6 @@ from dmlex.galechurch import (
     sentence_char_length,
     write_aligned_corpus,
 )
-from dmlex.ingest import ParagraphPair
 
 from helpers import (
     brute_force_align,
@@ -183,18 +182,12 @@ class TestAlignParagraph:
 
 class TestAlignCorpus:
     def test_one_to_one_paragraph_emits_all_pairs(self):
-        para = ParagraphPair(
-            src_paragraph=[["aaa", "bbb"], ["cc"]],
-            tgt_paragraph=[["xxx", "yyy"], ["zz"]],
-        )
+        para = ([["aaa", "bbb"], ["cc"]], [["xxx", "yyy"], ["zz"]])
         pairs = align_corpus([para])
         assert pairs == [(["aaa", "bbb"], ["xxx", "yyy"]), (["cc"], ["zz"])]
 
     def test_two_to_one_concatenates_source(self):
-        para = ParagraphPair(
-            src_paragraph=[["aaaaa" * 4], ["bbbbb" * 4]],
-            tgt_paragraph=[["x" * 41]],
-        )
+        para = ([["aaaaa" * 4], ["bbbbb" * 4]], [["x" * 41]])
         pairs = align_corpus([para])
         assert len(pairs) == 1
         src, tgt = pairs[0]
@@ -202,7 +195,7 @@ class TestAlignCorpus:
         assert tgt == ["x" * 41]
 
     def test_deletion_beads_emit_nothing(self):
-        para = ParagraphPair(src_paragraph=[["aaa"]], tgt_paragraph=[])
+        para = ([["aaa"]], [])
         pairs = align_corpus([para])
         assert pairs == []
 
@@ -210,20 +203,15 @@ class TestAlignCorpus:
         rng = random.Random(3)
         paras = []
         for _ in range(20):
-            paras.append(
-                ParagraphPair(
-                    src_paragraph=[_sent(rng.randint(3, 50)) for _ in range(rng.randint(0, 4))],
-                    tgt_paragraph=[_sent(rng.randint(3, 50)) for _ in range(rng.randint(0, 4))],
-                )
-            )
+            paras.append((
+                [_sent(rng.randint(3, 50)) for _ in range(rng.randint(0, 4))],
+                [_sent(rng.randint(3, 50)) for _ in range(rng.randint(0, 4))],
+            ))
         pairs = align_corpus(paras)
         assert all(src and tgt for src, tgt in pairs)
 
     def test_file_round_trip(self, tmp_path):
-        para = ParagraphPair(
-            src_paragraph=[["ab", "cd"], ["ef"]],
-            tgt_paragraph=[["gh", "ij"], ["kl"]],
-        )
+        para = ([["ab", "cd"], ["ef"]], [["gh", "ij"], ["kl"]])
         pairs = align_corpus([para])
         src_p, tgt_p = tmp_path / "s.txt", tmp_path / "t.txt"
         write_aligned_corpus(pairs, src_p, tgt_p)

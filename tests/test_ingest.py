@@ -115,18 +115,15 @@ class TestPairDocuments:
         tgt = self._doc([[["x"]], [["y"]], [["z"]]], "pt")
         pairs = pair_documents(src, tgt)
         assert len(pairs) == 3
-        assert pairs[1].src_paragraph == [["b"]]
-        assert pairs[1].tgt_paragraph == [["y"]]
-        assert [p.src_paragraph for p in pairs] == src.paragraphs
-        assert [p.tgt_paragraph for p in pairs] == tgt.paragraphs
+        assert pairs[1] == ([["b"]], [["y"]])
+        assert [s for s, _ in pairs] == src.paragraphs
+        assert [t for _, t in pairs] == tgt.paragraphs
 
     def test_mismatched_counts_collapse(self):
         src = self._doc([[["a"]], [["b"]], [["c"]]])
         tgt = self._doc([[["x"], ["y"]], [["z"]]], "pt")
         pairs = pair_documents(src, tgt)
-        assert len(pairs) == 1
-        assert pairs[0].src_paragraph == [["a"], ["b"], ["c"]]
-        assert pairs[0].tgt_paragraph == [["x"], ["y"], ["z"]]
+        assert pairs == [([["a"], ["b"], ["c"]], [["x"], ["y"], ["z"]])]
 
     def test_empty_side_yields_no_pairs(self):
         src = self._doc([])

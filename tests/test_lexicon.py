@@ -8,7 +8,6 @@ from dmlex.lexicon import (
     LexiconRecord,
     MarkerCandidate,
     build_lexicon,
-    candidate_row,
     export_lexicon,
     filter_candidates,
     load_seed_markers,
@@ -160,11 +159,18 @@ class TestFilterCandidates:
                        alignment=frozenset({(0, 0), (0, 1)}))
         kept = filter_candidates([self._cand(entry)], FilterPolicy())
         assert len(kept) == 1
-        assert kept[0].score == pytest.approx(0.30)
+        assert kept[0][2].score == pytest.approx(0.30)
 
     def test_unaligned_marker_token_rejected(self):
         entry = _entry("sobretudo", "above all", alignment=frozenset({(0, 0)}))
         assert filter_candidates([self._cand(entry)], FilterPolicy()) == []
+
+    def test_rows_keep_entry_count_and_context(self):
+        entry = _entry("sobretudo ,", "above all ,", joint=7.0,
+                       alignment=frozenset({(0, 0), (0, 1)}))
+        cand = self._cand(entry, context="followed")
+        record = LexiconRecord(("sobretudo",), score=0.25, joint_count=7.0, context="followed")
+        assert filter_candidates([cand], FilterPolicy()) == [(("above", "all"), "pt", record)]
 
     def test_marker_offset_respects_preceding_punctuation(self):
         # english ", above all": marker tokens sit at positions 1 and 2
@@ -182,7 +188,7 @@ class TestFilterCandidates:
             [self._cand(e1), self._cand(e2, context="followed")], FilterPolicy()
         )
         assert len(kept) == 1
-        assert kept[0].score == pytest.approx(0.30)
+        assert kept[0][2].score == pytest.approx(0.30)
 
     def test_probability_floors(self):
         entry = _entry("sobretudo", "above all", inv=0.01, dir_=0.9,
@@ -222,7 +228,7 @@ class TestFilterCandidates:
             cands.append(self._cand(entry))
         base = FilterPolicy(min_dir_phrase_prob=0.2, min_inv_phrase_prob=0.2,
                             min_joint_count=2, max_length_delta=3)
-        baseline = {c.translation for c in filter_candidates(cands, base)}
+        baseline = {rec.translation for _, _, rec in filter_candidates(cands, base)}
         tighter = [
             FilterPolicy(min_dir_phrase_prob=0.5, min_inv_phrase_prob=0.2, min_joint_count=2),
             FilterPolicy(min_dir_phrase_prob=0.2, min_inv_phrase_prob=0.5, min_joint_count=2),
@@ -231,20 +237,17 @@ class TestFilterCandidates:
                          min_joint_count=2, max_length_delta=0),
         ]
         for policy in tighter:
-            survivors = {c.translation for c in filter_candidates(cands, policy)}
+            survivors = {rec.translation for _, _, rec in filter_candidates(cands, policy)}
             assert survivors <= baseline
 
 
 def _scored(marker, lang, translation, score, joint=3.0, context="none"):
-    entry = _entry(translation, " ".join(marker), joint=joint)
-    return MarkerCandidate(
-        marker=marker, language=lang, translation=tuple(translation.split()),
-        raw_entry=entry, context=context, score=score,
-    )
+    """A (marker, language, LexiconRecord) row, as filter_candidates returns it."""
+    return marker, lang, LexiconRecord(tuple(translation.split()), score, joint, context)
 
 
 def _rows(per_language):
-    return [candidate_row(c) for lang in per_language for c in per_language[lang]]
+    return [row for lang in per_language for row in per_language[lang]]
 
 
 class TestBuildLexicon:
@@ -283,12 +286,6 @@ class TestBuildLexicon:
             ("desde",), ("pois",),
         ]
 
-
-    def test_candidate_row_keeps_entry_count_and_context(self):
-        cand = _scored(("since",), "pt", "pois", 0.5, joint=7.0, context="followed")
-        assert candidate_row(cand) == (("since",), "pt", LexiconRecord(
-            translation=("pois",), score=0.5, joint_count=7.0, context="followed"))
-
     def test_rows_keep_first_seen_language_order(self):
         rows = _rows({"pt": [_scored(("since",), "pt", "pois", 0.5)],
                       "fr": [_scored(("since",), "fr", "puisque", 0.5)]})
@@ -298,7 +295,8 @@ class TestBuildLexicon:
 class TestCandidatesFile:
     @pytest.mark.parametrize("per_language", [{}, {
         "pt": [_scored(("above", "all"), "pt", "acima de tudo", 0.25, context="both")],
-        "fr": [_scored(("since",), "fr", "puisque", 0.5, joint=12.0)],
+        "fr": [_scored(("since",), "fr", "puisque", 0.5, joint=12.0),
+               _scored(("since",), "fr", "car", 0.25, joint=1234567.0)],
     }], ids=["header-only", "two-languages"])
     def test_round_trip(self, tmp_path, per_language):
         rows = _rows(per_language)
@@ -308,7 +306,7 @@ class TestCandidatesFile:
 
     def test_scores_read_back_at_written_precision(self, tmp_path):
         path = tmp_path / "candidates.tsv"
-        write_candidates([candidate_row(_scored(("since",), "pt", "pois", 1 / 3))], path)
+        write_candidates([_scored(("since",), "pt", "pois", 1 / 3)], path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "marker\tlanguage\ttranslation\tscore\tjoint_count\tcontext"
         assert lines[1] == "since\tpt\tpois\t0.333333\t3\tnone"
@@ -329,12 +327,15 @@ class TestExportLexicon:
         return build_lexicon(_rows(per_language))
 
     def test_tsv_lines(self, tmp_path):
+        lex = self._lexicon()
+        lex[("since",)] = {"pt": [LexiconRecord(("pois",), 0.5, 1234567.0, "none")]}
         path = tmp_path / "lex.tsv"
-        export_lexicon(self._lexicon(), "tsv", path)
+        export_lexicon(lex, "tsv", path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "marker\tlanguage\ttranslation\tscore\tjoint_count"
-        assert len(lines) == 4
+        assert len(lines) == 5
         assert "above all\tpt\tsobretudo\t0.3\t3" in lines
+        assert "since\tpt\tpois\t0.5\t1234567" in lines  # every digit of a large count
 
     def test_empty_lexicon_header_only(self, tmp_path):
         path = tmp_path / "lex.tsv"

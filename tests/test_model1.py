@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from dmlex.model1 import (
     NULL_WORD,
-    DirectionalAlignment,
     TranslationTable,
-    directional_links,
     read_alignments,
     read_translation_table,
     symmetrize,
@@ -90,7 +88,7 @@ class TestViterbiAlign:
     def test_converged_toy_table(self):
         table = train_model1(TOY, iterations=30, use_null=False)
         alignment = viterbi_align(["the", "house"], ["la", "maison"], table)
-        assert alignment.links == [0, 1]
+        assert alignment == [0, 1]
 
     def test_uniform_table_ties_break_to_first_position(self):
         table = TranslationTable(
@@ -100,12 +98,12 @@ class TestViterbiAlign:
             generated_vocab={"x", "y"},
         )
         alignment = viterbi_align(["a", "b"], ["x", "y"], table)
-        assert alignment.links == [0, 0]
+        assert alignment == [0, 0]
 
     def test_oov_links_to_null(self):
         table = train_model1(TOY, iterations=5, use_null=False)
         alignment = viterbi_align(["the"], ["zzz"], table)
-        assert alignment.links == [None]
+        assert alignment == [None]
 
     def test_null_loses_ties(self):
         table = TranslationTable(
@@ -114,25 +112,21 @@ class TestViterbiAlign:
             use_null=True,
             generated_vocab={"x"},
         )
-        assert viterbi_align(["a"], ["x"], table).links == [0]
-
-
-def _dir(links, cond_len):
-    return DirectionalAlignment(links=links, conditioning_len=cond_len)
+        assert viterbi_align(["a"], ["x"], table) == [0]
 
 
 class TestSymmetrize:
     def test_identical_alignments_idempotent(self):
-        src_to_tgt = _dir([0, 1], 2)  # tgt j -> src i
-        tgt_to_src = _dir([0, 1], 2)
+        src_to_tgt = [0, 1]  # tgt j -> src i
+        tgt_to_src = [0, 1]
         expected = {(0, 0), (1, 1)}
         for heuristic in ("intersection", "union", "grow-diag-final-and"):
             assert symmetrize(src_to_tgt, tgt_to_src, heuristic) == expected
 
     def test_intersection_and_union(self):
         # a_fe = {(0,0),(1,1)}, a_ef = {(0,0)}
-        src_to_tgt = _dir([0, 1], 2)
-        tgt_to_src = _dir([0, None], 2)
+        src_to_tgt = [0, 1]
+        tgt_to_src = [0, None]
         assert symmetrize(src_to_tgt, tgt_to_src, "intersection") == {(0, 0)}
         assert symmetrize(src_to_tgt, tgt_to_src, "union") == {(0, 0), (1, 1)}
 
@@ -140,14 +134,19 @@ class TestSymmetrize:
         # 3x3: intersection {(1,1)}; union adds (0,0), (2,2), (0,2).
         # Hand execution: (0,0) and (2,2) join via the diagonal growth from
         # (1,1); (0,2) joins while tgt 2 is still unaligned.
-        src_to_tgt = _dir([0, 1, 2], 3)
-        tgt_to_src = _dir([2, 1, None], 3)
+        src_to_tgt = [0, 1, 2]
+        tgt_to_src = [2, 1, None]
         result = symmetrize(src_to_tgt, tgt_to_src, "grow-diag-final-and")
         assert result == {(1, 1), (0, 0), (2, 2), (0, 2)}
 
     def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            symmetrize(_dir([0, 1], 2), _dir([0], 3))
+        # a link of either direction reaches past the other's length
+        for src_to_tgt, tgt_to_src in (([0, 1], [0]), ([0], [0, 1])):
+            with pytest.raises(ValueError, match="cover different sentence lengths"):
+                symmetrize(src_to_tgt, tgt_to_src)
+
+    def test_union_drops_null_links(self):
+        assert symmetrize([1, None, 0], [None, None], "union") == {(1, 0), (0, 2)}
 
     @given(
         st.integers(1, 5),
@@ -169,11 +168,9 @@ class TestSymmetrize:
                 max_size=src_len,
             )
         )
-        src_to_tgt = _dir(links_a, src_len)
-        tgt_to_src = _dir(links_b, tgt_len)
-        inter = symmetrize(src_to_tgt, tgt_to_src, "intersection")
-        gdfa = symmetrize(src_to_tgt, tgt_to_src, "grow-diag-final-and")
-        union = symmetrize(src_to_tgt, tgt_to_src, "union")
+        inter = symmetrize(links_a, links_b, "intersection")
+        gdfa = symmetrize(links_a, links_b, "grow-diag-final-and")
+        union = symmetrize(links_a, links_b, "union")
         assert inter <= gdfa <= union
 
 
@@ -226,7 +223,3 @@ class TestSerialization:
             write_alignments(link_sets, path)
             pairs = [(["f"] * 201, ["e"] * 201)] * len(link_sets)
             assert read_alignments(path, pairs) == link_sets
-
-
-def test_directional_links_drops_null():
-    assert directional_links(_dir([1, None, 0], 2)) == {(1, 0), (0, 2)}

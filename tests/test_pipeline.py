@@ -509,21 +509,54 @@ class TestRunPipeline:
             errors = {s["stage"]: s["error"] for s in json.load(fh)["stages"] if s["error"]}
         assert list(errors) == [stage]
         assert errors[stage].startswith(f"line {lineno}: ")
-        assert stage == "prune" or "alignments.txt" in errors[stage]
+        assert errors[stage].endswith(f" in {path}")
+
+    @pytest.mark.parametrize("header", ["# N=7\n", ""], ids=["wrong", "missing"])
+    def test_corpus_size_header_must_match_the_aligned_corpus(self, corpus_root, tmp_path,
+                                                              header):
+        """prune fails, naming both numbers, on a phrase table whose `# N=` is not
+        the number of aligned sentence pairs; a missing header reads as N=0."""
+        out = tmp_path / "out"
+        args = ["--config", _config_path(corpus_root), "--output", str(out)]
+        assert cli_main(args + ["phrases"]) == 0
+        pair_dir = out / "pairs" / "xx"
+        n_pairs = len((pair_dir / "aligned.src").read_text(encoding="utf-8").splitlines())
+        path = pair_dir / "phrase-table.txt"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0] == f"# N={n_pairs}\n"
+        path.write_text(header + "".join(lines[1:]), encoding="utf-8")
+
+        assert cli_main(args + ["prune"]) == 1
+        with open(out / "report.json", encoding="utf-8") as fh:
+            errors = {s["stage"]: s["error"] for s in json.load(fh)["stages"] if s["error"]}
+        n = header[4:-1] or "0"
+        assert errors == {"prune": f"phrase table is for N={n} sentence pairs, "
+                                   f"but the aligned corpus has {n_pairs}"}
 
     @pytest.mark.parametrize("victim, lineno, text, stage", [
         ("model1.f_given_e.tsv", 5, "the\tla\n", "prune"),
         ("model1.e_given_f.tsv", 4, "la\tthe\tx\n", "prune"),
         ("model1.e_given_f.tsv", 2, "# floor=x\n", "prune"),
+        ("model1.e_given_f.tsv", 4, "la\tthe\tnan\n", "prune"),
+        ("model1.e_given_f.tsv", 4, "la\tthe\t-0.5\n", "prune"),
+        ("model1.f_given_e.tsv", 5, "the\tla\t0\n", "prune"),
+        ("model1.f_given_e.tsv", 5, "the\tla\t1.5\n", "prune"),
+        ("model1.f_given_e.tsv", 2, "# floor=nan\n", "prune"),
+        ("model1.e_given_f.tsv", 2, "# floor=0\n", "prune"),
+        ("phrase-table.txt", 1, "# N=abc\n", "prune"),
         ("candidates.tsv", 2, "since\txx\n", "lexicon"),
         ("candidates.tsv", 3, "since\txx\tdesde\tx\t3\tnone\n", "lexicon"),
         ("candidates.tsv", 1, "", "lexicon"),
     ], ids=["t-table-short-line", "t-table-bad-probability", "t-table-bad-floor",
-            "candidates-short-line", "candidates-bad-score", "candidates-empty"])
+            "t-table-nan-probability", "t-table-negative-probability",
+            "t-table-zero-probability", "t-table-probability-above-one", "t-table-nan-floor",
+            "t-table-zero-floor", "phrase-table-bad-corpus-size", "candidates-short-line",
+            "candidates-bad-score", "candidates-empty"])
     def test_corrupt_reader_input_fails_its_stage_naming_line_and_file(
             self, corpus_root, tmp_path, victim, lineno, text, stage):
-        """A bad line in a t-table fails prune, and one in candidates.tsv fails
-        lexicon, with an error that gives the line number and the file."""
+        """A bad line in a t-table or the counts fails prune, and one in
+        candidates.tsv fails lexicon, with an error that gives the line number and
+        the file. A t-table probability must lie in (0, 1], its floor in (0, 1)."""
         out = tmp_path / "out"
         args = ["--config", _config_path(corpus_root), "--output", str(out)]
         assert cli_main(args + ["pipeline"]) == 0
