@@ -12,14 +12,6 @@ PUNCTUATION = set(".,;:!?\"'()[]-—…«»")
 MARKUP_PREFIXES = ("<CHAPTER", "<SPEAKER", "<P>")
 
 
-class DecodeError(ValueError):
-    """Input bytes are not valid UTF-8."""
-
-    def __init__(self, byte_offset, message=None):
-        self.byte_offset = byte_offset
-        super().__init__(message or f"invalid UTF-8 at byte offset {byte_offset}")
-
-
 @dataclass
 class Document:
     """Tokenized, lowercased document keeping paragraph anchors."""
@@ -29,11 +21,15 @@ class Document:
     paragraphs: list  # list of paragraphs; paragraph = list of token lists
 
 
-def decode_utf8(data: bytes) -> str:
+def read_text(path) -> str:
+    """The text of a UTF-8 file, decoded in one go; a bad byte raises
+    ValueError naming its offset and the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DecodeError(exc.start) from exc
+        raise ValueError(f"byte {exc.start}: invalid UTF-8 in {path}") from None
 
 
 def parse_europarl_file(raw: str) -> list:
@@ -58,10 +54,6 @@ def parse_europarl_file(raw: str) -> list:
     return paragraphs
 
 
-def _is_letter(ch: str) -> bool:
-    return ch.isalpha()
-
-
 def tokenize(sentence: str) -> list:
     """Split a line into tokens on whitespace and the fixed punctuation set.
 
@@ -81,7 +73,7 @@ def tokenize(sentence: str) -> list:
         if ch.isspace():
             flush()
         elif ch in PUNCTUATION:
-            if ch in "'-" and 0 < idx < n - 1 and _is_letter(sentence[idx - 1]) and _is_letter(sentence[idx + 1]):
+            if ch in "'-" and 0 < idx < n - 1 and sentence[idx - 1].isalpha() and sentence[idx + 1].isalpha():
                 current.append(ch)
             else:
                 flush()
@@ -128,11 +120,9 @@ def pair_documents(src: Document, tgt: Document) -> list:
 
 
 def load_document(path, language: str, file_id: str | None = None) -> Document:
-    with open(path, "rb") as fh:
-        text = decode_utf8(fh.read())
     if file_id is None:
         file_id = os.path.basename(str(path))
-    return build_document(parse_europarl_file(text), language, file_id)
+    return build_document(parse_europarl_file(read_text(path)), language, file_id)
 
 
 def write_tokenized_document(doc: Document, path) -> None:

@@ -1,9 +1,10 @@
 """Marker candidate selection, filtering and lexicon assembly/export."""
 
+import io
 import json
 from dataclasses import dataclass, replace
 
-from .ingest import PUNCTUATION, normalize_case, tokenize
+from .ingest import PUNCTUATION, normalize_case, read_text, tokenize
 from .phrases import PhraseTable, PhraseTableEntry
 
 CANDIDATES_HEADER = "marker\tlanguage\ttranslation\tscore\tjoint_count\tcontext\n"
@@ -51,15 +52,15 @@ def load_seed_markers(path) -> list:
     tokenized/lowercased with the corpus tokenizer; first-seen order kept."""
     markers = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            marker = tuple(normalize_case(tokenize(line)))
-            if marker and marker not in seen:
-                seen.add(marker)
-                markers.append(marker)
+    # text-mode lines: str.splitlines() would also split at \x0c, \x85 or \u2028
+    for line in io.StringIO(read_text(path), newline=None):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        marker = tuple(normalize_case(tokenize(line)))
+        if marker and marker not in seen:
+            seen.add(marker)
+            markers.append(marker)
     if not markers:
         raise ValueError(f"seed marker file {path} contains no markers")
     return markers
@@ -132,13 +133,18 @@ def filter_candidates(candidates, policy: FilterPolicy) -> list:
     return [(marker, language, rec) for (marker, language, _), rec in best.items()]
 
 
+def _tsv_fields(marker, language, rec) -> str:
+    """The marker, language, translation, score and joint_count columns of a row."""
+    return (f"{' '.join(marker)}\t{language}\t{' '.join(rec.translation)}"
+            f"\t{rec.score:.6g}\t{rec.joint_count:.0f}")
+
+
 def write_candidates(rows, path) -> None:
     """One tab-separated line per (marker, language, LexiconRecord) row."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CANDIDATES_HEADER)
         for marker, language, rec in rows:
-            fh.write(f"{' '.join(marker)}\t{language}\t{' '.join(rec.translation)}"
-                     f"\t{rec.score:.6g}\t{rec.joint_count:.0f}\t{rec.context}\n")
+            fh.write(f"{_tsv_fields(marker, language, rec)}\t{rec.context}\n")
 
 
 def read_candidates(path) -> list:
@@ -183,10 +189,7 @@ def export_lexicon(lex: dict, fmt: str, path) -> None:
             for marker, langs in lex.items():
                 for language in sorted(langs):
                     for rec in langs[language]:
-                        fh.write(
-                            f"{' '.join(marker)}\t{language}\t{' '.join(rec.translation)}"
-                            f"\t{rec.score:.6g}\t{rec.joint_count:.0f}\n"
-                        )
+                        fh.write(_tsv_fields(marker, language, rec) + "\n")
     elif fmt == "structured":
         doc = {
             "markers": [

@@ -229,43 +229,51 @@ def read_alignments(path, pairs) -> list:
     return link_sets
 
 
-def read_translation_table(path) -> TranslationTable:
-    """The table written by write_translation_table; every probability must lie
-    in (0, 1] and the floor in (0, 1)."""
-    direction = ""
-    floor = PROB_FLOOR
-    use_null = USE_NULL
-    probs = {}
-    generated_vocab = set()
+def read_table(path, sep, n_fields, header, add) -> None:
+    """header(key, value) for each `# key=value` line and add(*fields) for each
+    line of n_fields fields joined by sep; blank lines are skipped. A bad line
+    raises ValueError naming it and the file."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             try:
-                if "\t" not in line and line.startswith("#"):  # data lines all have fields
+                if sep not in line and line.startswith("#"):  # data lines all have fields
                     key, _, value = line[1:].strip().partition("=")
-                    if key == "direction":
-                        direction = value
-                    elif key == "floor":
-                        floor = float(value)
-                        if not 0.0 < floor < 1.0:  # NaN fails every comparison
-                            raise ValueError(f"floor {value!r} is not in (0, 1)")
-                    elif key == "null":
-                        use_null = value == "true"
+                    header(key, value)
                     continue
-                cond, gen, prob = line.split("\t")
-                p = float(prob)
-                if not 0.0 < p <= 1.0:
-                    raise ValueError(f"probability {prob!r} is not in (0, 1]")
-                probs.setdefault(cond, {})[gen] = p
+                fields = line.split(sep)
+                if len(fields) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
+                add(*fields)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc} in {path}") from None
-            generated_vocab.add(gen)
-    return TranslationTable(
-        direction=direction,
-        probs=probs,
-        prob_floor=floor,
-        use_null=use_null,
-        generated_vocab=generated_vocab,
-    )
+
+
+def read_translation_table(path) -> TranslationTable:
+    """The table written by write_translation_table; every probability must lie
+    in (0, 1], the floor in (0, 1), and `# null=` must be true or false."""
+    table = TranslationTable(direction="", probs={})
+
+    def header(key, value):
+        if key == "direction":
+            table.direction = value
+        elif key == "floor":
+            table.prob_floor = float(value)
+            if not 0.0 < table.prob_floor < 1.0:  # NaN fails every comparison
+                raise ValueError(f"floor {value!r} is not in (0, 1)")
+        elif key == "null":
+            if value not in ("true", "false"):
+                raise ValueError(f"null {value!r} is not true or false")
+            table.use_null = value == "true"
+
+    def add(cond, gen, prob):
+        p = float(prob)
+        if not 0.0 < p <= 1.0:
+            raise ValueError(f"probability {prob!r} is not in (0, 1]")
+        table.probs.setdefault(cond, {})[gen] = p
+        table.generated_vocab.add(gen)
+
+    read_table(path, "\t", 3, header, add)
+    return table

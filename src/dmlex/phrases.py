@@ -4,7 +4,8 @@ from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .model1 import NULL_WORD, TranslationTable, format_links, links_inside, parse_links
+from .model1 import (NULL_WORD, TranslationTable, format_links, links_inside, parse_links,
+                     read_table)
 
 
 # internal_alignment: frozenset of (foreign offset, english offset) links.
@@ -218,26 +219,12 @@ def write_phrase_counts(counts: PhraseCounts, path) -> None:
         fh.write(f"# N={counts.corpus_size}\n" + "".join(lines))
 
 
-def _read_data_lines(path, n_fields, table, add) -> None:
-    """add(*fields) for each data line; `# N=` sets table.corpus_size. A bad
-    line raises ValueError naming it and the file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                if " ||| " not in line and line.startswith("#"):  # data lines all have fields
-                    key, _, value = line[1:].strip().partition("=")
-                    if key == "N":
-                        table.corpus_size = int(value)
-                    continue
-                fields = line.split(" ||| ")
-                if len(fields) != n_fields:
-                    raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
-                add(*fields)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc} in {path}") from None
+def _corpus_size_header(table):
+    """A read_table header callback: `# N=` sets table.corpus_size."""
+    def header(key, value):
+        if key == "N":
+            table.corpus_size = int(value)
+    return header
 
 
 def read_phrase_table(path) -> PhraseTable:
@@ -252,7 +239,7 @@ def read_phrase_table(path) -> PhraseTable:
         align = links_inside(links[links_str], links_str, len(f), len(e))
         table.add(PhraseTableEntry(f, e, *scores, align, float(count_str)))
 
-    _read_data_lines(path, 5, table, add)
+    read_table(path, " ||| ", 5, _corpus_size_header(table), add)
     return table
 
 
@@ -266,5 +253,5 @@ def read_phrase_counts(path) -> PhraseCounts:
         align = links_inside(links[links_str], links_str, len(f), len(e))
         counts.entries[f, e] = (int(joint_str), align)
 
-    _read_data_lines(path, 4, counts, add)
+    read_table(path, " ||| ", 4, _corpus_size_header(counts), add)
     return counts

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from . import galechurch, ingest, lexicon as lexmod, model1, phrases, significance
 
 STAGES = ["ingest", "align", "wordalign", "phrases", "prune", "markers", "lexicon"]
-PAIR_STAGES = STAGES[1:-1]  # run per foreign language, each chained to the stage before
+PAIR_STAGES = STAGES[1:-1]  # run per foreign language, in order
 
 _TRUE = {"true", "yes", "1", "on"}
 _FALSE = {"false", "no", "0", "off"}
@@ -227,10 +227,10 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _digest(param_obj, input_files, upstream: str = "") -> str:
+def _digest(param_obj, input_files) -> str:
+    """A stage's cache key: its parameters and the bytes of every file it reads."""
     h = hashlib.sha256()
     h.update(repr(param_obj).encode("utf-8"))
-    h.update(upstream.encode("utf-8"))
     for path in input_files:  # declared order: a full-path sort moves with the output dir
         h.update(os.path.basename(path).encode("utf-8"))
         h.update(_sha256_file(path).encode("utf-8"))
@@ -255,19 +255,20 @@ class _Cache:
                                  and isinstance(rec.get("stats"), dict)}
 
     def hit(self, key, digest, outputs) -> dict | None:
-        if not self.enabled:
-            return None
         rec = self.manifest.get(key)
         if rec and rec["digest"] == digest and all(os.path.isfile(p) for p in outputs):
             return rec
         return None
 
-    def store(self, key, digest, stats) -> None:
-        """Record a stage and rewrite the manifest through a temp file, so an
-        interrupted write leaves the previous manifest in place."""
+    def store(self, key, digest, stats=None) -> None:
+        """Record a stage, or forget it when digest is None, and rewrite the
+        manifest through a temp file, so an interrupted write leaves the previous
+        manifest in place. A disabled cache keeps no records, and forgetting a
+        stage that has none writes nothing."""
         with self.lock:
-            self.manifest[key] = {"digest": digest, "stats": stats}
-            if not self.enabled:
+            if digest is not None and self.enabled:
+                self.manifest[key] = {"digest": digest, "stats": stats}
+            elif self.manifest.pop(key, None) is None:
                 return
             tmp = f"{self.path}.{os.getpid()}.tmp"
             try:
@@ -277,10 +278,6 @@ class _Cache:
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)
-
-    def digest_of(self, key) -> str:
-        rec = self.manifest.get(key)  # a key of None has no record
-        return rec["digest"] if rec else ""
 
 
 class PipelineRunner:
@@ -292,7 +289,6 @@ class PipelineRunner:
         self.file_ids = sorted(
             os.listdir(os.path.join(config.corpus_root, config.english_code))
         )
-        self.failed = {}  # pair -> its first stage that failed in this run
 
     # ---- paths ----------------------------------------------------------
     def ingest_dir(self, lang):
@@ -316,28 +312,22 @@ class PipelineRunner:
     def _run_stage(self, pair, stage, params, inputs, outputs, body) -> StageResult:
         """Run a stage, or take its outputs from the cache, and report how it ended.
 
-        A pair stage chains its cache key to the stage before it, and is skipped
-        once a stage of its own pair or English's ingest has failed in this run.
+        It reruns unless its record holds the digest of its parameters and of the
+        bytes of its inputs (every file its body reads) and every output exists.
         Whatever digesting or the body raises becomes the result's error."""
-        upstream = None  # ingest and lexicon chain to nothing
-        if stage in PAIR_STAGES:
-            failed = self.failed.get(pair) or self.failed.get(self.cfg.english_code)
-            if failed:
-                return StageResult(pair, stage, error=f"skipped: {failed} failed")
-            upstream = f"{STAGES[STAGES.index(stage) - 1]}:{pair}"
         key = f"{stage}:{pair}"
         started = time.monotonic()
         try:
-            digest = _digest(params, inputs, self.cache.digest_of(upstream))
+            digest = _digest(params, inputs)
             cached = self.cache.hit(key, digest, outputs)
             if cached is not None:
                 return StageResult(pair, stage, cache_hit=True, stats=cached["stats"])
+            self.cache.store(key, None)  # no record may outlive the outputs it covers
             for path in outputs:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
             stats = body()
             self.cache.store(key, digest, stats)
         except Exception as exc:  # noqa: BLE001 - reported per stage
-            self.failed.setdefault(pair, stage)
             # str() of some exceptions, a bare StopIteration among them, is empty
             return StageResult(pair, stage, error=str(exc) or type(exc).__name__)
         return StageResult(pair, stage, seconds=time.monotonic() - started, stats=stats)
@@ -498,7 +488,8 @@ class PipelineRunner:
 def run_pipeline(config: PipelineConfig, stages=None) -> RunReport:
     """Run the selected stages: ingest for every language, the pair stages of up
     to `jobs` foreign languages at a time, then the lexicon of the pairs that did
-    not fail. A failure stops only its own pair. Results appear in config order.
+    not fail. A failure stops only its own pair, and a failed ingest of the pair's
+    language or of English skips it. Results appear in config order.
     The cyclic garbage collector is paused meanwhile: reference counting frees the
     acyclic stage data."""
     enabled = gc.isenabled()
@@ -511,9 +502,14 @@ def run_pipeline(config: PipelineConfig, stages=None) -> RunReport:
             report.results.extend(runner.stage_ingest(lang)
                                   for lang in [config.english_code, *config.foreign_codes])
 
+        failed = {r.pair for r in report.results if r.error is not None}
+
         def run_pair(lang):
             results = []
             for stage in (s for s in selected if s in PAIR_STAGES):
+                if lang in failed or config.english_code in failed:
+                    results.append(StageResult(lang, stage, error="skipped: ingest failed"))
+                    break
                 results.append(getattr(runner, f"stage_{stage}")(lang))
                 if results[-1].error is not None:
                     break

@@ -70,7 +70,8 @@ def contingency_counts(table: PhraseCounts, pairs: list) -> dict:
     src_ids = _postings((src for src, _ in pairs), {f for f, _ in table.entries})
     tgt_ids = _postings((tgt for _, tgt in pairs), {e for _, e in table.entries})
     n = len(pairs)
-    tables = {}  # (c_s, c_t, c_st) -> the one ContingencyTable shared by its entries
+    # (c_s, c_t, c_st) -> the one ContingencyTable shared by its entries
+    tables = _Memo(lambda cell: ContingencyTable(*cell, n=n))
     counts = {}
     for key in table.entries:
         foreign, english = key
@@ -78,10 +79,7 @@ def contingency_counts(table: PhraseCounts, pairs: list) -> dict:
         joint = (s_ids & t_ids).bit_count()
         if joint == 0:
             raise RuntimeError(f"phrase pair {key} never co-occurs in its own corpus")
-        cell = (s_ids.bit_count(), t_ids.bit_count(), joint)
-        if cell not in tables:
-            tables[cell] = ContingencyTable(*cell, n=n)
-        counts[key] = tables[cell]
+        counts[key] = tables[s_ids.bit_count(), t_ids.bit_count(), joint]
     return counts
 
 

@@ -41,11 +41,11 @@ NOT_PINNED = {"report.txt", "report.json", ".cache.json"}
 GOLDEN_CACHE = {
     "ingest:en": "1abdb9d2f6851628d88771a53ac4f2ac864b4612c7ee68a4366fd18edb924cc0",
     "ingest:xx": "25a17dadc8a24abf071a00640bd0d989bf22a30f5812ddf63d16b517473773fd",
-    "align:xx": "00f186c62081650d1aab71e47b4eb38cf6b24241de3c82c5595769ffdb91591c",
-    "wordalign:xx": "c131f1a9c932eb2fd6824e9681c62a622def6cf7ffbc92cd28f875e0c98c57d1",
-    "phrases:xx": "9be516d911b14c615dae3d69ee1a8ad090b1b95d56951a121974b6a0ea9581ce",
-    "prune:xx": "300a1852ee048456aef0617848f2fc52f4d6460736e4dc7f0d16dc09e10a0743",
-    "markers:xx": "b2bbad61fdbf593d9b4455319af52a1df7c5e01ffc5e9642b5fb3595f61bc025",
+    "align:xx": "4a12552228c0e876a31510a41a525fcc2f65c43aec7fe3fdc6806b69bd8325f6",
+    "wordalign:xx": "7ebbdd6d5c00c14e90ea72575a9852b8145fb125e814fafc37c5c62befca7714",
+    "phrases:xx": "a4dbfb9eaad6100dc105db0f1c37b25d3a1214e818957524211a923c1b34ca2a",
+    "prune:xx": "05ab900ebfeb839d950a6035289279adf15e7d510a5fabfbd0be832383d8f9f0",
+    "markers:xx": "c4561372f21e97d4b11bd73298cbc03198bbbb5c79e3fbef89732ac8e1929a63",
     "lexicon:all": "17e76bf99612b6b7997b62cbac09767dc2e9f907d5f7fa9f26b0c1869fc8d7d9",
 }
 

@@ -3,10 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dmlex.ingest import (
-    DecodeError,
     Document,
     build_document,
-    decode_utf8,
+    load_document,
     normalize_case,
     pair_documents,
     parse_europarl_file,
@@ -32,10 +31,12 @@ class TestParseEuroparlFile:
         raw = "Loose line.\n<P>\nAnchored.\n"
         assert parse_europarl_file(raw) == [["Loose line."], ["Anchored."]]
 
-    def test_invalid_utf8_reports_byte_offset(self):
-        with pytest.raises(DecodeError) as exc:
-            decode_utf8(b"ok\xff bad")
-        assert exc.value.byte_offset == 2
+    def test_invalid_utf8_reports_byte_offset(self, tmp_path):
+        path = tmp_path / "ep-0.txt"
+        path.write_bytes(b"<P>\nok\xff bad\n")
+        with pytest.raises(ValueError) as exc:
+            load_document(path, "xx")
+        assert str(exc.value) == f"byte 6: invalid UTF-8 in {path}"
 
 
 class TestStripMarkup:

@@ -70,6 +70,21 @@ class TestLoadSeedMarkers:
         with pytest.raises(ValueError):
             load_seed_markers(path)
 
+    def test_lines_end_where_text_mode_ends_them(self, tmp_path):
+        """Only \\n, \\r\\n and \\r end a line: a form feed, NEL or line
+        separator is whitespace inside it, so the comment's NEL starts no marker."""
+        path = tmp_path / "seeds.txt"
+        path.write_bytes("as\x0cwell\r\nin\x85fact\rabove\u2028all\n# \x85since\n"
+                         .encode("utf-8"))
+        assert load_seed_markers(path) == [("as", "well"), ("in", "fact"), ("above", "all")]
+
+    def test_invalid_utf8_names_the_byte_and_the_file(self, tmp_path):
+        path = tmp_path / "seeds.txt"
+        path.write_bytes(b"since\nwell\xfb\n")
+        with pytest.raises(ValueError) as exc:
+            load_seed_markers(path)
+        assert str(exc.value) == f"byte 10: invalid UTF-8 in {path}"
+
 
 class TestSelectCandidates:
     def test_followed_by_punctuation(self):

@@ -155,21 +155,30 @@ class TestRunPipeline:
                 digests.append({key: rec["digest"] for key, rec in json.load(fh).items()})
         assert digests[0] == digests[1]
 
-    def test_parameter_change_recomputes_downstream_only(self, corpus_root, tmp_path):
+    @pytest.mark.parametrize("mode, table_changes", [("alpha", False), ("0", True)],
+                             ids=["same-pruned-table", "new-pruned-table"])
+    def test_parameter_change_recomputes_downstream_only(self, corpus_root, tmp_path, mode,
+                                                         table_changes):
+        """A new prune.mode reruns prune; a stage after it reruns only if a file it
+        reads changed. On the fixture, alpha keeps the entries that alpha+epsilon
+        keeps, and a threshold of 0 keeps more."""
         out = str(tmp_path / "out")
         cfg = validate_config(_config_path(corpus_root), {"output": out})
-        run_pipeline(cfg)
-        changed = validate_config(
-            _config_path(corpus_root), {"output": out, "prune.mode": "alpha"}
-        )
+        assert run_pipeline(cfg).ok
+        before = _read_outputs(out)
+        changed = validate_config(_config_path(corpus_root), {"output": out, "prune.mode": mode})
         report = run_pipeline(changed)
+        assert report.ok
+        after = _read_outputs(out)
+        pruned, candidates = (os.path.join("pairs", "xx", name)
+                              for name in ("phrase-table.pruned.txt", "candidates.tsv"))
+        assert (after[pruned] != before[pruned]) is table_changes
         status = {(r.stage, r.pair): r.cache_hit for r in report.results}
-        assert status[("ingest", "en")] and status[("ingest", "xx")]
-        assert status[("align", "xx")]
-        assert status[("wordalign", "xx")]
-        assert status[("phrases", "xx")]
-        assert not status[("prune", "xx")]
-        assert not status[("markers", "xx")]
+        assert status == {("ingest", "en"): True, ("ingest", "xx"): True,
+                          ("align", "xx"): True, ("wordalign", "xx"): True,
+                          ("phrases", "xx"): True, ("prune", "xx"): False,
+                          ("markers", "xx"): not table_changes,
+                          ("lexicon", "all"): after[candidates] == before[candidates]}
 
     def test_translation_tables_are_inputs_of_prune_not_phrases(self, corpus_root, tmp_path):
         out = str(tmp_path / "out")
@@ -253,6 +262,9 @@ class TestRunPipeline:
         assert not report.ok
         failures = [r for r in report.results if r.error]
         assert failures and all(r.pair == "yy" for r in failures)
+        assert [(r.stage, r.error) for r in failures] == [
+            ("ingest", f"byte 4: invalid UTF-8 in {bad_dir / 'ep-0.txt'}"),
+            ("align", "skipped: ingest failed")]
         # the healthy pair still completed through markers
         assert any(r.stage == "markers" and r.pair == "xx" and not r.error
                    for r in report.results)
@@ -418,6 +430,70 @@ class TestRunPipeline:
         assert {key for key, hit in hits.items() if hit} == set(manifest_dumps[2])
         assert _read_outputs(out) == _read_outputs(clean)
 
+    def test_stage_that_fails_after_writing_keeps_no_record(self, corpus_root, tmp_path,
+                                                             monkeypatch):
+        """A rerun that overwrites markers' output and then fails leaves no record
+        of markers, so going back to the first settings reruns it instead of taking
+        the failed run's candidates from the cache."""
+        from dmlex import lexicon
+
+        out = str(tmp_path / "out")
+        first = validate_config(_config_path(corpus_root), {"output": out})
+        assert run_pipeline(first).ok
+        snapshot = _read_outputs(out)
+        real = lexicon.write_candidates
+
+        def write_then_fail(rows, path):
+            real(rows, path)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(lexicon, "write_candidates", write_then_fail)
+        retuned = validate_config(_config_path(corpus_root),
+                                  {"output": out, "filter.min_joint_count": "13"})
+        assert not run_pipeline(retuned).ok
+        monkeypatch.undo()
+        candidates = os.path.join("pairs", "xx", "candidates.tsv")
+        assert _read_outputs(out)[candidates] != snapshot[candidates]
+
+        report = run_pipeline(first)
+        assert report.ok
+        assert {r.stage: r.cache_hit for r in report.results
+                if r.stage in ("prune", "markers")} == {"prune": True, "markers": False}
+        assert _read_outputs(out) == snapshot
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_every_stage_reads_only_its_declared_inputs(self, corpus_root, tmp_path,
+                                                         monkeypatch, stage):
+        """A stage's cache key digests the inputs it declares, so its body may open
+        no other file for reading. Each stage runs alone, with the cache off, after
+        a full run."""
+        import builtins
+
+        from dmlex import pipeline
+
+        out = str(tmp_path / "out")
+        assert run_pipeline(validate_config(_config_path(corpus_root), {"output": out})).ok
+        cfg = validate_config(_config_path(corpus_root), {"output": out, "cache": "false"})
+        opened, declared = set(), set()
+        real_open, real_digest = builtins.open, pipeline._digest
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if not any(flag in mode for flag in "wax+"):
+                opened.add(os.path.abspath(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        def recording_digest(params, input_files):
+            declared.update(os.path.abspath(path) for path in input_files)
+            return real_digest(params, input_files)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(pipeline, "_digest", recording_digest)
+        report = run_pipeline(cfg, stages=[stage])
+        monkeypatch.undo()
+        assert report.ok
+        assert {r.stage for r in report.results} == {stage}
+        assert declared and opened - declared == set()
+
     def test_concurrent_manifest_stores_lose_nothing(self, tmp_path):
         path = str(tmp_path / ".cache.json")
         cache = _Cache(path, enabled=True)
@@ -543,6 +619,7 @@ class TestRunPipeline:
         ("model1.f_given_e.tsv", 5, "the\tla\t1.5\n", "prune"),
         ("model1.f_given_e.tsv", 2, "# floor=nan\n", "prune"),
         ("model1.e_given_f.tsv", 2, "# floor=0\n", "prune"),
+        ("model1.e_given_f.tsv", 3, "# null=True\n", "prune"),
         ("phrase-table.txt", 1, "# N=abc\n", "prune"),
         ("candidates.tsv", 2, "since\txx\n", "lexicon"),
         ("candidates.tsv", 3, "since\txx\tdesde\tx\t3\tnone\n", "lexicon"),
@@ -550,13 +627,14 @@ class TestRunPipeline:
     ], ids=["t-table-short-line", "t-table-bad-probability", "t-table-bad-floor",
             "t-table-nan-probability", "t-table-negative-probability",
             "t-table-zero-probability", "t-table-probability-above-one", "t-table-nan-floor",
-            "t-table-zero-floor", "phrase-table-bad-corpus-size", "candidates-short-line",
-            "candidates-bad-score", "candidates-empty"])
+            "t-table-zero-floor", "t-table-bad-null", "phrase-table-bad-corpus-size",
+            "candidates-short-line", "candidates-bad-score", "candidates-empty"])
     def test_corrupt_reader_input_fails_its_stage_naming_line_and_file(
             self, corpus_root, tmp_path, victim, lineno, text, stage):
         """A bad line in a t-table or the counts fails prune, and one in
         candidates.tsv fails lexicon, with an error that gives the line number and
-        the file. A t-table probability must lie in (0, 1], its floor in (0, 1)."""
+        the file. A t-table probability must lie in (0, 1], its floor in (0, 1), and
+        its `# null=` must be true or false."""
         out = tmp_path / "out"
         args = ["--config", _config_path(corpus_root), "--output", str(out)]
         assert cli_main(args + ["pipeline"]) == 0
