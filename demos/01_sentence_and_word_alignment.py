@@ -37,8 +37,8 @@ pairs = [
     ("the debate was difficult".split(), "o debate foi dificil".split()),
 ]
 
-table_ef = train_model1(pairs, iterations=10, direction="e->f")
-table_fe = train_model1([(f, e) for e, f in pairs], iterations=10, direction="f->e")
+table_ef = train_model1(pairs, iterations=10)
+table_fe = train_model1([(f, e) for e, f in pairs], iterations=10)
 
 print("\nlearned t(relatorio | e) after 10 EM iterations:")
 for e in ("report", "the", "was"):

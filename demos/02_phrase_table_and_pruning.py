@@ -18,8 +18,8 @@ pairs = [
     ("obrigado pela resposta".split(), "thanks for the answer".split()),
 ]
 
-table_ef = train_model1(pairs, iterations=8, direction="f->e")
-table_fe = train_model1([(e, f) for f, e in pairs], iterations=8, direction="e->f")
+table_ef = train_model1(pairs, iterations=8)
+table_fe = train_model1([(e, f) for f, e in pairs], iterations=8)
 
 instances = []
 for f, e in pairs:

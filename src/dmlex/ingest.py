@@ -32,6 +32,12 @@ def read_text(path) -> str:
         raise ValueError(f"byte {exc.start}: invalid UTF-8 in {path}") from None
 
 
+def text_lines(text: str) -> list:
+    """text split only where text mode ends a line (\\n, \\r\\n, \\r), not also at the
+    \\x0b, \\x0c, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029 that str.splitlines() splits at."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_europarl_file(raw: str) -> list:
     """Document-ordered paragraphs, each a list of content lines.
 
@@ -41,7 +47,7 @@ def parse_europarl_file(raw: str) -> list:
     """
     paragraphs = []
     current = None
-    for line in raw.splitlines():
+    for line in text_lines(raw):
         if not line.strip():
             continue
         if line.startswith(MARKUP_PREFIXES):

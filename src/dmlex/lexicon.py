@@ -1,13 +1,13 @@
 """Marker candidate selection, filtering and lexicon assembly/export."""
 
-import io
 import json
 from dataclasses import dataclass, replace
 
-from .ingest import PUNCTUATION, normalize_case, read_text, tokenize
+from .ingest import PUNCTUATION, normalize_case, read_text, text_lines, tokenize
 from .phrases import PhraseTable, PhraseTableEntry
 
 CANDIDATES_HEADER = "marker\tlanguage\ttranslation\tscore\tjoint_count\tcontext\n"
+CONTEXTS = ("none", "preceded", "followed", "both")  # punctuation around the marker
 
 
 def is_punct_token(token: str) -> bool:
@@ -20,7 +20,7 @@ class MarkerCandidate:
     language: str
     translation: tuple
     raw_entry: PhraseTableEntry
-    context: str  # none | preceded | followed | both
+    context: str  # one of CONTEXTS
 
 
 @dataclass
@@ -52,8 +52,7 @@ def load_seed_markers(path) -> list:
     tokenized/lowercased with the corpus tokenizer; first-seen order kept."""
     markers = []
     seen = set()
-    # text-mode lines: str.splitlines() would also split at \x0c, \x85 or \u2028
-    for line in io.StringIO(read_text(path), newline=None):
+    for line in text_lines(read_text(path)):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -157,9 +156,11 @@ def read_candidates(path) -> list:
             try:
                 marker, language, translation, score, count, context = (
                     line.rstrip("\n").split("\t"))
-                rows.append((tuple(marker.split()), language, LexiconRecord(
-                    translation=tuple(translation.split()), score=float(score),
-                    joint_count=float(count), context=context)))
+                rec = LexiconRecord(translation=tuple(translation.split()), score=float(score),
+                                    joint_count=float(int(count)), context=context)
+                if not (0 < rec.score <= 1 and rec.joint_count >= 1 and context in CONTEXTS):
+                    raise ValueError("score not in (0, 1], count below 1 or unknown context")
+                rows.append((tuple(marker.split()), language, rec))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc} in {path}") from None
     return rows

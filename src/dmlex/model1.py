@@ -12,7 +12,6 @@ USE_NULL = True  # every conditioning sentence carries the NULL word
 class TranslationTable:
     """Directional word-translation probabilities t(generated | conditioning)."""
 
-    direction: str  # free-form label, e.g. "pt|en"
     probs: dict  # conditioning word -> {generated word: probability}
     prob_floor: float = PROB_FLOOR
     use_null: bool = USE_NULL
@@ -24,7 +23,7 @@ class TranslationTable:
 
 
 def train_model1(pairs, iterations: int = 5, prob_floor: float = PROB_FLOOR,
-                 use_null: bool = USE_NULL, direction: str = "") -> TranslationTable:
+                 use_null: bool = USE_NULL) -> TranslationTable:
     """EM for Model 1 over (conditioning_tokens, generated_tokens) pairs.
 
     Uniform initialization over co-occurring word pairs; distributions are
@@ -86,7 +85,6 @@ def train_model1(pairs, iterations: int = 5, prob_floor: float = PROB_FLOOR,
         probs = new_probs
 
     return TranslationTable(
-        direction=direction,
         probs=probs,
         prob_floor=prob_floor,
         use_null=use_null,
@@ -175,7 +173,6 @@ def symmetrize(src_to_tgt: list, tgt_to_src: list, heuristic: str = "grow-diag-f
 def write_translation_table(table: TranslationTable, path) -> None:
     """Tab-separated `cond \\t gen \\t prob`, 8 significant digits, sorted."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# direction={table.direction}\n")
         fh.write(f"# floor={table.prob_floor!r}\n")
         fh.write(f"# null={'true' if table.use_null else 'false'}\n")
         for cond in sorted(table.probs):
@@ -254,12 +251,10 @@ def read_table(path, sep, n_fields, header, add) -> None:
 def read_translation_table(path) -> TranslationTable:
     """The table written by write_translation_table; every probability must lie
     in (0, 1], the floor in (0, 1), and `# null=` must be true or false."""
-    table = TranslationTable(direction="", probs={})
+    table = TranslationTable(probs={})
 
     def header(key, value):
-        if key == "direction":
-            table.direction = value
-        elif key == "floor":
+        if key == "floor":
             table.prob_floor = float(value)
             if not 0.0 < table.prob_floor < 1.0:  # NaN fails every comparison
                 raise ValueError(f"floor {value!r} is not in (0, 1)")

@@ -198,7 +198,7 @@ class _Memo(dict):
 
 
 def write_phrase_table(table: PhraseTable, path) -> None:
-    """`f ||| e ||| 4 scores ||| i-j links ||| count`, lexicographically sorted."""
+    """`f ||| e ||| 4 scores ||| i-j links ||| integer count`, lexicographically sorted."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# N={table.corpus_size}\n")
         for f, e in sorted(table.entries):
@@ -207,7 +207,7 @@ def write_phrase_table(table: PhraseTable, path) -> None:
                                                 entry.dir_phrase_prob, entry.dir_lex_weight))
             links = format_links(entry.most_frequent_internal_alignment)
             fh.write(f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {scores} ||| {links} ||| "
-                     f"{_fmt(entry.joint_count)}\n")
+                     f"{entry.joint_count:.0f}\n")
 
 
 def write_phrase_counts(counts: PhraseCounts, path) -> None:
@@ -234,8 +234,8 @@ def read_phrase_table(path) -> PhraseTable:
     def add(f_str, e_str, scores_str, links_str, count_str):
         f, e = unescape_phrase(f_str), unescape_phrase(e_str)
         scores = [float(x) for x in scores_str.split()]
-        if len(scores) != 4:
-            raise ValueError("expected 4 scores")
+        if len(scores) != 4 or not all(0 < x <= 1 for x in scores) or int(count_str) < 1:
+            raise ValueError("expected 4 scores in (0, 1] and a joint count of at least 1")
         align = links_inside(links[links_str], links_str, len(f), len(e))
         table.add(PhraseTableEntry(f, e, *scores, align, float(count_str)))
 
@@ -251,6 +251,8 @@ def read_phrase_counts(path) -> PhraseCounts:
     def add(f_str, e_str, links_str, joint_str):
         f, e = phrase[f_str], phrase[e_str]
         align = links_inside(links[links_str], links_str, len(f), len(e))
+        if not (joint_str.isascii() and joint_str.isdigit() and int(joint_str) >= 1):
+            raise ValueError(f"joint count {joint_str!r} is not an integer of at least 1")
         counts.entries[f, e] = (int(joint_str), align)
 
     read_table(path, " ||| ", 4, _corpus_size_header(counts), add)

@@ -238,12 +238,11 @@ def _digest(param_obj, input_files) -> str:
 
 
 class _Cache:
-    def __init__(self, path, enabled):
+    def __init__(self, path):
         self.path = path
-        self.enabled = enabled
         self.manifest = {}
         self.lock = threading.Lock()  # pair threads store concurrently
-        if enabled and os.path.isfile(path):
+        if os.path.isfile(path):
             try:
                 with open(path, encoding="utf-8") as fh:
                     manifest = json.load(fh)
@@ -263,10 +262,9 @@ class _Cache:
     def store(self, key, digest, stats=None) -> None:
         """Record a stage, or forget it when digest is None, and rewrite the
         manifest through a temp file, so an interrupted write leaves the previous
-        manifest in place. A disabled cache keeps no records, and forgetting a
-        stage that has none writes nothing."""
+        manifest in place. Forgetting a stage that has no record writes nothing."""
         with self.lock:
-            if digest is not None and self.enabled:
+            if digest is not None:
                 self.manifest[key] = {"digest": digest, "stats": stats}
             elif self.manifest.pop(key, None) is None:
                 return
@@ -285,7 +283,7 @@ class PipelineRunner:
         self.cfg = config
         self.out = config.output_dir
         os.makedirs(self.out, exist_ok=True)
-        self.cache = _Cache(os.path.join(self.out, ".cache.json"), config.cache)
+        self.cache = _Cache(os.path.join(self.out, ".cache.json"))
         self.file_ids = sorted(
             os.listdir(os.path.join(config.corpus_root, config.english_code))
         )
@@ -312,14 +310,14 @@ class PipelineRunner:
     def _run_stage(self, pair, stage, params, inputs, outputs, body) -> StageResult:
         """Run a stage, or take its outputs from the cache, and report how it ended.
 
-        It reruns unless its record holds the digest of its parameters and of the
-        bytes of its inputs (every file its body reads) and every output exists.
-        Whatever digesting or the body raises becomes the result's error."""
+        It reruns unless the cache is on, its record holds the digest of its parameters
+        and of the bytes of its inputs (every file its body reads) and every output
+        exists. Whatever digesting or the body raises becomes the result's error."""
         key = f"{stage}:{pair}"
         started = time.monotonic()
         try:
             digest = _digest(params, inputs)
-            cached = self.cache.hit(key, digest, outputs)
+            cached = self.cache.hit(key, digest, outputs) if self.cfg.cache else None
             if cached is not None:
                 return StageResult(pair, stage, cache_hit=True, stats=cached["stats"])
             self.cache.store(key, None)  # no record may outlive the outputs it covers
@@ -382,10 +380,8 @@ class PipelineRunner:
             pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
             pairs_fe = [(tgt, src) for src, tgt in pairs]  # t(f|e): english conditions
             pairs_ef = pairs  # t(e|f): foreign conditions
-            table_fe = model1.train_model1(pairs_fe, self.cfg.em_iterations,
-                                           direction=f"{lang}|{self.cfg.english_code}")
-            table_ef = model1.train_model1(pairs_ef, self.cfg.em_iterations,
-                                           direction=f"{self.cfg.english_code}|{lang}")
+            table_fe = model1.train_model1(pairs_fe, self.cfg.em_iterations)
+            table_ef = model1.train_model1(pairs_ef, self.cfg.em_iterations)
             model1.write_translation_table(table_fe, p["table_fe"])
             model1.write_translation_table(table_ef, p["table_ef"])
             model1.write_alignments(

@@ -26,9 +26,9 @@ GOLDEN = {
     "pairs/xx/aligned.tgt": "b942ea1dc3e01901a035c76148de756377629e87862dc2db3ab93cfd78e81754",
     "pairs/xx/alignments.txt": "5ada3a9e44b6bbcdc0c2045a4b7f4d41faccf0fdcb862968c36f85afcc22d5ae",
     "pairs/xx/model1.e_given_f.tsv":
-        "0a7ec66a2c315a74481f40a5e7e393fad579eb18e7d9d8f908de783be96a8f14",
+        "877f9649b61ea4032574df93198555c8b4e88ec6fce845fd25b76c2ba5d632ca",
     "pairs/xx/model1.f_given_e.tsv":
-        "1e995a36bd0ae2aff0ba117e17e81d2f450ef484f53071b098aeeee9e8822a36",
+        "15e32d4c8b13a6cc47738c0aa79dd29cb3be597c07b24182cd213dbad0cc4230",
     "pairs/xx/phrase-table.txt": "d45fd9b18d6c6feb2d691fdb1355fc6cf540603a6270de8ecdc242fec8e63d7c",
     "pairs/xx/phrase-table.pruned.txt":
         "5e54904d978ab1f3252731faff3627a2f709b49ca5ce4d4b1e480148c46f76b1",
@@ -44,7 +44,7 @@ GOLDEN_CACHE = {
     "align:xx": "4a12552228c0e876a31510a41a525fcc2f65c43aec7fe3fdc6806b69bd8325f6",
     "wordalign:xx": "7ebbdd6d5c00c14e90ea72575a9852b8145fb125e814fafc37c5c62befca7714",
     "phrases:xx": "a4dbfb9eaad6100dc105db0f1c37b25d3a1214e818957524211a923c1b34ca2a",
-    "prune:xx": "05ab900ebfeb839d950a6035289279adf15e7d510a5fabfbd0be832383d8f9f0",
+    "prune:xx": "b4959e75cb5b027488567d89a43e7521d013510a762e739ad34c4120336982d0",
     "markers:xx": "c4561372f21e97d4b11bd73298cbc03198bbbb5c79e3fbef89732ac8e1929a63",
     "lexicon:all": "17e76bf99612b6b7997b62cbac09767dc2e9f907d5f7fa9f26b0c1869fc8d7d9",
 }

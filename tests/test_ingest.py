@@ -10,6 +10,7 @@ from dmlex.ingest import (
     pair_documents,
     parse_europarl_file,
     read_tokenized_document,
+    text_lines,
     tokenize,
     write_tokenized_document,
 )
@@ -30,6 +31,27 @@ class TestParseEuroparlFile:
     def test_content_before_structure_is_accepted(self):
         raw = "Loose line.\n<P>\nAnchored.\n"
         assert parse_europarl_file(raw) == [["Loose line."], ["Anchored."]]
+
+    # str.splitlines() splits at these too; text mode does not
+    NOT_LINE_ENDS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_lines_end_where_text_mode_ends_them(self, tmp_path, char):
+        """\\n, \\r\\n and \\r end a corpus line, as they end a seed-list line;
+        U+0085, say, is a cp1252 ellipsis decoded as Latin-1, and stays whitespace
+        inside its sentence."""
+        path = tmp_path / "ep-0.txt"
+        path.write_bytes(f"<P>\r\nwir sind{char}hier .\rja .\n".encode("utf-8"))
+        assert load_document(path, "de").paragraphs == [
+            [["wir", "sind", "hier", "."], ["ja", "."]]]
+
+    def test_text_lines_split_as_a_text_mode_read(self, tmp_path):
+        text = "a\r\nb\rc\n\n" + "".join(f"{char}x" for char in self.NOT_LINE_ENDS) + "\r\r\n"
+        path = tmp_path / "text.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            assert text_lines(text) == fh.read().split("\n")
+        assert text_lines(text)[:4] == ["a", "b", "c", ""]
 
     def test_invalid_utf8_reports_byte_offset(self, tmp_path):
         path = tmp_path / "ep-0.txt"

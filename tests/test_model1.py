@@ -92,7 +92,6 @@ class TestViterbiAlign:
 
     def test_uniform_table_ties_break_to_first_position(self):
         table = TranslationTable(
-            direction="",
             probs={"a": {"x": 0.5, "y": 0.5}, "b": {"x": 0.5, "y": 0.5}},
             use_null=False,
             generated_vocab={"x", "y"},
@@ -107,7 +106,6 @@ class TestViterbiAlign:
 
     def test_null_loses_ties(self):
         table = TranslationTable(
-            direction="",
             probs={NULL_WORD: {"x": 0.5}, "a": {"x": 0.5}},
             use_null=True,
             generated_vocab={"x"},
@@ -180,7 +178,6 @@ class TestSerialization:
         path = tmp_path / "table.tsv"
         write_translation_table(table, path)
         back = read_translation_table(path)
-        assert back.direction == table.direction
         assert back.use_null == table.use_null
         assert set(back.probs) == set(table.probs)
         for cond in table.probs:
@@ -195,8 +192,7 @@ class TestSerialization:
         assert "<NULL>\t" in body
 
     def test_hash_led_conditioning_word_is_not_a_header(self, tmp_path):
-        table = TranslationTable(direction="xx|en",
-                                 probs={"#a": {"b": 0.5}, "a": {"b": 0.25}})
+        table = TranslationTable(probs={"#a": {"b": 0.5}, "a": {"b": 0.25}})
         path = tmp_path / "table.tsv"
         write_translation_table(table, path)
         assert read_translation_table(path).probs == table.probs
@@ -207,13 +203,12 @@ class TestSerialization:
                         min_size=1, max_size=3),
         min_size=1, max_size=4))
     def test_tokenizer_output_round_trips(self, probs):
-        table = TranslationTable(direction="xx|en", probs=probs)
+        table = TranslationTable(probs=probs)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "table.tsv")
             write_translation_table(table, path)
             back = read_translation_table(path)
         assert back.probs == probs
-        assert back.direction == table.direction
 
     @given(st.lists(st.sets(st.tuples(st.integers(0, 200), st.integers(0, 200)),
                             max_size=12), max_size=6))

@@ -119,13 +119,12 @@ def _uniform_table(pairs, **kw):
 class TestLexicalWeight:
     def test_single_link(self):
         table = TranslationTable(
-            direction="", probs={"f0": {"e0": 0.5}}, use_null=False, generated_vocab={"e0"}
+            probs={"f0": {"e0": 0.5}}, use_null=False, generated_vocab={"e0"}
         )
         assert lexical_weight(("e0",), ("f0",), {(0, 0)}, table) == pytest.approx(0.5)
 
     def test_double_link_averages(self):
         table = TranslationTable(
-            direction="",
             probs={"f0": {"e0": 0.2}, "f1": {"e0": 0.4}},
             use_null=False,
             generated_vocab={"e0"},
@@ -135,7 +134,6 @@ class TestLexicalWeight:
 
     def test_two_word_phrase_hand_computed(self):
         table = TranslationTable(
-            direction="",
             probs={"f0": {"e0": 0.5, "e1": 0.25}, "f1": {"e1": 0.8}, NULL_WORD: {"e1": 0.1}},
             use_null=True,
             generated_vocab={"e0", "e1"},
@@ -146,7 +144,6 @@ class TestLexicalWeight:
 
     def test_unlinked_word_uses_null(self):
         table = TranslationTable(
-            direction="",
             probs={"f0": {"e0": 0.5}, NULL_WORD: {"e1": 0.1}},
             use_null=True,
             generated_vocab={"e0", "e1"},
@@ -164,8 +161,7 @@ class TestLexicalWeight:
         # depends on its order, and so does a frozenset's iteration order on
         # the order its links were inserted in
         probs = {"f0": {"e0": 0.1}, "f1": {"e0": 0.2}, "f2": {"e0": 0.3}, "f3": {"e0": 0.7}}
-        table = TranslationTable(direction="", probs=probs, use_null=False,
-                                 generated_vocab={"e0"})
+        table = TranslationTable(probs=probs, use_null=False, generated_vocab={"e0"})
         sets = [frozenset(order) for order in itertools.permutations([(i, 0) for i in range(4)])]
         assert len({tuple(links) for links in sets}) > 1
         weights = {lexical_weight(("e0",), ("f0", "f1", "f2", "f3"), links, table)
@@ -174,7 +170,7 @@ class TestLexicalWeight:
 
     def test_inverse_transposes_links(self):
         table = TranslationTable(
-            direction="", probs={"e0": {"f0": 0.7}}, use_null=False, generated_vocab={"f0"}
+            probs={"e0": {"f0": 0.7}}, use_null=False, generated_vocab={"f0"}
         )
         w = inverse_lexical_weight(("f0",), ("e0",), {(0, 0)}, table)
         assert w == pytest.approx(0.7)
@@ -388,11 +384,14 @@ class TestPhraseTableIO:
 
     def test_round_trip(self, tmp_path):
         table = self._toy_table()
+        table.add(PhraseTableEntry(("f3",), ("e3",), 0.5, 0.5, 0.5, 0.5, frozenset({(0, 0)}),
+                                   1234567891.0))  # every digit of a large count survives
         path = tmp_path / "pt.txt"
         write_phrase_table(table, path)
         back = read_phrase_table(path)
         assert back.corpus_size == table.corpus_size
-        assert set(back.entries) == set(table.entries)
+        assert ({key: entry.joint_count for key, entry in back.entries.items()}
+                == {key: entry.joint_count for key, entry in table.entries.items()})
         path2 = tmp_path / "pt2.txt"
         write_phrase_table(back, path2)
         assert path.read_bytes() == path2.read_bytes()

@@ -461,18 +461,49 @@ class TestRunPipeline:
                 if r.stage in ("prune", "markers")} == {"prune": True, "markers": False}
         assert _read_outputs(out) == snapshot
 
+    @pytest.mark.parametrize("runs", [
+        [{"english": "EN"}],
+        [{"cache": "false", "filter.min_joint_count": "13"}, {}],
+        [{"em.iterations": "4"}],
+        [{"phrases.max_len": "5"}],
+        [{"prune.mode": "0"}],
+        [{"filter.min_joint_count": "13"}],
+    ], ids=["english-renamed", "no-cache-between", "em.iterations", "phrases.max_len",
+            "prune.mode", "filter.min_joint_count"])
+    def test_warm_run_leaves_the_bytes_of_a_fresh_run(self, corpus_root, tmp_path, runs):
+        """After a run with the defaults and then the given runs, each a set of
+        overrides, an output directory holds the stage outputs that a run of the last
+        config writes into an empty one. `EN` is a copy of the `en` corpus."""
+        import shutil
+
+        root = tmp_path / "root"
+        shutil.copytree(corpus_root, root)
+        shutil.copytree(root / "corpus" / "en", root / "corpus" / "EN")
+
+        def run(overrides, out):
+            cfg = validate_config(root / "pipeline.cfg", {"output": str(out), **overrides})
+            assert run_pipeline(cfg).ok
+
+        for overrides in [{}, *runs]:
+            run(overrides, tmp_path / "warm")
+        run(runs[-1], tmp_path / "fresh")
+        fresh = _read_outputs(str(tmp_path / "fresh"))
+        warm = _read_outputs(str(tmp_path / "warm"))
+        assert {path: warm.get(path) for path in fresh} == fresh
+
     @pytest.mark.parametrize("stage", STAGES)
     def test_every_stage_reads_only_its_declared_inputs(self, corpus_root, tmp_path,
                                                          monkeypatch, stage):
         """A stage's cache key digests the inputs it declares, so its body may open
         no other file for reading. Each stage runs alone, with the cache off, after
-        a full run."""
+        a full run whose manifest is deleted, since loading it is no stage's read."""
         import builtins
 
         from dmlex import pipeline
 
         out = str(tmp_path / "out")
         assert run_pipeline(validate_config(_config_path(corpus_root), {"output": out})).ok
+        os.remove(os.path.join(out, ".cache.json"))
         cfg = validate_config(_config_path(corpus_root), {"output": out, "cache": "false"})
         opened, declared = set(), set()
         real_open, real_digest = builtins.open, pipeline._digest
@@ -496,7 +527,7 @@ class TestRunPipeline:
 
     def test_concurrent_manifest_stores_lose_nothing(self, tmp_path):
         path = str(tmp_path / ".cache.json")
-        cache = _Cache(path, enabled=True)
+        cache = _Cache(path)
         errors = []
 
         def worker(w):
@@ -621,20 +652,57 @@ class TestRunPipeline:
         ("model1.e_given_f.tsv", 2, "# floor=0\n", "prune"),
         ("model1.e_given_f.tsv", 3, "# null=True\n", "prune"),
         ("phrase-table.txt", 1, "# N=abc\n", "prune"),
+        ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| -4\n", "prune"),
+        ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| 0\n", "prune"),
+        ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| +4\n", "prune"),
+        ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| 4_0\n", "prune"),
+        ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| \u0664\n", "prune"),
+        ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| 4.0\n", "prune"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 nan 0.5 0.5 ||| 0-0 ||| 3\n", "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 0 0.5 ||| 0-0 ||| 3\n", "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 0.5 1.5 ||| 0-0 ||| 3\n", "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| -0.5 0.5 0.5 0.5 ||| 0-0 ||| 3\n",
+         "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 0.5 0.5 ||| 0-0 ||| 0\n", "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 0.5 0.5 ||| 0-0 ||| -4\n",
+         "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 0.5 0.5 ||| 0-0 ||| nan\n",
+         "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 0.5 0.5 ||| 0-0 ||| inf\n",
+         "markers"),
         ("candidates.tsv", 2, "since\txx\n", "lexicon"),
         ("candidates.tsv", 3, "since\txx\tdesde\tx\t3\tnone\n", "lexicon"),
         ("candidates.tsv", 1, "", "lexicon"),
+        ("candidates.tsv", 2, "since\txx\tdesde\tnan\t3\tnone\n", "lexicon"),
+        ("candidates.tsv", 2, "since\txx\tdesde\t0\t3\tnone\n", "lexicon"),
+        ("candidates.tsv", 2, "since\txx\tdesde\t1.5\t3\tnone\n", "lexicon"),
+        ("candidates.tsv", 2, "since\txx\tdesde\t0.5\t0\tnone\n", "lexicon"),
+        ("candidates.tsv", 2, "since\txx\tdesde\t0.5\tnan\tnone\n", "lexicon"),
+        ("candidates.tsv", 2, "since\txx\tdesde\t0.5\tinf\tnone\n", "lexicon"),
+        ("candidates.tsv", 2, "since\txx\tdesde\t0.5\t3\tafter\n", "lexicon"),
     ], ids=["t-table-short-line", "t-table-bad-probability", "t-table-bad-floor",
             "t-table-nan-probability", "t-table-negative-probability",
             "t-table-zero-probability", "t-table-probability-above-one", "t-table-nan-floor",
             "t-table-zero-floor", "t-table-bad-null", "phrase-table-bad-corpus-size",
-            "candidates-short-line", "candidates-bad-score", "candidates-empty"])
+            "counts-negative", "counts-zero", "counts-sign", "counts-underscore",
+            "counts-arabic-digit", "counts-decimal-point", "pruned-nan-score",
+            "pruned-zero-score", "pruned-score-above-one", "pruned-negative-score",
+            "pruned-zero-count", "pruned-negative-count", "pruned-nan-count",
+            "pruned-infinite-count",
+            "candidates-short-line", "candidates-bad-score", "candidates-empty",
+            "candidates-nan-score", "candidates-zero-score", "candidates-score-above-one",
+            "candidates-zero-count", "candidates-nan-count", "candidates-infinite-count",
+            "candidates-bad-context"])
     def test_corrupt_reader_input_fails_its_stage_naming_line_and_file(
             self, corpus_root, tmp_path, victim, lineno, text, stage):
-        """A bad line in a t-table or the counts fails prune, and one in
-        candidates.tsv fails lexicon, with an error that gives the line number and
-        the file. A t-table probability must lie in (0, 1], its floor in (0, 1), and
-        its `# null=` must be true or false."""
+        """A bad line in a t-table or the counts fails prune, one in the pruned
+        table fails markers, and one in candidates.tsv fails lexicon, with an error
+        that gives the line number and the file. A t-table probability must lie in
+        (0, 1], its floor in (0, 1), and its `# null=` must be true or false. A
+        count in the counts is an ASCII decimal integer of at least 1. The scores
+        of the pruned table and candidates.tsv lie in (0, 1], their counts are
+        integers of at least 1, and a candidate's context is one of
+        lexicon.CONTEXTS: lexicon.json may hold no NaN or Infinity."""
         out = tmp_path / "out"
         args = ["--config", _config_path(corpus_root), "--output", str(out)]
         assert cli_main(args + ["pipeline"]) == 0
