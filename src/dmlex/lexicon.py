@@ -75,20 +75,8 @@ def select_candidates(table: PhraseTable, marker, language: str = "") -> list:
         patterns.append(((p,) + marker, "preceded"))
         for q in sorted(PUNCTUATION):
             patterns.append(((p,) + marker + (q,), "both"))
-
-    candidates = []
-    for english, context in patterns:
-        for entry in table.by_english.get(english, []):
-            candidates.append(
-                MarkerCandidate(
-                    marker=marker,
-                    language=language,
-                    translation=entry.foreign_phrase,
-                    raw_entry=entry,
-                    context=context,
-                )
-            )
-    return candidates
+    return [MarkerCandidate(marker, language, entry.foreign_phrase, entry, context)
+            for english, context in patterns for entry in table.by_english.get(english, [])]
 
 
 def strip_punctuation_context(candidate: MarkerCandidate) -> MarkerCandidate:

@@ -1,8 +1,8 @@
 """Alignment-consistent phrase extraction and phrase-table scoring."""
 
+import sys
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .model1 import (NULL_WORD, TranslationTable, format_links, links_inside, parse_links,
                      read_table)
@@ -124,11 +124,13 @@ def inverse_lexical_weight(foreign_phrase, english_phrase, internal_alignment,
 
 
 def count_phrase_pairs(instances, corpus_size: int) -> PhraseCounts:
-    """Each pair's joint count and most frequent internal alignment; a tie
-    goes to the alignment whose sorted links come first."""
+    """Each pair's joint count and most frequent internal alignment, from any
+    one-pass iterable of instances; a tie goes to the alignment whose sorted
+    links come first. Equal alignments are kept as one frozenset."""
+    shared = {}
     groups = defaultdict(list)
     for foreign, english, align in instances:
-        groups[foreign, english].append(align)
+        groups[foreign, english].append(shared.setdefault(align, align))
     counts = PhraseCounts(corpus_size=corpus_size)
     for key, seen in groups.items():
         best = seen[0]
@@ -213,10 +215,11 @@ def write_phrase_table(table: PhraseTable, path) -> None:
 def write_phrase_counts(counts: PhraseCounts, path) -> None:
     """`f ||| e ||| i-j links ||| joint count`, lexicographically sorted."""
     links = _Memo(format_links)
-    lines = [f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {links[align]} ||| {joint}\n"
-             for (f, e), (joint, align) in sorted(counts.entries.items(), key=itemgetter(0))]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# N={counts.corpus_size}\n" + "".join(lines))
+        fh.write(f"# N={counts.corpus_size}\n")
+        for f, e in sorted(counts.entries):
+            joint, align = counts.entries[f, e]
+            fh.write(f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {links[align]} ||| {joint}\n")
 
 
 def _corpus_size_header(table):
@@ -244,9 +247,11 @@ def read_phrase_table(path) -> PhraseTable:
 
 
 def read_phrase_counts(path) -> PhraseCounts:
-    """Each distinct phrase or links text is parsed once; entries share the result."""
+    """Each distinct phrase or links text is parsed once, and each token interned;
+    entries share the result."""
     counts = PhraseCounts()
-    phrase, links = _Memo(unescape_phrase), _Memo(parse_links)
+    phrase = _Memo(lambda text: tuple(map(sys.intern, unescape_phrase(text))))
+    links = _Memo(parse_links)
 
     def add(f_str, e_str, links_str, joint_str):
         f, e = phrase[f_str], phrase[e_str]

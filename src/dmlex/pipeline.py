@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import os
 import threading
@@ -403,13 +404,13 @@ class PipelineRunner:
         def body():
             pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
             alignments = model1.read_alignments(p["alignments"], pairs)
-            instances = []
-            for links, (src, tgt) in zip(alignments, pairs):
-                instances.extend(phrases.extract_phrase_pairs(
-                    src, tgt, links, self.cfg.max_phrase_len))
+            instances = itertools.chain.from_iterable(  # counted as extracted, never listed
+                phrases.extract_phrase_pairs(src, tgt, links, self.cfg.max_phrase_len)
+                for links, (src, tgt) in zip(alignments, pairs))
             counts = phrases.count_phrase_pairs(instances, len(pairs))
             phrases.write_phrase_counts(counts, p["phrase_table"])
-            return {"instances": len(instances), "entries": len(counts.entries)}
+            return {"instances": sum(joint for joint, _ in counts.entries.values()),
+                    "entries": len(counts.entries)}
 
         return self._run_stage(lang, "phrases", self.cfg.max_phrase_len, inputs, outputs, body)
 
@@ -423,16 +424,20 @@ class PipelineRunner:
         def body():
             pair_counts = phrases.read_phrase_counts(p["phrase_table"])
             pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
-            counts = significance.contingency_counts(pair_counts, pairs)
+            try:
+                counts = significance.contingency_counts(pair_counts, pairs)
+            except RuntimeError as exc:  # the counts list a pair their corpus lacks
+                raise RuntimeError(f"{p['phrase_table']}: {exc}") from None
             kept, report = significance.prune(pair_counts, counts, self.cfg.prune_config)
+            significance.write_prune_report(report, p["prune_report"])
+            stats = {"entries_in": len(pair_counts.entries), "entries_kept": report.kept_count,
+                     "entries_pruned": report.pruned_count, "threshold": report.threshold}
+            del pairs, counts, report  # freed before the t-tables load
             table = phrases.score_counts(pair_counts, kept.entries,
                                          model1.read_translation_table(p["table_fe"]),
                                          model1.read_translation_table(p["table_ef"]))
             phrases.write_phrase_table(table, p["pruned_table"])
-            significance.write_prune_report(report, p["prune_report"])
-            return {"entries_in": len(pair_counts.entries), "entries_kept": report.kept_count,
-                    "entries_pruned": report.pruned_count,
-                    "threshold": report.threshold}
+            return stats
 
         params = (self.cfg.prune_config, significance.EPSILON)
         return self._run_stage(lang, "prune", params, inputs, outputs, body)

@@ -78,7 +78,8 @@ def contingency_counts(table: PhraseCounts, pairs: list) -> dict:
         s_ids, t_ids = src_ids[foreign], tgt_ids[english]
         joint = (s_ids & t_ids).bit_count()
         if joint == 0:
-            raise RuntimeError(f"phrase pair {key} never co-occurs in its own corpus")
+            raise RuntimeError(f"phrase pair '{escape_phrase(foreign)} ||| "
+                               f"{escape_phrase(english)}' never co-occurs in its own corpus")
         counts[key] = tables[s_ids.bit_count(), t_ids.bit_count(), joint]
     return counts
 
@@ -131,12 +132,11 @@ def prune(table: PhraseCounts, counts: dict, config: PruneConfig) -> tuple:
 
 def write_prune_report(report: PruneReport, path) -> None:
     cells = {}  # table -> its columns; rows sharing a table share its score
-    lines = [f"# threshold={report.threshold:.8g}\n"]
-    for foreign, english, ct, score, keep in report.rows:
-        cell = cells.get(ct)
-        if cell is None:
-            cell = cells[ct] = (f"\t{ct.c_s}\t{ct.c_t}\t{ct.c_st}\t{score:.8g}"
-                                f"\t{'kept' if keep else 'pruned'}\n")
-        lines.append(f"{escape_phrase(foreign)} ||| {escape_phrase(english)}{cell}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+        fh.write(f"# threshold={report.threshold:.8g}\n")
+        for foreign, english, ct, score, keep in report.rows:
+            cell = cells.get(ct)
+            if cell is None:
+                cell = cells[ct] = (f"\t{ct.c_s}\t{ct.c_t}\t{ct.c_st}\t{score:.8g}"
+                                    f"\t{'kept' if keep else 'pruned'}\n")
+            fh.write(f"{escape_phrase(foreign)} ||| {escape_phrase(english)}{cell}")

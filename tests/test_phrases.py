@@ -328,6 +328,28 @@ class TestScoreCounts:
         assert counts.corpus_size == 7
         assert counts.entries == naive_phrase_counts(instances)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([("f0",), ("f1",), ("f0", "f1")]),
+                              st.sampled_from([("e0",), ("e0", "e1")]),
+                              st.sampled_from([{(0, 0)}, {(0, 1)}, {(1, 0)}, {(0, 0), (1, 1)},
+                                               {(0, 1), (1, 0)}])),
+                    max_size=40))
+    def test_one_pass_generator_counts_as_the_list_does(self, drawn):
+        """The instances may come from a generator that can be read once: the
+        counts, the most frequent alignments and their tie rule are those of the list."""
+        instances = [_instance(f, e, links) for f, e, links in drawn]
+        assert count_phrase_pairs((i for i in instances), 7) == count_phrase_pairs(instances, 7)
+
+    def test_equal_alignments_share_one_frozenset(self):
+        instances = [_instance(["f0"], ["e0"], {(0, 0)}), _instance(["f1"], ["e1"], {(0, 0)}),
+                     _instance(["f0", "f1"], ["e0"], {(0, 0), (1, 0)}),
+                     _instance(["f1", "f0"], ["e0"], {(1, 0), (0, 0)})]
+        assert len({id(i.internal_alignment) for i in instances}) == 4
+        counts = count_phrase_pairs(iter(instances), 2)
+        aligns = [align for _, align in counts.entries.values()]
+        assert aligns[0] == aligns[1] and aligns[0] is aligns[1]
+        assert aligns[2] == aligns[3] and aligns[2] is aligns[3]
+
 
 class TestPhraseCountsIO:
     @given(st.lists(st.tuples(tokenizer_phrases(), tokenizer_phrases(), st.integers(1, 3)),
@@ -357,6 +379,22 @@ class TestPhraseCountsIO:
             "a &#124;&#124;&#124; ||| b ||| 0-0 1-0 ||| 2",
         ]
         assert read_phrase_counts(path) == counts
+
+    def test_equal_tokens_are_one_string_across_phrases(self, tmp_path):
+        """Reading shares each token text among all phrases, foreign or english,
+        that hold it, as well as each whole phrase among its entries."""
+        path = tmp_path / "phrase-table.txt"
+        path.write_text("# N=2\n"
+                        "das haus ||| the house ||| 0-0 1-1 ||| 1\n"
+                        "haus ||| house ||| 0-0 ||| 2\n"
+                        "haus ||| house the ||| 0-0 ||| 1\n"
+                        "the ||| das ||| 0-0 ||| 1\n", encoding="utf-8")
+        keys = list(read_phrase_counts(path).entries)
+        assert keys[0][0][1] is keys[1][0][0] is keys[2][0][0]  # haus
+        assert keys[0][1][1] is keys[1][1][0] is keys[2][1][0]  # house
+        assert keys[0][1][0] is keys[2][1][1] is keys[3][0][0]  # the
+        assert keys[0][0][0] is keys[3][1][0]  # das
+        assert keys[1][0] is keys[2][0]  # the phrase `haus`
 
     @pytest.mark.parametrize("line", ["a ||| b ||| 0-0 ||| 1 ||| 2", "a ||| b ||| 0-0 ||| 1.5",
                                       "a ||| b ||| 0-x ||| 1", "a ||| b ||| 0 ||| 1",

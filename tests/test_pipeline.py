@@ -224,6 +224,35 @@ class TestRunPipeline:
         assert calls == {"lexical_weight": 2 * stats["entries_kept"],
                          "PhraseTableEntry": stats["entries_kept"]}
 
+    def test_phrases_counts_instances_as_they_are_extracted(self, corpus_root, tmp_path,
+                                                             monkeypatch):
+        """stage_phrases hands count_phrase_pairs a one-pass iterator, so the list of
+        every instance is never built; its `instances` stat is the sum of the joint
+        counts, which is the number of instances extracted."""
+        from dmlex import phrases
+
+        out = str(tmp_path / "out")
+        cfg = validate_config(_config_path(corpus_root), {"output": out})
+        assert run_pipeline(cfg, stages=["ingest", "align", "wordalign"]).ok
+        seen = {"iterator": None, "extracted": 0}
+        real_extract, real_count = phrases.extract_phrase_pairs, phrases.count_phrase_pairs
+
+        def extract(*args, **kwargs):
+            found = real_extract(*args, **kwargs)
+            seen["extracted"] += len(found)
+            return found
+
+        def count(instances, corpus_size):
+            seen["iterator"] = iter(instances) is instances  # a list is not its own iterator
+            return real_count(instances, corpus_size)
+
+        monkeypatch.setattr(phrases, "extract_phrase_pairs", extract)
+        monkeypatch.setattr(phrases, "count_phrase_pairs", count)
+        report = run_pipeline(cfg, stages=["phrases"])
+        assert report.ok
+        assert seen["iterator"] is True
+        assert report.results[0].stats["instances"] == seen["extracted"] > 0
+
     def test_stage_subset(self, corpus_root, tmp_path):
         out = str(tmp_path / "out")
         cfg = validate_config(_config_path(corpus_root), {"output": out})
@@ -639,6 +668,26 @@ class TestRunPipeline:
         n = header[4:-1] or "0"
         assert errors == {"prune": f"phrase table is for N={n} sentence pairs, "
                                    f"but the aligned corpus has {n_pairs}"}
+
+    def test_pair_missing_from_the_corpus_fails_prune_naming_pair_and_file(self, corpus_root,
+                                                                           tmp_path):
+        """A well-formed counts line whose pair never occurs together in the aligned
+        corpus fails prune with an error that names the file and the pair as written.
+        The counts keep no line numbers, so the error gives none."""
+        out = tmp_path / "out"
+        args = ["--config", _config_path(corpus_root), "--output", str(out)]
+        assert cli_main(args + ["pipeline"]) == 0
+        path = out / "pairs" / "xx" / "phrase-table.txt"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = "a ||| b ||| 0-0 ||| 4\n"
+        path.write_text("".join(lines), encoding="utf-8")
+
+        assert cli_main(args + ["pipeline"]) == 1
+        with open(out / "report.json", encoding="utf-8") as fh:
+            errors = {s["stage"]: s["error"] for s in json.load(fh)["stages"] if s["error"]}
+        assert list(errors)[0] == "prune"
+        assert errors["prune"] == (f"{path}: phrase pair 'a ||| b' never co-occurs "
+                                   f"in its own corpus")
 
     @pytest.mark.parametrize("victim, lineno, text, stage", [
         ("model1.f_given_e.tsv", 5, "the\tla\n", "prune"),
