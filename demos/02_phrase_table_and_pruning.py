@@ -19,7 +19,6 @@ pairs = [
 ]
 
 table_ef = train_model1(pairs, iterations=8)
-table_fe = train_model1([(e, f) for f, e in pairs], iterations=8)
 
 instances = []
 for f, e in pairs:
@@ -31,11 +30,11 @@ for f, e in pairs:
 phrase_counts = count_phrase_pairs(instances, corpus_size=len(pairs))
 print(f"extracted {len(phrase_counts.entries)} phrase pairs from {len(pairs)} sentence pairs")
 
-# prune on counts alone, then compute probabilities and lexical weights for
-# the surviving pairs only
+# prune on counts alone, then compute the phrase probabilities of the
+# surviving pairs only
 counts = contingency_counts(phrase_counts, pairs)
 kept, report = prune(phrase_counts, counts, PruneConfig())
-scored = score_counts(phrase_counts, kept.entries, table_fe, table_ef)
+scored = score_counts(phrase_counts, kept.entries)
 
 n = len(pairs)
 print(f"threshold = ln({n}) + eps = {report.threshold:.4f}")

@@ -1,11 +1,12 @@
 """Alignment-consistent phrase extraction and phrase-table scoring."""
 
+import hashlib
+import itertools
 import sys
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 
-from .model1 import (NULL_WORD, TranslationTable, format_links, links_inside, parse_links,
-                     read_table)
+from .model1 import format_links, links_inside, parse_links, read_table
 
 
 # internal_alignment: frozenset of (foreign offset, english offset) links.
@@ -19,9 +20,7 @@ class PhraseTableEntry:
     foreign_phrase: tuple
     english_phrase: tuple
     inv_phrase_prob: float  # phi(f|e)
-    inv_lex_weight: float  # lex(f|e)
     dir_phrase_prob: float  # phi(e|f)
-    dir_lex_weight: float  # lex(e|f)
     most_frequent_internal_alignment: frozenset
     joint_count: float
 
@@ -98,76 +97,51 @@ def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int 
     return out
 
 
-def lexical_weight(english_phrase, foreign_phrase, internal_alignment,
-                   word_probs: TranslationTable) -> float:
-    """lex(e|f, a): product over english positions of the mean translation
-    probability from their linked foreign words (NULL if unlinked), summed in
-    sorted link order whatever order the set was built in."""
-    links_by_e = defaultdict(list)
-    for i, j in sorted(internal_alignment):
-        links_by_e[j].append(i)
-    weight = 1.0
-    for j, e_word in enumerate(english_phrase):
-        srcs = links_by_e.get(j)
-        if srcs:
-            weight *= sum(word_probs.lookup(foreign_phrase[i], e_word) for i in srcs) / len(srcs)
-        else:
-            weight *= word_probs.lookup(NULL_WORD, e_word)
-    return weight
-
-
-def inverse_lexical_weight(foreign_phrase, english_phrase, internal_alignment,
-                           word_probs: TranslationTable) -> float:
-    """lex(f|e, a): the symmetric weight generating the foreign side."""
-    transposed = frozenset((j, i) for i, j in internal_alignment)
-    return lexical_weight(foreign_phrase, english_phrase, transposed, word_probs)
-
-
 def count_phrase_pairs(instances, corpus_size: int) -> PhraseCounts:
     """Each pair's joint count and most frequent internal alignment, from any
     one-pass iterable of instances; a tie goes to the alignment whose sorted
-    links come first. Equal alignments are kept as one frozenset."""
-    shared = {}
-    groups = defaultdict(list)
+    links come first. Equal phrases and equal alignments are each kept as one
+    object, and only a pair seen more than once gets a tally of its alignments."""
+    shared = {}  # phrase or alignment -> its one kept copy
+    entries = {}
+    tallies = {}  # pair seen more than once -> how often each of its alignments was seen
     for foreign, english, align in instances:
-        groups[foreign, english].append(shared.setdefault(align, align))
-    counts = PhraseCounts(corpus_size=corpus_size)
-    for key, seen in groups.items():
-        best = seen[0]
-        if len(seen) > 1:
-            tally = Counter(seen)
-            top = max(tally.values())
-            best = min((a for a, c in tally.items() if c == top), key=sorted)
-        counts.entries[key] = (len(seen), best)
-    return counts
+        align = shared.setdefault(align, align)
+        seen = entries.get((foreign, english))
+        if seen is None:
+            entries[shared.setdefault(foreign, foreign),
+                    shared.setdefault(english, english)] = (1, align)
+        else:
+            tally = tallies.get((foreign, english))
+            if tally is None:
+                tally = tallies[foreign, english] = Counter((seen[1],))
+            tally[align] += 1
+    for key, tally in tallies.items():
+        top = max(tally.values())
+        entries[key] = (sum(tally.values()),
+                        min((a for a, c in tally.items() if c == top), key=sorted))
+    return PhraseCounts(entries, corpus_size)
 
 
-def score_counts(counts: PhraseCounts, keys, word_probs_fe: TranslationTable,
-                 word_probs_ef: TranslationTable) -> PhraseTable:
-    """Relative-frequency phrase probabilities plus lexical weights for the
-    given keys, with marginals over every pair in counts.
-
-    word_probs_fe generates foreign from english (for lex(f|e));
-    word_probs_ef generates english from foreign (for lex(e|f)).
-    """
-    marg_f, marg_e = Counter(), Counter()
+def score_counts(counts: PhraseCounts, keys) -> PhraseTable:
+    """Relative-frequency phrase probabilities for the given keys, with marginals
+    over every pair in counts."""
+    marg_f, marg_e = {}, {}
     for (f, e), (joint, _) in counts.entries.items():
-        marg_f[f] += joint
-        marg_e[e] += joint
+        marg_f[f] = marg_f.get(f, 0) + joint
+        marg_e[e] = marg_e.get(e, 0) + joint
     table = PhraseTable(corpus_size=counts.corpus_size)
     for f, e in sorted(keys):
         joint, align = counts.entries[f, e]
-        table.add(PhraseTableEntry(
-            f, e, joint / marg_e[e], inverse_lexical_weight(f, e, align, word_probs_fe),
-            joint / marg_f[f], lexical_weight(e, f, align, word_probs_ef), align, float(joint)))
+        table.add(PhraseTableEntry(f, e, joint / marg_e[e], joint / marg_f[f], align,
+                                   float(joint)))
     return table
 
 
-def score_phrase_table(instances, word_probs_fe: TranslationTable,
-                       word_probs_ef: TranslationTable, corpus_size: int) -> PhraseTable:
+def score_phrase_table(instances, corpus_size: int) -> PhraseTable:
     """Every extracted pair, counted and scored."""
     counts = count_phrase_pairs(instances, corpus_size)
-    return score_counts(counts, counts.entries, word_probs_fe, word_probs_ef)
+    return score_counts(counts, counts.entries)
 
 
 def _fmt(x: float) -> str:
@@ -200,26 +174,34 @@ class _Memo(dict):
 
 
 def write_phrase_table(table: PhraseTable, path) -> None:
-    """`f ||| e ||| 4 scores ||| i-j links ||| integer count`, lexicographically sorted."""
+    """`f ||| e ||| phi(f|e) phi(e|f) ||| i-j links ||| integer count`, sorted."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# N={table.corpus_size}\n")
         for f, e in sorted(table.entries):
             entry = table.entries[(f, e)]
-            scores = " ".join(_fmt(x) for x in (entry.inv_phrase_prob, entry.inv_lex_weight,
-                                                entry.dir_phrase_prob, entry.dir_lex_weight))
+            scores = f"{_fmt(entry.inv_phrase_prob)} {_fmt(entry.dir_phrase_prob)}"
             links = format_links(entry.most_frequent_internal_alignment)
             fh.write(f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {scores} ||| {links} ||| "
                      f"{entry.joint_count:.0f}\n")
 
 
-def write_phrase_counts(counts: PhraseCounts, path) -> None:
-    """`f ||| e ||| i-j links ||| joint count`, lexicographically sorted."""
+def write_phrase_counts(counts: PhraseCounts, path) -> str:
+    """`f ||| e ||| i-j links ||| joint count`, lexicographically sorted. Returns the
+    sha256 of the bytes written, hashed a block of lines at a time as they are written."""
     links = _Memo(format_links)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# N={counts.corpus_size}\n")
+
+    def lines():
+        yield f"# N={counts.corpus_size}\n"
         for f, e in sorted(counts.entries):
             joint, align = counts.entries[f, e]
-            fh.write(f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {links[align]} ||| {joint}\n")
+            yield f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {links[align]} ||| {joint}\n"
+
+    digest, text = hashlib.sha256(), lines()
+    with open(path, "wb") as fh:
+        while block := "".join(itertools.islice(text, 1024)).encode("utf-8"):
+            digest.update(block)
+            fh.write(block)
+    return digest.hexdigest()
 
 
 def _corpus_size_header(table):
@@ -237,8 +219,8 @@ def read_phrase_table(path) -> PhraseTable:
     def add(f_str, e_str, scores_str, links_str, count_str):
         f, e = unescape_phrase(f_str), unescape_phrase(e_str)
         scores = [float(x) for x in scores_str.split()]
-        if len(scores) != 4 or not all(0 < x <= 1 for x in scores) or int(count_str) < 1:
-            raise ValueError("expected 4 scores in (0, 1] and a joint count of at least 1")
+        if len(scores) != 2 or not all(0 < x <= 1 for x in scores) or int(count_str) < 1:
+            raise ValueError("expected 2 scores in (0, 1] and a joint count of at least 1")
         align = links_inside(links[links_str], links_str, len(f), len(e))
         table.add(PhraseTableEntry(f, e, *scores, align, float(count_str)))
 

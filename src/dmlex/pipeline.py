@@ -14,6 +14,11 @@ from . import galechurch, ingest, lexicon as lexmod, model1, phrases, significan
 
 STAGES = ["ingest", "align", "wordalign", "phrases", "prune", "markers", "lexicon"]
 PAIR_STAGES = STAGES[1:-1]  # run per foreign language, in order
+# The format of the files each stage writes, part of its cache key: bump a stage's
+# version with any change to the bytes its writers emit, so outputs left by an
+# older build rerun instead of staying a hit.
+FORMAT_VERSIONS = {"ingest": 1, "align": 1, "wordalign": 1, "phrases": 1, "prune": 2,
+                   "markers": 1, "lexicon": 1}
 
 _TRUE = {"true", "yes", "1", "on"}
 _FALSE = {"false", "no", "0", "off"}
@@ -228,13 +233,14 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _digest(param_obj, input_files) -> str:
-    """A stage's cache key: its parameters and the bytes of every file it reads."""
+def _digest(param_obj, input_hashes) -> str:
+    """A stage's cache key: its parameters and the sha256 of every file it reads."""
     h = hashlib.sha256()
     h.update(repr(param_obj).encode("utf-8"))
-    for path in input_files:  # declared order: a full-path sort moves with the output dir
+    # declared order: a sort of the full paths would move with the output dir
+    for path, file_hash in input_hashes.items():
         h.update(os.path.basename(path).encode("utf-8"))
-        h.update(_sha256_file(path).encode("utf-8"))
+        h.update(file_hash.encode("utf-8"))
     return h.hexdigest()
 
 
@@ -288,6 +294,8 @@ class PipelineRunner:
         self.file_ids = sorted(
             os.listdir(os.path.join(config.corpus_root, config.english_code))
         )
+        self.hashed = {}  # input path -> sha256 of its bytes when a stage's key last read it
+        self.held = {}  # language -> (sha256 of the phrase-table.txt written, its counts)
 
     # ---- paths ----------------------------------------------------------
     def ingest_dir(self, lang):
@@ -311,13 +319,16 @@ class PipelineRunner:
     def _run_stage(self, pair, stage, params, inputs, outputs, body) -> StageResult:
         """Run a stage, or take its outputs from the cache, and report how it ended.
 
-        It reruns unless the cache is on, its record holds the digest of its parameters
-        and of the bytes of its inputs (every file its body reads) and every output
-        exists. Whatever digesting or the body raises becomes the result's error."""
+        It reruns unless the cache is on, its record holds the digest of its format
+        version, its parameters and the bytes of its inputs (every file its body reads)
+        and every output exists. Whatever digesting or the body raises becomes the
+        result's error."""
         key = f"{stage}:{pair}"
         started = time.monotonic()
         try:
-            digest = _digest(params, inputs)
+            hashes = {path: _sha256_file(path) for path in inputs}
+            self.hashed.update(hashes)
+            digest = _digest((FORMAT_VERSIONS[stage], params), hashes)
             cached = self.cache.hit(key, digest, outputs) if self.cfg.cache else None
             if cached is not None:
                 return StageResult(pair, stage, cache_hit=True, stats=cached["stats"])
@@ -346,7 +357,7 @@ class PipelineRunner:
             return {"files": len(self.file_ids), "paragraphs": n_paragraphs,
                     "sentences": n_sentences}
 
-        return self._run_stage(lang, "ingest", "tokenize-v1", inputs, outputs, body)
+        return self._run_stage(lang, "ingest", (), inputs, outputs, body)
 
     def stage_align(self, lang) -> StageResult:
         p = self._pair_paths(lang)
@@ -408,36 +419,39 @@ class PipelineRunner:
                 phrases.extract_phrase_pairs(src, tgt, links, self.cfg.max_phrase_len)
                 for links, (src, tgt) in zip(alignments, pairs))
             counts = phrases.count_phrase_pairs(instances, len(pairs))
-            phrases.write_phrase_counts(counts, p["phrase_table"])
+            written = phrases.write_phrase_counts(counts, p["phrase_table"])
+            self.held[lang] = (written, counts)  # for prune, if its key hashes these bytes
             return {"instances": sum(joint for joint, _ in counts.entries.values()),
                     "entries": len(counts.entries)}
 
         return self._run_stage(lang, "phrases", self.cfg.max_phrase_len, inputs, outputs, body)
 
     def stage_prune(self, lang) -> StageResult:
-        """Prune on counts alone, then score only the surviving pairs."""
+        """Prune on counts alone, then score only the surviving pairs. The counts are
+        the ones phrases held in this run if prune's key hashed the bytes it wrote,
+        and otherwise, after a phrases cache hit say, read from phrase-table.txt."""
         p = self._pair_paths(lang)
-        inputs = [p["phrase_table"], p["aligned_src"], p["aligned_tgt"], p["table_fe"],
-                  p["table_ef"]]
+        inputs = [p["phrase_table"], p["aligned_src"], p["aligned_tgt"]]
         outputs = [p["pruned_table"], p["prune_report"]]
+        held = self.held.pop(lang, None)  # taken on a hit or a failure too
 
         def body():
-            pair_counts = phrases.read_phrase_counts(p["phrase_table"])
+            written, pair_counts = held or (None, None)
+            if written != self.hashed[p["phrase_table"]]:
+                pair_counts = phrases.read_phrase_counts(p["phrase_table"])
             pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
             try:
                 counts = significance.contingency_counts(pair_counts, pairs)
             except RuntimeError as exc:  # the counts list a pair their corpus lacks
                 raise RuntimeError(f"{p['phrase_table']}: {exc}") from None
+            del pairs
             kept, report = significance.prune(pair_counts, counts, self.cfg.prune_config)
-            significance.write_prune_report(report, p["prune_report"])
-            stats = {"entries_in": len(pair_counts.entries), "entries_kept": report.kept_count,
-                     "entries_pruned": report.pruned_count, "threshold": report.threshold}
-            del pairs, counts, report  # freed before the t-tables load
-            table = phrases.score_counts(pair_counts, kept.entries,
-                                         model1.read_translation_table(p["table_fe"]),
-                                         model1.read_translation_table(p["table_ef"]))
-            phrases.write_phrase_table(table, p["pruned_table"])
-            return stats
+            significance.write_prune_report(report, counts, p["prune_report"])
+            del counts
+            phrases.write_phrase_table(phrases.score_counts(pair_counts, kept.entries),
+                                       p["pruned_table"])
+            return {"entries_in": len(pair_counts.entries), "entries_kept": report.kept_count,
+                    "entries_pruned": report.pruned_count, "threshold": report.threshold}
 
         params = (self.cfg.prune_config, significance.EPSILON)
         return self._run_stage(lang, "prune", params, inputs, outputs, body)
@@ -482,8 +496,7 @@ class PipelineRunner:
             return {"markers": len(lex), "markers_with_translations": covered,
                     "records": len(rows)}
 
-        params = ("lexicon-v1", tuple(languages))
-        return self._run_stage("all", "lexicon", params, inputs, outputs, body)
+        return self._run_stage("all", "lexicon", tuple(languages), inputs, outputs, body)
 
 
 def run_pipeline(config: PipelineConfig, stages=None) -> RunReport:
@@ -514,6 +527,7 @@ def run_pipeline(config: PipelineConfig, stages=None) -> RunReport:
                 results.append(getattr(runner, f"stage_{stage}")(lang))
                 if results[-1].error is not None:
                     break
+            runner.held.pop(lang, None)  # counts no prune took, as after a failure
             return results
 
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:

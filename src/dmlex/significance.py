@@ -2,7 +2,7 @@
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .phrases import PhraseCounts, _Memo, escape_phrase
 
@@ -104,9 +104,9 @@ def fisher_neg_log_p(ct: ContingencyTable) -> float:
 @dataclass
 class PruneReport:
     threshold: float
-    rows: list = field(default_factory=list)  # (foreign, english, ct, neg_log_p, kept)
-    kept_count: int = 0
-    pruned_count: int = 0
+    scores: dict  # ContingencyTable -> its -log p, for each distinct table
+    kept_count: int
+    pruned_count: int
 
 
 def prune(table: PhraseCounts, counts: dict, config: PruneConfig) -> tuple:
@@ -116,27 +116,23 @@ def prune(table: PhraseCounts, counts: dict, config: PruneConfig) -> tuple:
     entries unchanged.
     """
     threshold = config.threshold(table.corpus_size)
-    report = PruneReport(threshold=threshold)
-    kept = PhraseCounts(corpus_size=table.corpus_size)
     scores = _Memo(fisher_neg_log_p)  # few distinct tables
-    for key in sorted(table.entries):
-        ct = counts[key]
-        score = scores[ct]
-        report.rows.append((key[0], key[1], ct, score, score > threshold))
-        if score > threshold:
-            kept.entries[key] = table.entries[key]
-    report.kept_count = len(kept.entries)
-    report.pruned_count = len(report.rows) - report.kept_count
-    return kept, report
+    kept = PhraseCounts({key: value for key, value in table.entries.items()
+                         if scores[counts[key]] > threshold}, table.corpus_size)
+    return kept, PruneReport(threshold, scores, len(kept.entries),
+                             len(table.entries) - len(kept.entries))
 
 
-def write_prune_report(report: PruneReport, path) -> None:
-    cells = {}  # table -> its columns; rows sharing a table share its score
+def write_prune_report(report: PruneReport, counts: dict, path) -> None:
+    """One row per entry of counts, in key order: its contingency table, -log p
+    and fate. Entries that share a table share its columns."""
+    def columns(ct):
+        score = report.scores[ct]
+        return (f"\t{ct.c_s}\t{ct.c_t}\t{ct.c_st}\t{score:.8g}"
+                f"\t{'kept' if score > report.threshold else 'pruned'}\n")
+
+    cells = _Memo(columns)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# threshold={report.threshold:.8g}\n")
-        for foreign, english, ct, score, keep in report.rows:
-            cell = cells.get(ct)
-            if cell is None:
-                cell = cells[ct] = (f"\t{ct.c_s}\t{ct.c_t}\t{ct.c_st}\t{score:.8g}"
-                                    f"\t{'kept' if keep else 'pruned'}\n")
-            fh.write(f"{escape_phrase(foreign)} ||| {escape_phrase(english)}{cell}")
+        for key in sorted(counts):
+            fh.write(f"{escape_phrase(key[0])} ||| {escape_phrase(key[1])}{cells[counts[key]]}")

@@ -237,9 +237,7 @@ def test_c08_selection_contract():
                     foreign_phrase=("ff",),
                     english_phrase=tuple(side),
                     inv_phrase_prob=0.5,
-                    inv_lex_weight=0.4,
                     dir_phrase_prob=0.5,
-                    dir_lex_weight=0.4,
                     most_frequent_internal_alignment=alignment,
                     joint_count=3.0,
                 )

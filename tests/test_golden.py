@@ -31,7 +31,7 @@ GOLDEN = {
         "15e32d4c8b13a6cc47738c0aa79dd29cb3be597c07b24182cd213dbad0cc4230",
     "pairs/xx/phrase-table.txt": "d45fd9b18d6c6feb2d691fdb1355fc6cf540603a6270de8ecdc242fec8e63d7c",
     "pairs/xx/phrase-table.pruned.txt":
-        "5e54904d978ab1f3252731faff3627a2f709b49ca5ce4d4b1e480148c46f76b1",
+        "eb94183b4416c54b0111ae0cbb5141d07ebae70180bae9c13dd63e23943a7d37",
     "pairs/xx/prune-report.tsv": "3a04c6b6e3e6ab4a38e83c6cfa6ac02735b9e2f62a0cde5a9527c0868730ea5e",
     "pairs/xx/candidates.tsv": "b5eecd6ccd8014b2123638be46ec293c6cfe1cfaa1c0eeb91cec9dce26ed1c92",
     "lexicon.tsv": "f2e3e96559d200eff75f7dec000a3b2aec50dc197892b9d0c1e0cb1ba99ac266",
@@ -39,14 +39,14 @@ GOLDEN = {
 }
 NOT_PINNED = {"report.txt", "report.json", ".cache.json"}
 GOLDEN_CACHE = {
-    "ingest:en": "1abdb9d2f6851628d88771a53ac4f2ac864b4612c7ee68a4366fd18edb924cc0",
-    "ingest:xx": "25a17dadc8a24abf071a00640bd0d989bf22a30f5812ddf63d16b517473773fd",
-    "align:xx": "4a12552228c0e876a31510a41a525fcc2f65c43aec7fe3fdc6806b69bd8325f6",
-    "wordalign:xx": "7ebbdd6d5c00c14e90ea72575a9852b8145fb125e814fafc37c5c62befca7714",
-    "phrases:xx": "a4dbfb9eaad6100dc105db0f1c37b25d3a1214e818957524211a923c1b34ca2a",
-    "prune:xx": "b4959e75cb5b027488567d89a43e7521d013510a762e739ad34c4120336982d0",
-    "markers:xx": "c4561372f21e97d4b11bd73298cbc03198bbbb5c79e3fbef89732ac8e1929a63",
-    "lexicon:all": "17e76bf99612b6b7997b62cbac09767dc2e9f907d5f7fa9f26b0c1869fc8d7d9",
+    "ingest:en": "8421dbd4eb6c04a0d62ea834b39a1018c2334c1155db7dc6e22ff83e42f8e55f",
+    "ingest:xx": "1b150e382e8e1f3d7f6d5b65f825538100f4408cf8e5cee62356cc20ffb3abf8",
+    "align:xx": "0665dccd494813fee1691aac0dec70589197fe7c72734f41d5c781b1773bf8ad",
+    "wordalign:xx": "dd241403d56352d7373c576fbb1b404f2bac47eaf43b642c304e16f572e4509b",
+    "phrases:xx": "647d5b7ccfd564cc2211f586b8f7d891be517b359007078a6869af5d0825f924",
+    "prune:xx": "79f6a2ee3238486d164e28c2d5d39dc41f7555d45d083908fa2d5378a8997db6",
+    "markers:xx": "7ac4dd9afec67e472fa47f36742cd07df46f48cd6ebfe3a37f1d53aab11a1b39",
+    "lexicon:all": "d84b73f0a4ff6aa71d6987eb3f0981a08a58ae6fda335f79fd715d150e978563",
 }
 
 

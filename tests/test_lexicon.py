@@ -32,9 +32,7 @@ def _entry(foreign, english, inv=0.5, dir_=0.5, joint=3.0, alignment=None):
         foreign_phrase=foreign,
         english_phrase=english,
         inv_phrase_prob=inv,
-        inv_lex_weight=0.4,
         dir_phrase_prob=dir_,
-        dir_lex_weight=0.4,
         most_frequent_internal_alignment=alignment,
         joint_count=joint,
     )

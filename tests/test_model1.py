@@ -197,6 +197,26 @@ class TestSerialization:
         write_translation_table(table, path)
         assert read_translation_table(path).probs == table.probs
 
+    @pytest.mark.parametrize("lineno, text", [
+        (5, "the\tla\n"), (4, "la\tthe\tx\n"), (2, "# floor=x\n"), (4, "la\tthe\tnan\n"),
+        (4, "la\tthe\t-0.5\n"), (5, "the\tla\t0\n"), (5, "the\tla\t1.5\n"),
+        (2, "# floor=nan\n"), (2, "# floor=0\n"), (3, "# null=True\n"),
+    ], ids=["short-line", "bad-probability", "bad-floor", "nan-probability",
+            "negative-probability", "zero-probability", "probability-above-one", "nan-floor",
+            "zero-floor", "bad-null"])
+    def test_corrupt_line_is_named_with_its_file(self, tmp_path, lineno, text):
+        """A probability must lie in (0, 1], the floor in (0, 1), and `# null=` must
+        be true or false; the error gives the line number and the file."""
+        path = tmp_path / "table.tsv"
+        write_translation_table(train_model1(TOY, iterations=2, use_null=True), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) >= 5
+        lines[lineno - 1] = text
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^line {lineno}: ") as exc:
+            read_translation_table(path)
+        assert str(exc.value).endswith(f" in {path}")
+
     @given(st.dictionaries(
         tokenizer_tokens(),
         st.dictionaries(tokenizer_tokens(), st.sampled_from([0.5, 0.25, 1e-7]),

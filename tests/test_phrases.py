@@ -1,4 +1,4 @@
-import itertools
+import hashlib
 import os
 import random
 import tempfile
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dmlex.model1 import NULL_WORD, TranslationTable, train_model1
 from dmlex.phrases import (
     PhraseCounts,
     PhrasePairInstance,
@@ -16,8 +15,6 @@ from dmlex.phrases import (
     count_phrase_pairs,
     escape_phrase,
     extract_phrase_pairs,
-    inverse_lexical_weight,
-    lexical_weight,
     read_phrase_counts,
     read_phrase_table,
     score_counts,
@@ -112,70 +109,6 @@ def test_extraction_equals_brute_force():
         assert got == expected
 
 
-def _uniform_table(pairs, **kw):
-    return train_model1(pairs, iterations=1, use_null=False, **kw)
-
-
-class TestLexicalWeight:
-    def test_single_link(self):
-        table = TranslationTable(
-            probs={"f0": {"e0": 0.5}}, use_null=False, generated_vocab={"e0"}
-        )
-        assert lexical_weight(("e0",), ("f0",), {(0, 0)}, table) == pytest.approx(0.5)
-
-    def test_double_link_averages(self):
-        table = TranslationTable(
-            probs={"f0": {"e0": 0.2}, "f1": {"e0": 0.4}},
-            use_null=False,
-            generated_vocab={"e0"},
-        )
-        weight = lexical_weight(("e0",), ("f0", "f1"), {(0, 0), (1, 0)}, table)
-        assert weight == pytest.approx(0.3)
-
-    def test_two_word_phrase_hand_computed(self):
-        table = TranslationTable(
-            probs={"f0": {"e0": 0.5, "e1": 0.25}, "f1": {"e1": 0.8}, NULL_WORD: {"e1": 0.1}},
-            use_null=True,
-            generated_vocab={"e0", "e1"},
-        )
-        # e0 linked to f0 (0.5); e1 linked to f0 and f1 -> (0.25 + 0.8) / 2
-        weight = lexical_weight(("e0", "e1"), ("f0", "f1"), {(0, 0), (0, 1), (1, 1)}, table)
-        assert weight == pytest.approx(0.5 * (0.25 + 0.8) / 2)
-
-    def test_unlinked_word_uses_null(self):
-        table = TranslationTable(
-            probs={"f0": {"e0": 0.5}, NULL_WORD: {"e1": 0.1}},
-            use_null=True,
-            generated_vocab={"e0", "e1"},
-        )
-        weight = lexical_weight(("e0", "e1"), ("f0",), {(0, 0)}, table)
-        assert weight == pytest.approx(0.5 * 0.1)
-
-    def test_in_unit_interval(self):
-        table = _uniform_table([(["f0", "f1"], ["e0", "e1"])])
-        w = lexical_weight(("e0", "e1"), ("f0", "f1"), {(0, 0), (1, 1)}, table)
-        assert 0 < w <= 1
-
-    def test_weight_does_not_depend_on_link_insertion_order(self):
-        # four foreign words on one english word: a float sum of four terms
-        # depends on its order, and so does a frozenset's iteration order on
-        # the order its links were inserted in
-        probs = {"f0": {"e0": 0.1}, "f1": {"e0": 0.2}, "f2": {"e0": 0.3}, "f3": {"e0": 0.7}}
-        table = TranslationTable(probs=probs, use_null=False, generated_vocab={"e0"})
-        sets = [frozenset(order) for order in itertools.permutations([(i, 0) for i in range(4)])]
-        assert len({tuple(links) for links in sets}) > 1
-        weights = {lexical_weight(("e0",), ("f0", "f1", "f2", "f3"), links, table)
-                   for links in sets}
-        assert weights == {(0.1 + 0.2 + 0.3 + 0.7) / 4}
-
-    def test_inverse_transposes_links(self):
-        table = TranslationTable(
-            probs={"e0": {"f0": 0.7}}, use_null=False, generated_vocab={"f0"}
-        )
-        w = inverse_lexical_weight(("f0",), ("e0",), {(0, 0)}, table)
-        assert w == pytest.approx(0.7)
-
-
 def _instance(f, e, links):
     return PhrasePairInstance(
         foreign_phrase=tuple(f), english_phrase=tuple(e),
@@ -184,26 +117,17 @@ def _instance(f, e, links):
 
 
 class TestScorePhraseTable:
-    def _tables(self):
-        corpus_ef = [(["f0"], ["e0"])]
-        return (
-            _uniform_table([(["e0"], ["f0"])]),  # t(f|e)
-            _uniform_table(corpus_ef),  # t(e|f)
-        )
-
     def test_single_observation(self):
-        t_fe, t_ef = self._tables()
-        table = score_phrase_table([_instance(["f0"], ["e0"], {(0, 0)})], t_fe, t_ef, 1)
+        table = score_phrase_table([_instance(["f0"], ["e0"], {(0, 0)})], 1)
         entry = table.entries[(("f0",), ("e0",))]
         assert entry.inv_phrase_prob == pytest.approx(1.0)
         assert entry.dir_phrase_prob == pytest.approx(1.0)
         assert entry.joint_count == 1
 
     def test_relative_frequency(self):
-        t_fe, t_ef = self._tables()
         instances = [_instance(["f0"], ["e0"], {(0, 0)}) for _ in range(3)]
         instances.append(_instance(["f1"], ["e0"], {(0, 0)}))
-        table = score_phrase_table(instances, t_fe, t_ef, 4)
+        table = score_phrase_table(instances, 4)
         entry = table.entries[(("f0",), ("e0",))]
         assert entry.inv_phrase_prob == pytest.approx(0.75)
 
@@ -215,12 +139,10 @@ class TestScorePhraseTable:
             (["f1", "f2"], ["e1", "e2"]),
         ]
         alignments = [{(0, 0), (1, 1)}, {(0, 0)}, {(0, 0), (1, 1)}]
-        t_fe = train_model1([(e, f) for f, e in corpus], iterations=2, use_null=False)
-        t_ef = train_model1(corpus, iterations=2, use_null=False)
         instances = []
         for (f, e), links in zip(corpus, alignments):
             instances.extend(extract_phrase_pairs(f, e, links, 7))
-        table = score_phrase_table(instances, t_fe, t_ef, 3)
+        table = score_phrase_table(instances, 3)
 
         # independent naive recount
         from collections import Counter
@@ -242,9 +164,7 @@ class TestScorePhraseTable:
             f = [f"f{rng.randrange(6)}" for _ in range(rng.randint(1, 3))]
             e = [f"e{rng.randrange(6)}" for _ in range(rng.randint(1, 3))]
             instances.append(_instance(f, e, {(0, 0)}))
-        t_fe = _uniform_table([(["e0"], ["f0"])])
-        t_ef = _uniform_table([(["f0"], ["e0"])])
-        table = score_phrase_table(instances, t_fe, t_ef, 200)
+        table = score_phrase_table(instances, 200)
         by_e = {}
         by_f = {}
         for (f, e), entry in table.entries.items():
@@ -256,15 +176,13 @@ class TestScorePhraseTable:
         assert all(abs(total - 1.0) < 1e-9 for total in by_f.values())
 
     def test_most_frequent_alignment_tie_breaks_lexicographically(self):
-        t_fe = _uniform_table([(["e0", "e1"], ["f0", "f1"])])
-        t_ef = _uniform_table([(["f0", "f1"], ["e0", "e1"])])
         a1 = {(0, 0), (1, 1)}
         a2 = {(0, 1), (1, 0)}
         instances = [
             _instance(["f0", "f1"], ["e0", "e1"], a1),
             _instance(["f0", "f1"], ["e0", "e1"], a2),
         ]
-        table = score_phrase_table(instances, t_fe, t_ef, 2)
+        table = score_phrase_table(instances, 2)
         entry = table.entries[(("f0", "f1"), ("e0", "e1"))]
         assert entry.most_frequent_internal_alignment == frozenset(a1)
 
@@ -294,15 +212,13 @@ class TestScoreCounts:
         for (f, e), links in zip(pairs, alignments):
             instances.extend(extract_phrase_pairs(f, e, links, 7))
         assume(instances)
-        t_fe = train_model1([(e, f) for f, e in pairs], iterations=2)
-        t_ef = train_model1(pairs, iterations=2)
-        full = score_phrase_table(instances, t_fe, t_ef, len(pairs))
+        full = score_phrase_table(instances, len(pairs))
         keys = data.draw(st.sets(st.sampled_from(sorted(full.entries))))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "phrase-table.txt")
             write_phrase_counts(count_phrase_pairs(instances, len(pairs)), path)
             counts = read_phrase_counts(path)
-        survivors = score_counts(counts, keys, t_fe, t_ef)
+        survivors = score_counts(counts, keys)
         assert survivors.corpus_size == full.corpus_size
         assert survivors.entries == {key: full.entries[key] for key in keys}
 
@@ -340,15 +256,22 @@ class TestScoreCounts:
         instances = [_instance(f, e, links) for f, e, links in drawn]
         assert count_phrase_pairs((i for i in instances), 7) == count_phrase_pairs(instances, 7)
 
-    def test_equal_alignments_share_one_frozenset(self):
-        instances = [_instance(["f0"], ["e0"], {(0, 0)}), _instance(["f1"], ["e1"], {(0, 0)}),
-                     _instance(["f0", "f1"], ["e0"], {(0, 0), (1, 0)}),
-                     _instance(["f1", "f0"], ["e0"], {(1, 0), (0, 0)})]
-        assert len({id(i.internal_alignment) for i in instances}) == 4
+    @pytest.mark.parametrize("instances, shared", [
+        ([_instance(["f0"], ["e0"], {(0, 0)}), _instance(["f1"], ["e1"], {(0, 0)}),
+          _instance(["f0", "f1"], ["e0"], {(0, 0), (1, 0)}),
+          _instance(["f1", "f0"], ["e0"], {(1, 0), (0, 0)})],
+         lambda keys, aligns: [(aligns[0], aligns[1]), (aligns[2], aligns[3])]),
+        ([_instance(["f0"], ["e0"], {(0, 0)}), _instance(["f0"], ["e1"], {(0, 0)}),
+          _instance(["f1", "f0"], ["e0"], {(1, 0)}), _instance(["f0"], ["e1"], {(0, 0)})],
+         lambda keys, aligns: [(keys[0][0], keys[1][0]), (keys[0][1], keys[2][1])]),
+    ], ids=["equal-alignments", "equal-phrase-tuples"])
+    def test_equal_alignments_share_one_frozenset(self, instances, shared):
+        """Equal alignments are one frozenset, and equal phrase tuples one tuple,
+        across the entries of the counts, whatever objects the instances held."""
+        assert len({id(part) for i in instances for part in i}) == 3 * len(instances)
         counts = count_phrase_pairs(iter(instances), 2)
-        aligns = [align for _, align in counts.entries.values()]
-        assert aligns[0] == aligns[1] and aligns[0] is aligns[1]
-        assert aligns[2] == aligns[3] and aligns[2] is aligns[3]
+        for a, b in shared(list(counts.entries), [align for _, align in counts.entries.values()]):
+            assert a == b and a is b
 
 
 class TestPhraseCountsIO:
@@ -363,8 +286,20 @@ class TestPhraseCountsIO:
         counts = count_phrase_pairs(instances, len(pairs))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "phrase-table.txt")
-            write_phrase_counts(counts, path)
+            written = write_phrase_counts(counts, path)
             assert read_phrase_counts(path) == counts
+            with open(path, "rb") as fh:
+                assert written == hashlib.sha256(fh.read()).hexdigest()
+
+    def test_written_digest_covers_every_block(self, tmp_path):
+        """The writer hashes a block of lines at a time; a table of several blocks
+        reads back whole, and the digest it returns is the file's."""
+        counts = PhraseCounts({((f"f{k}",), (f"e{k % 7}",)): (k % 5 + 1, frozenset({(0, 0)}))
+                               for k in range(10_000)}, 10_000)
+        path = tmp_path / "phrase-table.txt"
+        written = write_phrase_counts(counts, path)
+        assert written == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert read_phrase_counts(path) == counts
 
     def test_separator_entity_and_header_like_tokens_round_trip(self, tmp_path):
         counts = PhraseCounts({(("a", "|||"), ("b",)): (2, frozenset({(0, 0), (1, 0)})),
@@ -411,18 +346,16 @@ class TestPhraseCountsIO:
 
 class TestPhraseTableIO:
     def _toy_table(self):
-        t_fe = _uniform_table([(["e0"], ["f0"])])
-        t_ef = _uniform_table([(["f0"], ["e0"])])
         instances = [
             _instance(["f0"], ["e0"], {(0, 0)}),
             _instance(["f0", "f1"], ["e0", "e1"], {(0, 0), (1, 1)}),
             _instance(["f2"], ["e2"], {(0, 0)}),
         ]
-        return score_phrase_table(instances, t_fe, t_ef, 3)
+        return score_phrase_table(instances, 3)
 
     def test_round_trip(self, tmp_path):
         table = self._toy_table()
-        table.add(PhraseTableEntry(("f3",), ("e3",), 0.5, 0.5, 0.5, 0.5, frozenset({(0, 0)}),
+        table.add(PhraseTableEntry(("f3",), ("e3",), 0.5, 0.5, frozenset({(0, 0)}),
                                    1234567891.0))  # every digit of a large count survives
         path = tmp_path / "pt.txt"
         write_phrase_table(table, path)
@@ -445,7 +378,7 @@ class TestPhraseTableIO:
     def test_hash_led_phrase_is_not_a_header(self, tmp_path):
         table = PhraseTable(corpus_size=3)
         for f in (("#eu",), ("eu",), ("nos",)):
-            table.add(PhraseTableEntry(f, ("we",), 0.5, 0.5, 0.5, 0.5,
+            table.add(PhraseTableEntry(f, ("we",), 0.5, 0.5,
                                        frozenset({(0, 0)}), 1.0))
         path = tmp_path / "pt.txt"
         write_phrase_table(table, path)
@@ -458,7 +391,7 @@ class TestPhraseTableIO:
         # and read back as ("a",) / ("|||", "b")
         table = PhraseTable(corpus_size=2)
         for f, e in ((("a", "|||"), ("b",)), (("&#124;", "&amp;"), ("x|y", "&"))):
-            table.add(PhraseTableEntry(f, e, 0.5, 0.5, 0.5, 0.5, frozenset({(0, 0)}), 1.0))
+            table.add(PhraseTableEntry(f, e, 0.5, 0.5, frozenset({(0, 0)}), 1.0))
         path = tmp_path / "pt.txt"
         write_phrase_table(table, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -488,7 +421,7 @@ class TestPhraseTableIO:
         for f, e in pairs:
             link = st.tuples(st.integers(0, len(f) - 1), st.integers(0, len(e) - 1))
             links = frozenset(data.draw(st.sets(link, max_size=3)))
-            table.add(PhraseTableEntry(f, e, 0.5, 0.25, 0.5, 0.125, links, 2.0))
+            table.add(PhraseTableEntry(f, e, 0.5, 0.25, links, 2.0))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "pt.txt")
             write_phrase_table(table, path)
@@ -505,10 +438,10 @@ class TestPhraseTableIO:
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "pt.txt"
         for line in ["broken line without separators",
-                     "a b ||| c ||| 0.5 0.5 0.5 0.5 ||| 0-9 1-0 ||| 2",
-                     "a b ||| c ||| 0.5 0.5 0.5 0.5 ||| +0-+0 ||| 2",
-                     "a b ||| c ||| 0.5 0.5 0.5 0.5 ||| 0-0_0 ||| 2",
-                     "a b ||| c ||| 0.5 0.5 0.5 0.5 ||| \u0660-\u0660 ||| 2", "# N=abc"]:
+                     "a b ||| c ||| 0.5 0.5 ||| 0-9 1-0 ||| 2",
+                     "a b ||| c ||| 0.5 0.5 ||| +0-+0 ||| 2",
+                     "a b ||| c ||| 0.5 0.5 ||| 0-0_0 ||| 2",
+                     "a b ||| c ||| 0.5 0.5 ||| \u0660-\u0660 ||| 2", "# N=abc"]:
             path.write_text(f"# N=1\n{line}\n", encoding="utf-8")
             with pytest.raises(ValueError, match=r"^line 2: ") as exc:
                 read_phrase_table(path)

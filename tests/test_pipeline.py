@@ -180,10 +180,13 @@ class TestRunPipeline:
                           ("markers", "xx"): not table_changes,
                           ("lexicon", "all"): after[candidates] == before[candidates]}
 
-    def test_translation_tables_are_inputs_of_prune_not_phrases(self, corpus_root, tmp_path):
+    def test_translation_tables_are_inputs_of_no_stage(self, corpus_root, tmp_path):
+        """wordalign writes the t-tables as its record of EM, and no later stage reads
+        them: after one is edited every stage stays a hit, and every other file stays."""
         out = str(tmp_path / "out")
         cfg = validate_config(_config_path(corpus_root), {"output": out})
         assert run_pipeline(cfg).ok
+        before = _read_outputs(out)
         path = os.path.join(out, "pairs", "xx", "model1.e_given_f.tsv")
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines(keepends=True)
@@ -195,34 +198,183 @@ class TestRunPipeline:
 
         report = run_pipeline(cfg)
         assert report.ok
-        status = {r.stage: r.cache_hit for r in report.results if r.pair == "xx"}
-        assert status == {"ingest": True, "align": True, "wordalign": True, "phrases": True,
-                          "prune": False, "markers": False}
+        assert all(r.cache_hit for r in report.results)
+        after = _read_outputs(out)
+        assert after.pop(os.path.relpath(path, out)) != before.pop(os.path.relpath(path, out))
+        assert after == before
 
-    def test_prune_scores_only_the_surviving_pairs(self, corpus_root, tmp_path, monkeypatch):
-        from dmlex import phrases
+    @pytest.mark.parametrize("stages", [["prune"], ["phrases", "prune"]],
+                             ids=["counts-read", "counts-held"])
+    def test_prune_scores_only_the_surviving_pairs(self, corpus_root, tmp_path, monkeypatch,
+                                                   stages):
+        """prune reads no t-table and builds a PhraseTableEntry for each kept pair
+        alone, whether it reads the counts or takes them from phrases."""
+        from dmlex import model1, phrases
 
         out = str(tmp_path / "out")
         cfg = validate_config(_config_path(corpus_root), {"output": out})
-        assert run_pipeline(cfg, stages=["ingest", "align", "wordalign", "phrases"]).ok
-        calls = {"lexical_weight": 0, "PhraseTableEntry": 0}
+        assert run_pipeline(cfg, stages=["ingest", "align", "wordalign"]).ok
+        calls = {(model1, "read_translation_table"): 0, (phrases, "PhraseTableEntry"): 0,
+                 (phrases, "read_phrase_counts"): 0}
 
-        def counted(name):
-            real = getattr(phrases, name)
+        def counted(module, name):
+            real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[module, name] += 1
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(phrases, name, counted(name))
-        report = run_pipeline(cfg, stages=["prune"])
+        for module, name in calls:
+            monkeypatch.setattr(module, name, counted(module, name))
+        if stages == ["prune"]:
+            assert run_pipeline(cfg, stages=["phrases"]).ok
+        report = run_pipeline(cfg, stages=stages)
         assert report.ok
-        stats = report.results[0].stats
+        stats = report.results[-1].stats
         assert 0 < stats["entries_kept"] < stats["entries_in"]
-        assert calls == {"lexical_weight": 2 * stats["entries_kept"],
-                         "PhraseTableEntry": stats["entries_kept"]}
+        assert list(calls.values()) == [0, stats["entries_kept"], int(stages == ["prune"])]
+
+    def test_prune_reads_the_counts_after_a_phrases_hit(self, corpus_root, tmp_path,
+                                                        monkeypatch):
+        """A cold run hands prune the counts in memory. A rerun with another
+        prune.mode, where phrases is a hit, reads phrase-table.txt and writes the bytes
+        of a cold run with that mode."""
+        from dmlex import phrases
+
+        reads = []
+        real = phrases.read_phrase_counts
+        monkeypatch.setattr(phrases, "read_phrase_counts",
+                            lambda path: reads.append(path) or real(path))
+        out, cold = str(tmp_path / "out"), str(tmp_path / "cold")
+        assert run_pipeline(validate_config(_config_path(corpus_root), {"output": out})).ok
+        assert reads == []
+        report = run_pipeline(validate_config(_config_path(corpus_root),
+                                              {"output": out, "prune.mode": "alpha"}))
+        assert report.ok
+        assert [r.stage for r in report.results if not r.cache_hit] == ["prune"]
+        assert reads == [os.path.join(out, "pairs", "xx", "phrase-table.txt")]
+        assert run_pipeline(validate_config(_config_path(corpus_root),
+                                            {"output": cold, "prune.mode": "alpha"})).ok
+        assert len(reads) == 1
+        assert _read_outputs(out) == _read_outputs(cold)
+
+    def test_prune_uses_the_bytes_its_key_hashed(self, corpus_root, tmp_path):
+        """phrase-table.txt rewritten between phrases and prune on one runner: prune
+        reads the new file rather than take the counts phrases held, so its outputs
+        and its key are those of a runner that never held them."""
+        from dmlex.pipeline import PipelineRunner
+
+        def prune_after(name, edit, new_runner):
+            out = tmp_path / name
+            runner = PipelineRunner(validate_config(_config_path(corpus_root),
+                                                    {"output": str(out)}))
+            results = [runner.stage_ingest("en"), runner.stage_ingest("xx")]
+            results += [getattr(runner, f"stage_{stage}")("xx")
+                        for stage in ("align", "wordalign", "phrases")]
+            assert all(r.error is None for r in results) and "xx" in runner.held
+            if edit:  # keep every other pair, a valid table of fewer entries
+                path = out / "pairs" / "xx" / "phrase-table.txt"
+                lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+                path.write_text(lines[0] + "".join(lines[1::2]), encoding="utf-8")
+            if new_runner:
+                runner = PipelineRunner(runner.cfg)
+            assert runner.stage_prune("xx").error is None
+            return _read_outputs(str(out)), runner.cache.manifest["prune:xx"]["digest"]
+
+        held = prune_after("held", edit=False, new_runner=False)
+        edited = prune_after("edited", edit=True, new_runner=False)
+        assert edited == prune_after("fresh", edit=True, new_runner=True)
+        pruned = os.path.join("pairs", "xx", "phrase-table.pruned.txt")
+        assert edited[0][pruned] != held[0][pruned]
+
+    @pytest.mark.parametrize("fate", ["taken", "phrases-fails", "prune-fails"])
+    def test_no_held_counts_outlive_their_pair(self, corpus_root, tmp_path, monkeypatch, fate):
+        """With two pairs on two jobs, the counts phrases holds for a pair are gone
+        once prune has taken them, and once the pair has ended after phrases or prune
+        failed: the runner holds nothing, and nothing else keeps the counts alive."""
+        import shutil
+        import weakref
+
+        from dmlex import pipeline, significance
+
+        root = tmp_path / "two"
+        shutil.copytree(corpus_root, root)
+        shutil.copytree(root / "corpus" / "xx", root / "corpus" / "yy")
+        cfg_file = root / "pipeline.cfg"
+        base = open(cfg_file, encoding="utf-8").read()
+        cfg_file.write_text(base.replace("foreign = xx", "foreign = xx,yy"), encoding="utf-8")
+        Runner = pipeline.PipelineRunner
+        real = {name: getattr(Runner, f"stage_{name}")
+                for name in ("phrases", "markers", "lexicon")}
+        refs, seen = {}, {}
+
+        def alive():
+            return {lang: ref() is not None for lang, ref in refs.items()}
+
+        def phrases(self, lang):
+            result = real["phrases"](self, lang)
+            refs[lang] = weakref.ref(self.held[lang][1])
+            return result
+
+        def markers(self, lang):
+            seen[lang] = (lang in self.held, alive()[lang])
+            return real["markers"](self, lang)
+
+        def lexicon(self, languages):
+            seen["lexicon"] = (dict(self.held), alive())
+            return real["lexicon"](self, languages)
+
+        for name, wrapper in (("phrases", phrases), ("markers", markers),
+                              ("lexicon", lexicon)):
+            monkeypatch.setattr(Runner, f"stage_{name}", wrapper)
+        if fate == "phrases-fails":  # after its body held the counts
+            real_store = pipeline._Cache.store
+
+            def store(self, key, digest, stats=None):
+                if key.startswith("phrases:") and digest is not None:
+                    raise OSError("disk full")
+                return real_store(self, key, digest, stats)
+            monkeypatch.setattr(pipeline._Cache, "store", store)
+        elif fate == "prune-fails":
+            def contingency_counts(*args):
+                raise RuntimeError("boom")
+            monkeypatch.setattr(significance, "contingency_counts", contingency_counts)
+
+        cfg = validate_config(cfg_file, {"output": str(root / "out"), "jobs": "2"})
+        assert run_pipeline(cfg).ok is (fate == "taken")
+        assert set(refs) == {"xx", "yy"}
+        markers_seen = {"xx": (False, False), "yy": (False, False)} if fate == "taken" else {}
+        assert seen == {**markers_seen, "lexicon": ({}, {"xx": False, "yy": False})}
+        assert alive() == {"xx": False, "yy": False}
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_output_of_another_format_version_is_rewritten(self, corpus_root, tmp_path,
+                                                          monkeypatch, stage):
+        """A stage recorded under another format version reruns, and only it, so an
+        output directory written by an older writer keeps none of its bytes, such as
+        the `# direction=` line that t-tables carried before."""
+        from dmlex import pipeline
+
+        victim = {"ingest": "ingest/xx/ep-0.txt", "align": "pairs/xx/aligned.src",
+                  "wordalign": "pairs/xx/model1.f_given_e.tsv",
+                  "phrases": "pairs/xx/phrase-table.txt",
+                  "prune": "pairs/xx/phrase-table.pruned.txt",
+                  "markers": "pairs/xx/candidates.tsv", "lexicon": "lexicon.tsv"}[stage]
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert run_pipeline(validate_config(_config_path(corpus_root),
+                                            {"output": str(fresh)})).ok
+        cfg = validate_config(_config_path(corpus_root), {"output": str(out)})
+        monkeypatch.setitem(pipeline.FORMAT_VERSIONS, stage, pipeline.FORMAT_VERSIONS[stage] - 1)
+        assert run_pipeline(cfg).ok
+        monkeypatch.undo()
+        path = out / victim
+        path.write_bytes(b"# direction=f_given_e\n" + path.read_bytes())
+
+        report = run_pipeline(cfg)
+        assert report.ok
+        assert {r.stage for r in report.results if not r.cache_hit} == {stage}
+        assert _read_outputs(str(out)) == _read_outputs(str(fresh))
 
     def test_phrases_counts_instances_as_they_are_extracted(self, corpus_root, tmp_path,
                                                              monkeypatch):
@@ -690,16 +842,6 @@ class TestRunPipeline:
                                    f"in its own corpus")
 
     @pytest.mark.parametrize("victim, lineno, text, stage", [
-        ("model1.f_given_e.tsv", 5, "the\tla\n", "prune"),
-        ("model1.e_given_f.tsv", 4, "la\tthe\tx\n", "prune"),
-        ("model1.e_given_f.tsv", 2, "# floor=x\n", "prune"),
-        ("model1.e_given_f.tsv", 4, "la\tthe\tnan\n", "prune"),
-        ("model1.e_given_f.tsv", 4, "la\tthe\t-0.5\n", "prune"),
-        ("model1.f_given_e.tsv", 5, "the\tla\t0\n", "prune"),
-        ("model1.f_given_e.tsv", 5, "the\tla\t1.5\n", "prune"),
-        ("model1.f_given_e.tsv", 2, "# floor=nan\n", "prune"),
-        ("model1.e_given_f.tsv", 2, "# floor=0\n", "prune"),
-        ("model1.e_given_f.tsv", 3, "# null=True\n", "prune"),
         ("phrase-table.txt", 1, "# N=abc\n", "prune"),
         ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| -4\n", "prune"),
         ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| 0\n", "prune"),
@@ -707,18 +849,16 @@ class TestRunPipeline:
         ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| 4_0\n", "prune"),
         ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| \u0664\n", "prune"),
         ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| 4.0\n", "prune"),
-        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 nan 0.5 0.5 ||| 0-0 ||| 3\n", "markers"),
-        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 0 0.5 ||| 0-0 ||| 3\n", "markers"),
-        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 0.5 1.5 ||| 0-0 ||| 3\n", "markers"),
-        ("phrase-table.pruned.txt", 2, "a ||| b ||| -0.5 0.5 0.5 0.5 ||| 0-0 ||| 3\n",
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 nan ||| 0-0 ||| 3\n", "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0 ||| 0-0 ||| 3\n", "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 1.5 ||| 0-0 ||| 3\n", "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| -0.5 0.5 ||| 0-0 ||| 3\n", "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 0.5 0.5 ||| 0-0 ||| 3\n",
          "markers"),
-        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 0.5 0.5 ||| 0-0 ||| 0\n", "markers"),
-        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 0.5 0.5 ||| 0-0 ||| -4\n",
-         "markers"),
-        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 0.5 0.5 ||| 0-0 ||| nan\n",
-         "markers"),
-        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 0.5 0.5 ||| 0-0 ||| inf\n",
-         "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 ||| 0-0 ||| 0\n", "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 ||| 0-0 ||| -4\n", "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 ||| 0-0 ||| nan\n", "markers"),
+        ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0.5 ||| 0-0 ||| inf\n", "markers"),
         ("candidates.tsv", 2, "since\txx\n", "lexicon"),
         ("candidates.tsv", 3, "since\txx\tdesde\tx\t3\tnone\n", "lexicon"),
         ("candidates.tsv", 1, "", "lexicon"),
@@ -729,14 +869,11 @@ class TestRunPipeline:
         ("candidates.tsv", 2, "since\txx\tdesde\t0.5\tnan\tnone\n", "lexicon"),
         ("candidates.tsv", 2, "since\txx\tdesde\t0.5\tinf\tnone\n", "lexicon"),
         ("candidates.tsv", 2, "since\txx\tdesde\t0.5\t3\tafter\n", "lexicon"),
-    ], ids=["t-table-short-line", "t-table-bad-probability", "t-table-bad-floor",
-            "t-table-nan-probability", "t-table-negative-probability",
-            "t-table-zero-probability", "t-table-probability-above-one", "t-table-nan-floor",
-            "t-table-zero-floor", "t-table-bad-null", "phrase-table-bad-corpus-size",
+    ], ids=["phrase-table-bad-corpus-size",
             "counts-negative", "counts-zero", "counts-sign", "counts-underscore",
             "counts-arabic-digit", "counts-decimal-point", "pruned-nan-score",
             "pruned-zero-score", "pruned-score-above-one", "pruned-negative-score",
-            "pruned-zero-count", "pruned-negative-count", "pruned-nan-count",
+            "pruned-four-scores", "pruned-zero-count", "pruned-negative-count", "pruned-nan-count",
             "pruned-infinite-count",
             "candidates-short-line", "candidates-bad-score", "candidates-empty",
             "candidates-nan-score", "candidates-zero-score", "candidates-score-above-one",
@@ -744,14 +881,13 @@ class TestRunPipeline:
             "candidates-bad-context"])
     def test_corrupt_reader_input_fails_its_stage_naming_line_and_file(
             self, corpus_root, tmp_path, victim, lineno, text, stage):
-        """A bad line in a t-table or the counts fails prune, one in the pruned
-        table fails markers, and one in candidates.tsv fails lexicon, with an error
-        that gives the line number and the file. A t-table probability must lie in
-        (0, 1], its floor in (0, 1), and its `# null=` must be true or false. A
-        count in the counts is an ASCII decimal integer of at least 1. The scores
-        of the pruned table and candidates.tsv lie in (0, 1], their counts are
-        integers of at least 1, and a candidate's context is one of
-        lexicon.CONTEXTS: lexicon.json may hold no NaN or Infinity."""
+        """A bad line in the counts fails prune, one in the pruned table fails
+        markers, and one in candidates.tsv fails lexicon, with an error that gives
+        the line number and the file. A count in the counts is an ASCII decimal
+        integer of at least 1. The pruned table holds two scores, and the scores of
+        it and of candidates.tsv lie in (0, 1], their counts are integers of at least
+        1, and a candidate's context is one of lexicon.CONTEXTS: lexicon.json may
+        hold no NaN or Infinity."""
         out = tmp_path / "out"
         args = ["--config", _config_path(corpus_root), "--output", str(out)]
         assert cli_main(args + ["pipeline"]) == 0

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmlex.galechurch import read_aligned_corpus
-from dmlex.model1 import read_translation_table
 from dmlex.phrases import (
     PhraseCounts,
     count_phrase_pairs,
@@ -258,7 +257,7 @@ class TestPrune:
         counts = contingency_counts(table, pairs)
         _, report = prune(table, counts, PruneConfig())
         path = tmp_path / "report.tsv"
-        write_prune_report(report, path)
+        write_prune_report(report, counts, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("# threshold=")
         body = [l for l in lines if not l.startswith("#")]
@@ -266,10 +265,10 @@ class TestPrune:
         assert all(l.endswith(("kept", "pruned")) for l in body)
 
     def test_report_escapes_phrase_fields(self, tmp_path):
-        report = PruneReport(threshold=1.0, rows=[
-            (("a", "|||"), ("b&c",), ContingencyTable(1, 1, 1, 2), 0.5, False)])
+        ct = ContingencyTable(1, 1, 1, 2)
+        report = PruneReport(threshold=1.0, scores={ct: 0.5}, kept_count=0, pruned_count=1)
         path = tmp_path / "report.tsv"
-        write_prune_report(report, path)
+        write_prune_report(report, {(("a", "|||"), ("b&c",)): ct}, path)
         row = path.read_text(encoding="utf-8").splitlines()[1]
         assert row == "a &#124;&#124;&#124; ||| b&amp;c\t1\t1\t1\t0.5\tpruned"
 
@@ -285,8 +284,8 @@ class TestPrune:
         for counts in (shared, distinct):
             kept, report = prune(table, counts, PruneConfig())
             path = tmp_path / f"report-{len(outputs)}.tsv"
-            write_prune_report(report, path)
-            outputs.append((set(kept.entries), report.rows, path.read_bytes()))
+            write_prune_report(report, counts, path)
+            outputs.append((set(kept.entries), report.scores, path.read_bytes()))
         assert outputs[0] == outputs[1]
         assert 0 < len(outputs[0][0]) < len(shared)
 
@@ -305,14 +304,10 @@ class TestPruneOutputsMatchOracle:
         counts = {key: ContingencyTable(*cell) for key, cell in oracle.items()}
 
         kept, report = prune(pair_counts, counts, cfg.prune_config)
-        for foreign, english, ct, score, _ in report.rows:
-            assert ct == counts[(foreign, english)]
-            assert score == fisher_neg_log_p(ct)
+        assert all(report.scores[ct] == fisher_neg_log_p(ct) for ct in counts.values())
         assert 0 < report.kept_count < len(pair_counts.entries)
-        table = score_counts(pair_counts, kept.entries,
-                             read_translation_table(pair_dir / "model1.f_given_e.tsv"),
-                             read_translation_table(pair_dir / "model1.e_given_f.tsv"))
-        write_prune_report(report, tmp_path / "prune-report.tsv")
+        table = score_counts(pair_counts, kept.entries)
+        write_prune_report(report, counts, tmp_path / "prune-report.tsv")
         write_phrase_table(table, tmp_path / "phrase-table.pruned.txt")
         for name in ("prune-report.tsv", "phrase-table.pruned.txt"):
             assert (pair_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
