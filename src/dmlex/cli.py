@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from .pipeline import STAGES, ConfigError, render_report, run_pipeline, validate_config
+from .pipeline import STAGES, render_report, run_pipeline, validate_config
 
 # subcommand -> stages executed: STAGES up to its own, or all for pipeline
 _SUBCOMMAND_STAGES = {stage: STAGES[:k + 1] for k, stage in enumerate(STAGES)}
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
 
     try:
         config = validate_config(args.config, overrides)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError, as is bad UTF-8
         errors = getattr(exc, "errors", [str(exc)])
         for err in errors:
             print(f"config error: {err}", file=sys.stderr)
@@ -56,10 +56,15 @@ def main(argv=None) -> int:
         if not os.path.isfile(path):
             print(f"no report at {path}; run the pipeline first", file=sys.stderr)
             return 1
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            ok = doc["ok"]
+        except (ValueError, TypeError, KeyError):  # truncated, or not a report object
+            print(f"no valid report at {path}", file=sys.stderr)
+            return 1
         print(json.dumps(doc, indent=2))
-        return 0 if doc["ok"] else 1
+        return 0 if ok else 1
 
     report = run_pipeline(config, stages=_SUBCOMMAND_STAGES[args.command])
     print(render_report(report), end="")

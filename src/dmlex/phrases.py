@@ -1,8 +1,5 @@
 """Alignment-consistent phrase extraction and phrase-table scoring."""
 
-import hashlib
-import itertools
-import sys
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 
@@ -185,36 +182,23 @@ def write_phrase_table(table: PhraseTable, path) -> None:
                      f"{entry.joint_count:.0f}\n")
 
 
-def write_phrase_counts(counts: PhraseCounts, path) -> str:
-    """`f ||| e ||| i-j links ||| joint count`, lexicographically sorted. Returns the
-    sha256 of the bytes written, hashed a block of lines at a time as they are written."""
+def write_phrase_counts(counts: PhraseCounts, path) -> None:
+    """`f ||| e ||| i-j links ||| joint count`, lexicographically sorted."""
     links = _Memo(format_links)
-
-    def lines():
-        yield f"# N={counts.corpus_size}\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# N={counts.corpus_size}\n")
         for f, e in sorted(counts.entries):
             joint, align = counts.entries[f, e]
-            yield f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {links[align]} ||| {joint}\n"
-
-    digest, text = hashlib.sha256(), lines()
-    with open(path, "wb") as fh:
-        while block := "".join(itertools.islice(text, 1024)).encode("utf-8"):
-            digest.update(block)
-            fh.write(block)
-    return digest.hexdigest()
-
-
-def _corpus_size_header(table):
-    """A read_table header callback: `# N=` sets table.corpus_size."""
-    def header(key, value):
-        if key == "N":
-            table.corpus_size = int(value)
-    return header
+            fh.write(f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {links[align]} ||| {joint}\n")
 
 
 def read_phrase_table(path) -> PhraseTable:
     table = PhraseTable()
     links = _Memo(parse_links)
+
+    def header(key, value):
+        if key == "N":
+            table.corpus_size = int(value)
 
     def add(f_str, e_str, scores_str, links_str, count_str):
         f, e = unescape_phrase(f_str), unescape_phrase(e_str)
@@ -224,23 +208,6 @@ def read_phrase_table(path) -> PhraseTable:
         align = links_inside(links[links_str], links_str, len(f), len(e))
         table.add(PhraseTableEntry(f, e, *scores, align, float(count_str)))
 
-    read_table(path, " ||| ", 5, _corpus_size_header(table), add)
+    read_table(path, " ||| ", 5, header, add)
     return table
 
-
-def read_phrase_counts(path) -> PhraseCounts:
-    """Each distinct phrase or links text is parsed once, and each token interned;
-    entries share the result."""
-    counts = PhraseCounts()
-    phrase = _Memo(lambda text: tuple(map(sys.intern, unescape_phrase(text))))
-    links = _Memo(parse_links)
-
-    def add(f_str, e_str, links_str, joint_str):
-        f, e = phrase[f_str], phrase[e_str]
-        align = links_inside(links[links_str], links_str, len(f), len(e))
-        if not (joint_str.isascii() and joint_str.isdigit() and int(joint_str) >= 1):
-            raise ValueError(f"joint count {joint_str!r} is not an integer of at least 1")
-        counts.entries[f, e] = (int(joint_str), align)
-
-    read_table(path, " ||| ", 4, _corpus_size_header(counts), add)
-    return counts

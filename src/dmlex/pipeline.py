@@ -97,19 +97,19 @@ _KNOWN_KEYS = {
 
 
 def parse_config_file(path) -> dict:
-    """Flat `key = value` lines with dotted keys; `#` starts a comment."""
+    """Flat `key = value` lines with dotted keys; `#` starts a comment. A bad
+    UTF-8 byte raises ValueError naming its offset and the file."""
     values = {}
     errors = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                errors.append(f"line {lineno}: expected `key = value`")
-                continue
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, line in enumerate(ingest.text_lines(ingest.read_text(path)), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            errors.append(f"line {lineno}: expected `key = value`")
+            continue
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     if errors:
         raise ConfigError(errors)
     return values
@@ -295,7 +295,7 @@ class PipelineRunner:
             os.listdir(os.path.join(config.corpus_root, config.english_code))
         )
         self.hashed = {}  # input path -> sha256 of its bytes when a stage's key last read it
-        self.held = {}  # language -> (sha256 of the phrase-table.txt written, its counts)
+        self.held = {}  # language -> (sha256 of each input phrases' key hashed, its counts)
 
     # ---- paths ----------------------------------------------------------
     def ingest_dir(self, lang):
@@ -407,20 +407,26 @@ class PipelineRunner:
 
         return self._run_stage(lang, "wordalign", em, inputs, outputs, body)
 
+    def _count_phrases(self, p):
+        """The aligned corpus's sentence pairs and the phrase counts extracted from
+        them, each instance counted as it is extracted, never listed."""
+        pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
+        alignments = model1.read_alignments(p["alignments"], pairs)
+        instances = itertools.chain.from_iterable(
+            phrases.extract_phrase_pairs(src, tgt, links, self.cfg.max_phrase_len)
+            for links, (src, tgt) in zip(alignments, pairs))
+        return pairs, phrases.count_phrase_pairs(instances, len(pairs))
+
     def stage_phrases(self, lang) -> StageResult:
         p = self._pair_paths(lang)
         inputs = [p["aligned_src"], p["aligned_tgt"], p["alignments"]]
         outputs = [p["phrase_table"]]
 
         def body():
-            pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
-            alignments = model1.read_alignments(p["alignments"], pairs)
-            instances = itertools.chain.from_iterable(  # counted as extracted, never listed
-                phrases.extract_phrase_pairs(src, tgt, links, self.cfg.max_phrase_len)
-                for links, (src, tgt) in zip(alignments, pairs))
-            counts = phrases.count_phrase_pairs(instances, len(pairs))
-            written = phrases.write_phrase_counts(counts, p["phrase_table"])
-            self.held[lang] = (written, counts)  # for prune, if its key hashes these bytes
+            _, counts = self._count_phrases(p)
+            phrases.write_phrase_counts(counts, p["phrase_table"])
+            # for prune, if its key hashes the bytes that this stage's key hashed
+            self.held[lang] = ([self.hashed[path] for path in inputs], counts)
             return {"instances": sum(joint for joint, _ in counts.entries.values()),
                     "entries": len(counts.entries)}
 
@@ -428,22 +434,21 @@ class PipelineRunner:
 
     def stage_prune(self, lang) -> StageResult:
         """Prune on counts alone, then score only the surviving pairs. The counts are
-        the ones phrases held in this run if prune's key hashed the bytes it wrote,
-        and otherwise, after a phrases cache hit say, read from phrase-table.txt."""
+        the ones phrases held in this run if prune's key hashed the same inputs as
+        phrases' key did, and otherwise, after a phrases cache hit say, extracted
+        anew from those inputs."""
         p = self._pair_paths(lang)
-        inputs = [p["phrase_table"], p["aligned_src"], p["aligned_tgt"]]
+        inputs = [p["aligned_src"], p["aligned_tgt"], p["alignments"]]
         outputs = [p["pruned_table"], p["prune_report"]]
         held = self.held.pop(lang, None)  # taken on a hit or a failure too
 
         def body():
-            written, pair_counts = held or (None, None)
-            if written != self.hashed[p["phrase_table"]]:
-                pair_counts = phrases.read_phrase_counts(p["phrase_table"])
-            pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
-            try:
-                counts = significance.contingency_counts(pair_counts, pairs)
-            except RuntimeError as exc:  # the counts list a pair their corpus lacks
-                raise RuntimeError(f"{p['phrase_table']}: {exc}") from None
+            seen, pair_counts = held or (None, None)
+            if seen == [self.hashed[path] for path in inputs]:
+                pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
+            else:
+                pairs, pair_counts = self._count_phrases(p)
+            counts = significance.contingency_counts(pair_counts, pairs)
             del pairs
             kept, report = significance.prune(pair_counts, counts, self.cfg.prune_config)
             significance.write_prune_report(report, counts, p["prune_report"])
@@ -453,7 +458,7 @@ class PipelineRunner:
             return {"entries_in": len(pair_counts.entries), "entries_kept": report.kept_count,
                     "entries_pruned": report.pruned_count, "threshold": report.threshold}
 
-        params = (self.cfg.prune_config, significance.EPSILON)
+        params = (self.cfg.prune_config, significance.EPSILON, self.cfg.max_phrase_len)
         return self._run_stage(lang, "prune", params, inputs, outputs, body)
 
     def stage_markers(self, lang) -> StageResult:

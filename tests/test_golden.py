@@ -6,7 +6,8 @@ this test green; a change that alters an output on purpose updates the
 digest here and says why in CHANGES.md. The run reports and the cache
 manifest carry timings and paths, so they are not pinned; the stage digests
 in the manifest are, because a cache primed by an earlier build hits only
-while they hold.
+while they hold. `prune` gets its counts from `phrases` in memory in a full
+run and extracts them itself when run alone; both must give the pinned bytes.
 """
 
 import hashlib
@@ -44,22 +45,28 @@ GOLDEN_CACHE = {
     "align:xx": "0665dccd494813fee1691aac0dec70589197fe7c72734f41d5c781b1773bf8ad",
     "wordalign:xx": "dd241403d56352d7373c576fbb1b404f2bac47eaf43b642c304e16f572e4509b",
     "phrases:xx": "647d5b7ccfd564cc2211f586b8f7d891be517b359007078a6869af5d0825f924",
-    "prune:xx": "79f6a2ee3238486d164e28c2d5d39dc41f7555d45d083908fa2d5378a8997db6",
+    "prune:xx": "12e7a02c04eaeeb12dc61d0bd7cb29c0e4fa376e2ce70329c515f3d2c061d43d",
     "markers:xx": "7ac4dd9afec67e472fa47f36742cd07df46f48cd6ebfe3a37f1d53aab11a1b39",
     "lexicon:all": "d84b73f0a4ff6aa71d6987eb3f0981a08a58ae6fda335f79fd715d150e978563",
 }
+
+
+def _digests(out):
+    return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.rglob("*")
+            if path.is_file() and path.relative_to(out).as_posix() not in NOT_PINNED}
 
 
 def test_stage_outputs_match_pinned_digests(tmp_path):
     config = write_synthetic_corpus(str(tmp_path), n_pairs=80)
     assert run_pipeline(validate_config(config)).ok
     out = tmp_path / "out"
-    digests = {}
-    for path in out.rglob("*"):
-        rel = path.relative_to(out).as_posix()
-        if path.is_file() and rel not in NOT_PINNED:
-            digests[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digests == GOLDEN
+    assert _digests(out) == GOLDEN
     with open(out / ".cache.json", encoding="utf-8") as fh:
         assert {key: rec["digest"] for key, rec in json.load(fh).items()} == GOLDEN_CACHE
     assert os.path.getsize(out / "lexicon.tsv") > 0
+
+    # a new runner holds no counts, so prune alone extracts them from its inputs
+    rerun = run_pipeline(validate_config(config, {"cache": "false"}), stages=["prune"])
+    assert [(r.stage, r.cache_hit, r.error) for r in rerun.results] == [("prune", False, None)]
+    assert _digests(out) == GOLDEN

@@ -1,4 +1,3 @@
-import hashlib
 import os
 import random
 import tempfile
@@ -15,7 +14,6 @@ from dmlex.phrases import (
     count_phrase_pairs,
     escape_phrase,
     extract_phrase_pairs,
-    read_phrase_counts,
     read_phrase_table,
     score_counts,
     score_phrase_table,
@@ -205,8 +203,8 @@ class TestScoreCounts:
     @settings(max_examples=100, deadline=None)
     @given(_aligned_corpus(), st.data())
     def test_survivor_scores_equal_full_table_scores(self, drawn, data):
-        """Scoring some keys of a counts file read back from disk gives, float
-        for float, the entries that scoring every extracted pair gives."""
+        """Scoring some keys of the extracted counts gives, float for float, the
+        entries that scoring every extracted pair gives."""
         pairs, alignments = drawn
         instances = []
         for (f, e), links in zip(pairs, alignments):
@@ -214,11 +212,7 @@ class TestScoreCounts:
         assume(instances)
         full = score_phrase_table(instances, len(pairs))
         keys = data.draw(st.sets(st.sampled_from(sorted(full.entries))))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "phrase-table.txt")
-            write_phrase_counts(count_phrase_pairs(instances, len(pairs)), path)
-            counts = read_phrase_counts(path)
-        survivors = score_counts(counts, keys)
+        survivors = score_counts(count_phrase_pairs(instances, len(pairs)), keys)
         assert survivors.corpus_size == full.corpus_size
         assert survivors.entries == {key: full.entries[key] for key in keys}
 
@@ -275,33 +269,7 @@ class TestScoreCounts:
 
 
 class TestPhraseCountsIO:
-    @given(st.lists(st.tuples(tokenizer_phrases(), tokenizer_phrases(), st.integers(1, 3)),
-                    min_size=1, max_size=6), st.data())
-    def test_tokenizer_output_round_trips(self, pairs, data):
-        instances = []
-        for f, e, n in pairs:
-            link = st.tuples(st.integers(0, len(f) - 1), st.integers(0, len(e) - 1))
-            instances += [_instance(f, e, data.draw(st.sets(link, min_size=1, max_size=3)))
-                          for _ in range(n)]
-        counts = count_phrase_pairs(instances, len(pairs))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "phrase-table.txt")
-            written = write_phrase_counts(counts, path)
-            assert read_phrase_counts(path) == counts
-            with open(path, "rb") as fh:
-                assert written == hashlib.sha256(fh.read()).hexdigest()
-
-    def test_written_digest_covers_every_block(self, tmp_path):
-        """The writer hashes a block of lines at a time; a table of several blocks
-        reads back whole, and the digest it returns is the file's."""
-        counts = PhraseCounts({((f"f{k}",), (f"e{k % 7}",)): (k % 5 + 1, frozenset({(0, 0)}))
-                               for k in range(10_000)}, 10_000)
-        path = tmp_path / "phrase-table.txt"
-        written = write_phrase_counts(counts, path)
-        assert written == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert read_phrase_counts(path) == counts
-
-    def test_separator_entity_and_header_like_tokens_round_trip(self, tmp_path):
+    def test_separator_entity_and_header_like_tokens_are_written_escaped(self, tmp_path):
         counts = PhraseCounts({(("a", "|||"), ("b",)): (2, frozenset({(0, 0), (1, 0)})),
                                (("&#124;", "&amp;"), ("x|y", "&")): (1, frozenset({(0, 0)})),
                                (("#", "N=5"), ("#eu",)): (4, frozenset({(1, 0)}))}, 7)
@@ -313,35 +281,6 @@ class TestPhraseCountsIO:
             "&amp;#124; &amp;amp; ||| x&#124;y &amp; ||| 0-0 ||| 1",
             "a &#124;&#124;&#124; ||| b ||| 0-0 1-0 ||| 2",
         ]
-        assert read_phrase_counts(path) == counts
-
-    def test_equal_tokens_are_one_string_across_phrases(self, tmp_path):
-        """Reading shares each token text among all phrases, foreign or english,
-        that hold it, as well as each whole phrase among its entries."""
-        path = tmp_path / "phrase-table.txt"
-        path.write_text("# N=2\n"
-                        "das haus ||| the house ||| 0-0 1-1 ||| 1\n"
-                        "haus ||| house ||| 0-0 ||| 2\n"
-                        "haus ||| house the ||| 0-0 ||| 1\n"
-                        "the ||| das ||| 0-0 ||| 1\n", encoding="utf-8")
-        keys = list(read_phrase_counts(path).entries)
-        assert keys[0][0][1] is keys[1][0][0] is keys[2][0][0]  # haus
-        assert keys[0][1][1] is keys[1][1][0] is keys[2][1][0]  # house
-        assert keys[0][1][0] is keys[2][1][1] is keys[3][0][0]  # the
-        assert keys[0][0][0] is keys[3][1][0]  # das
-        assert keys[1][0] is keys[2][0]  # the phrase `haus`
-
-    @pytest.mark.parametrize("line", ["a ||| b ||| 0-0 ||| 1 ||| 2", "a ||| b ||| 0-0 ||| 1.5",
-                                      "a ||| b ||| 0-x ||| 1", "a ||| b ||| 0 ||| 1",
-                                      "a ||| b ||| 1-0 ||| 1", "a ||| b ||| 0-1 ||| 1",
-                                      "a ||| b ||| +0-+0 ||| 1", "a ||| b ||| 0-0_0 ||| 1",
-                                      "a ||| b ||| \u0660-\u0660 ||| 1", "# N=abc"])
-    def test_malformed_line_reports_line_number(self, tmp_path, line):
-        path = tmp_path / "phrase-table.txt"
-        path.write_text(f"# N=1\na ||| b ||| 0-0 ||| 1\n{line}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"^line 3: ") as exc:
-            read_phrase_counts(path)
-        assert str(exc.value).endswith(f" in {path}")
 
 
 class TestPhraseTableIO:

@@ -181,41 +181,45 @@ class TestRunPipeline:
                           ("lexicon", "all"): after[candidates] == before[candidates]}
 
     def test_translation_tables_are_inputs_of_no_stage(self, corpus_root, tmp_path):
-        """wordalign writes the t-tables as its record of EM, and no later stage reads
-        them: after one is edited every stage stays a hit, and every other file stays."""
+        """wordalign writes the t-tables as its record of EM, and phrases writes
+        phrase-table.txt as its record of extraction; no later stage reads them: after
+        a t-table and phrase-table.txt are edited every stage stays a hit, and every
+        other file stays."""
         out = str(tmp_path / "out")
         cfg = validate_config(_config_path(corpus_root), {"output": out})
         assert run_pipeline(cfg).ok
         before = _read_outputs(out)
-        path = os.path.join(out, "pairs", "xx", "model1.e_given_f.tsv")
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines(keepends=True)
-        row = next(k for k, line in enumerate(lines) if not line.startswith("#"))
-        cond, gen, prob = lines[row].rstrip("\n").split("\t")
-        lines[row] = f"{cond}\t{gen}\t{float(prob) / 2:.8g}\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(lines))
+        edited = [os.path.join("pairs", "xx", name)
+                  for name in ("model1.e_given_f.tsv", "phrase-table.txt")]
+        for rel in edited:  # a valid file without its first entry
+            with open(os.path.join(out, rel), encoding="utf-8") as fh:
+                lines = fh.read().splitlines(keepends=True)
+            lines.pop(next(k for k, line in enumerate(lines) if not line.startswith("#")))
+            with open(os.path.join(out, rel), "w", encoding="utf-8") as fh:
+                fh.write("".join(lines))
 
         report = run_pipeline(cfg)
         assert report.ok
         assert all(r.cache_hit for r in report.results)
         after = _read_outputs(out)
-        assert after.pop(os.path.relpath(path, out)) != before.pop(os.path.relpath(path, out))
+        for rel in edited:
+            assert after.pop(rel) != before.pop(rel)
         assert after == before
 
     @pytest.mark.parametrize("stages", [["prune"], ["phrases", "prune"]],
-                             ids=["counts-read", "counts-held"])
+                             ids=["counts-extracted", "counts-held"])
     def test_prune_scores_only_the_surviving_pairs(self, corpus_root, tmp_path, monkeypatch,
                                                    stages):
         """prune reads no t-table and builds a PhraseTableEntry for each kept pair
-        alone, whether it reads the counts or takes them from phrases."""
+        alone, whether it extracts the counts or takes them from phrases. The counts
+        are counted once either way."""
         from dmlex import model1, phrases
 
         out = str(tmp_path / "out")
         cfg = validate_config(_config_path(corpus_root), {"output": out})
-        assert run_pipeline(cfg, stages=["ingest", "align", "wordalign"]).ok
+        assert run_pipeline(cfg, stages=["ingest", "align", "wordalign", "phrases"]).ok
         calls = {(model1, "read_translation_table"): 0, (phrases, "PhraseTableEntry"): 0,
-                 (phrases, "read_phrase_counts"): 0}
+                 (phrases, "count_phrase_pairs"): 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -227,42 +231,62 @@ class TestRunPipeline:
 
         for module, name in calls:
             monkeypatch.setattr(module, name, counted(module, name))
-        if stages == ["prune"]:
-            assert run_pipeline(cfg, stages=["phrases"]).ok
-        report = run_pipeline(cfg, stages=stages)
+        report = run_pipeline(validate_config(_config_path(corpus_root),
+                                              {"output": out, "cache": "false"}), stages)
         assert report.ok
         stats = report.results[-1].stats
         assert 0 < stats["entries_kept"] < stats["entries_in"]
-        assert list(calls.values()) == [0, stats["entries_kept"], int(stages == ["prune"])]
+        assert list(calls.values()) == [0, stats["entries_kept"], 1]
 
-    def test_prune_reads_the_counts_after_a_phrases_hit(self, corpus_root, tmp_path,
-                                                        monkeypatch):
-        """A cold run hands prune the counts in memory. A rerun with another
-        prune.mode, where phrases is a hit, reads phrase-table.txt and writes the bytes
-        of a cold run with that mode."""
+    def test_prune_extracts_the_counts_after_a_phrases_hit(self, corpus_root, tmp_path,
+                                                           monkeypatch):
+        """A cold run counts the phrase pairs once and hands prune the counts in
+        memory. A rerun with another prune.mode, where phrases is a hit, extracts
+        and counts them anew in prune and writes the bytes of a cold run with that
+        mode."""
         from dmlex import phrases
 
-        reads = []
-        real = phrases.read_phrase_counts
-        monkeypatch.setattr(phrases, "read_phrase_counts",
-                            lambda path: reads.append(path) or real(path))
+        counted = []
+        real = phrases.count_phrase_pairs
+        monkeypatch.setattr(phrases, "count_phrase_pairs",
+                            lambda *args: counted.append(args) or real(*args))
         out, cold = str(tmp_path / "out"), str(tmp_path / "cold")
         assert run_pipeline(validate_config(_config_path(corpus_root), {"output": out})).ok
-        assert reads == []
+        assert len(counted) == 1
         report = run_pipeline(validate_config(_config_path(corpus_root),
                                               {"output": out, "prune.mode": "alpha"}))
         assert report.ok
         assert [r.stage for r in report.results if not r.cache_hit] == ["prune"]
-        assert reads == [os.path.join(out, "pairs", "xx", "phrase-table.txt")]
+        assert len(counted) == 2
         assert run_pipeline(validate_config(_config_path(corpus_root),
                                             {"output": cold, "prune.mode": "alpha"})).ok
-        assert len(reads) == 1
+        assert len(counted) == 3
         assert _read_outputs(out) == _read_outputs(cold)
 
+    def test_phrases_max_len_is_in_the_keys_of_phrases_and_prune(self, corpus_root,
+                                                                  tmp_path):
+        """prune may extract the phrase pairs itself, so a new phrases.max_len reruns
+        it as well as phrases, and the outputs are those of a cold run."""
+        out, cold = str(tmp_path / "out"), str(tmp_path / "cold")
+        assert run_pipeline(validate_config(_config_path(corpus_root), {"output": out})).ok
+        before = _read_outputs(out)
+        changed = {"phrases.max_len": "2"}
+        report = run_pipeline(validate_config(_config_path(corpus_root),
+                                              {"output": out, **changed}))
+        assert report.ok
+        rerun = {r.stage for r in report.results if not r.cache_hit}
+        assert {"phrases", "prune"} <= rerun <= {"phrases", "prune", "markers", "lexicon"}
+        assert run_pipeline(validate_config(_config_path(corpus_root),
+                                            {"output": cold, **changed})).ok
+        after = _read_outputs(out)
+        assert after == _read_outputs(cold)
+        pruned = os.path.join("pairs", "xx", "phrase-table.pruned.txt")
+        assert after[pruned] != before[pruned]
+
     def test_prune_uses_the_bytes_its_key_hashed(self, corpus_root, tmp_path):
-        """phrase-table.txt rewritten between phrases and prune on one runner: prune
-        reads the new file rather than take the counts phrases held, so its outputs
-        and its key are those of a runner that never held them."""
+        """alignments.txt rewritten between phrases and prune on one runner: prune
+        extracts from the new file rather than take the counts phrases held, so its
+        outputs and its key are those of a runner that never held them."""
         from dmlex.pipeline import PipelineRunner
 
         def prune_after(name, edit, new_runner):
@@ -273,10 +297,11 @@ class TestRunPipeline:
             results += [getattr(runner, f"stage_{stage}")("xx")
                         for stage in ("align", "wordalign", "phrases")]
             assert all(r.error is None for r in results) and "xx" in runner.held
-            if edit:  # keep every other pair, a valid table of fewer entries
-                path = out / "pairs" / "xx" / "phrase-table.txt"
-                lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-                path.write_text(lines[0] + "".join(lines[1::2]), encoding="utf-8")
+            if edit:  # drop the last link of each pair, a valid file of fewer links
+                path = out / "pairs" / "xx" / "alignments.txt"
+                lines = path.read_text(encoding="utf-8").splitlines()
+                path.write_text("".join(" ".join(line.split()[:-1]) + "\n" for line in lines),
+                                encoding="utf-8")
             if new_runner:
                 runner = PipelineRunner(runner.cfg)
             assert runner.stage_prune("xx").error is None
@@ -756,99 +781,30 @@ class TestRunPipeline:
         counts = re.search(pattern, errors[stage]).groups()
         assert sorted(int(c) for c in counts) == [len(lines) - 1, len(lines)]
 
-    @pytest.mark.parametrize("fate", ["pruned 0-x", "kept 0-x", "alignments 0-99",
-                                      "alignments 0-x", "kept +0-+0", "kept 0-0_0",
-                                      "kept \u0660-\u0660", "alignments +0-+0",
-                                      "alignments 0-0_0", "alignments \u0660-\u0660"],
-                             ids=["pruned", "kept", "alignments-range", "alignments-int",
-                                  "kept-sign", "kept-underscore", "kept-arabic-digits",
-                                  "alignments-sign", "alignments-underscore",
-                                  "alignments-arabic-digits"])
-    def test_bad_links_in_counts_fail_prune_with_line_number(self, corpus_root, tmp_path,
-                                                             fate):
-        """A bad link in the counts of a pruned or a kept pair fails prune, and one
-        added to a line of alignments.txt fails phrases, naming the line. A link
-        is two ASCII decimal integers joined by `-`, as the writers write it."""
+    @pytest.mark.parametrize("link", ["0-99", "0-x", "+0-+0", "0-0_0", "\u0660-\u0660"],
+                             ids=["alignments-range", "alignments-int", "alignments-sign",
+                                  "alignments-underscore", "alignments-arabic-digits"])
+    def test_bad_links_in_alignments_fail_phrases_with_line_number(self, corpus_root,
+                                                                   tmp_path, link):
+        """A bad link added to a line of alignments.txt fails phrases, naming the
+        line. A link is two ASCII decimal integers joined by `-`, as the writers
+        write it."""
         out = tmp_path / "out"
         args = ["--config", _config_path(corpus_root), "--output", str(out)]
         assert cli_main(args + ["prune"]) == 0
-        pair_dir = out / "pairs" / "xx"
-        target, link = fate.split()
-        if target == "alignments":
-            stage, path, lineno = "phrases", pair_dir / "alignments.txt", 2
-            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-            lines[lineno - 1] = lines[lineno - 1].rstrip("\n") + f" {link}\n"
-        else:
-            stage, path = "prune", pair_dir / "phrase-table.txt"
-            report_rows = (pair_dir / "prune-report.tsv").read_text(
-                encoding="utf-8").splitlines()
-            victim = next(row.split("\t")[0] for row in report_rows[1:]
-                          if row.endswith(target))
-            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-            lineno = next(k for k, line in enumerate(lines, start=1)
-                          if line.startswith(victim + " ||| "))
-            fields = lines[lineno - 1].split(" ||| ")
-            fields[2] = link
-            lines[lineno - 1] = " ||| ".join(fields)
+        path, lineno = out / "pairs" / "xx" / "alignments.txt", 2
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1].rstrip("\n") + f" {link}\n"
         path.write_text("".join(lines), encoding="utf-8")
 
         assert cli_main(args + ["prune"]) == 1
         with open(out / "report.json", encoding="utf-8") as fh:
             errors = {s["stage"]: s["error"] for s in json.load(fh)["stages"] if s["error"]}
-        assert list(errors) == [stage]
-        assert errors[stage].startswith(f"line {lineno}: ")
-        assert errors[stage].endswith(f" in {path}")
-
-    @pytest.mark.parametrize("header", ["# N=7\n", ""], ids=["wrong", "missing"])
-    def test_corpus_size_header_must_match_the_aligned_corpus(self, corpus_root, tmp_path,
-                                                              header):
-        """prune fails, naming both numbers, on a phrase table whose `# N=` is not
-        the number of aligned sentence pairs; a missing header reads as N=0."""
-        out = tmp_path / "out"
-        args = ["--config", _config_path(corpus_root), "--output", str(out)]
-        assert cli_main(args + ["phrases"]) == 0
-        pair_dir = out / "pairs" / "xx"
-        n_pairs = len((pair_dir / "aligned.src").read_text(encoding="utf-8").splitlines())
-        path = pair_dir / "phrase-table.txt"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert lines[0] == f"# N={n_pairs}\n"
-        path.write_text(header + "".join(lines[1:]), encoding="utf-8")
-
-        assert cli_main(args + ["prune"]) == 1
-        with open(out / "report.json", encoding="utf-8") as fh:
-            errors = {s["stage"]: s["error"] for s in json.load(fh)["stages"] if s["error"]}
-        n = header[4:-1] or "0"
-        assert errors == {"prune": f"phrase table is for N={n} sentence pairs, "
-                                   f"but the aligned corpus has {n_pairs}"}
-
-    def test_pair_missing_from_the_corpus_fails_prune_naming_pair_and_file(self, corpus_root,
-                                                                           tmp_path):
-        """A well-formed counts line whose pair never occurs together in the aligned
-        corpus fails prune with an error that names the file and the pair as written.
-        The counts keep no line numbers, so the error gives none."""
-        out = tmp_path / "out"
-        args = ["--config", _config_path(corpus_root), "--output", str(out)]
-        assert cli_main(args + ["pipeline"]) == 0
-        path = out / "pairs" / "xx" / "phrase-table.txt"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[1] = "a ||| b ||| 0-0 ||| 4\n"
-        path.write_text("".join(lines), encoding="utf-8")
-
-        assert cli_main(args + ["pipeline"]) == 1
-        with open(out / "report.json", encoding="utf-8") as fh:
-            errors = {s["stage"]: s["error"] for s in json.load(fh)["stages"] if s["error"]}
-        assert list(errors)[0] == "prune"
-        assert errors["prune"] == (f"{path}: phrase pair 'a ||| b' never co-occurs "
-                                   f"in its own corpus")
+        assert list(errors) == ["phrases"]
+        assert errors["phrases"].startswith(f"line {lineno}: ")
+        assert errors["phrases"].endswith(f" in {path}")
 
     @pytest.mark.parametrize("victim, lineno, text, stage", [
-        ("phrase-table.txt", 1, "# N=abc\n", "prune"),
-        ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| -4\n", "prune"),
-        ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| 0\n", "prune"),
-        ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| +4\n", "prune"),
-        ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| 4_0\n", "prune"),
-        ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| \u0664\n", "prune"),
-        ("phrase-table.txt", 2, "a ||| b ||| 0-0 ||| 4.0\n", "prune"),
         ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 nan ||| 0-0 ||| 3\n", "markers"),
         ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 0 ||| 0-0 ||| 3\n", "markers"),
         ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 1.5 ||| 0-0 ||| 3\n", "markers"),
@@ -869,9 +825,7 @@ class TestRunPipeline:
         ("candidates.tsv", 2, "since\txx\tdesde\t0.5\tnan\tnone\n", "lexicon"),
         ("candidates.tsv", 2, "since\txx\tdesde\t0.5\tinf\tnone\n", "lexicon"),
         ("candidates.tsv", 2, "since\txx\tdesde\t0.5\t3\tafter\n", "lexicon"),
-    ], ids=["phrase-table-bad-corpus-size",
-            "counts-negative", "counts-zero", "counts-sign", "counts-underscore",
-            "counts-arabic-digit", "counts-decimal-point", "pruned-nan-score",
+    ], ids=["pruned-nan-score",
             "pruned-zero-score", "pruned-score-above-one", "pruned-negative-score",
             "pruned-four-scores", "pruned-zero-count", "pruned-negative-count", "pruned-nan-count",
             "pruned-infinite-count",
@@ -881,10 +835,9 @@ class TestRunPipeline:
             "candidates-bad-context"])
     def test_corrupt_reader_input_fails_its_stage_naming_line_and_file(
             self, corpus_root, tmp_path, victim, lineno, text, stage):
-        """A bad line in the counts fails prune, one in the pruned table fails
-        markers, and one in candidates.tsv fails lexicon, with an error that gives
-        the line number and the file. A count in the counts is an ASCII decimal
-        integer of at least 1. The pruned table holds two scores, and the scores of
+        """A bad line in the pruned table fails markers, and one in candidates.tsv
+        fails lexicon, with an error that gives the line number and the file. The
+        pruned table holds two scores, and the scores of
         it and of candidates.tsv lie in (0, 1], their counts are integers of at least
         1, and a candidate's context is one of lexicon.CONTEXTS: lexicon.json may
         hold no NaN or Infinity."""
@@ -902,7 +855,7 @@ class TestRunPipeline:
         assert cli_main(args + ["pipeline"]) == 1
         with open(out / "report.json", encoding="utf-8") as fh:
             errors = {s["stage"]: s["error"] for s in json.load(fh)["stages"] if s["error"]}
-        assert list(errors)[0] == stage  # after prune, lexicon has no pair left
+        assert list(errors)[0] == stage  # after markers, lexicon has no pair left
         assert errors[stage].startswith(f"line {lineno}: ")
         assert errors[stage].endswith(f" in {path}")
 
@@ -1039,6 +992,27 @@ class TestCli:
         rc = cli_main(["--config", _config_path(corpus_root), "--output", out, "report"])
         assert rc == 0
         assert '"ok": true' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", [lambda text: text[:len(text) // 2], lambda text: "[]\n"],
+                             ids=["truncated", "not-an-object"])
+    def test_report_subcommand_on_a_bad_report(self, corpus_root, tmp_path, capsys, damage):
+        out = tmp_path / "out"
+        args = ["--config", _config_path(corpus_root), "--output", str(out)]
+        assert cli_main(args + ["ingest"]) == 0
+        path = out / "report.json"
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(args + ["report"]) == 1
+        assert capsys.readouterr() == ("", f"no valid report at {path}\n")
+
+    def test_invalid_utf8_in_config_is_a_config_error(self, corpus_root, tmp_path, capsys):
+        path = _custom_config(corpus_root, tmp_path, "")
+        good = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(good + b"# caf\xff\n")
+        assert cli_main(["--config", path, "pipeline"]) == 2
+        assert capsys.readouterr().err == (f"config error: byte {len(good) + 5}: invalid UTF-8 "
+                                           f"in {path}\n")
 
     def test_jobs_flag_parallel_pairs(self, corpus_root, tmp_path):
         import shutil

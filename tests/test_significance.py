@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmlex.galechurch import read_aligned_corpus
+from dmlex.model1 import read_alignments
 from dmlex.phrases import (
     PhraseCounts,
     count_phrase_pairs,
     extract_phrase_pairs,
-    read_phrase_counts,
     score_counts,
     write_phrase_table,
 )
@@ -293,13 +293,17 @@ class TestPrune:
 class TestPruneOutputsMatchOracle:
     def test_pipeline_prune_outputs_equal_oracle_count_outputs(self, tmp_path):
         """The pipeline's pruned table and report are the bytes that prune and
-        survivor scoring give on brute-force counts, and every row's score is
+        survivor scoring give on counts extracted from the pipeline's alignments
+        and brute-force contingency counts, and every row's score is
         its own table's unmemoised -log p."""
         cfg = validate_config(write_synthetic_corpus(str(tmp_path / "run"), n_pairs=80))
         assert run_pipeline(cfg, stages=STAGES[:STAGES.index("prune") + 1]).ok
         pair_dir = tmp_path / "run" / "out" / "pairs" / "xx"
-        pair_counts = read_phrase_counts(pair_dir / "phrase-table.txt")
         pairs = read_aligned_corpus(pair_dir / "aligned.src", pair_dir / "aligned.tgt")
+        alignments = read_alignments(pair_dir / "alignments.txt", pairs)
+        pair_counts = count_phrase_pairs(
+            [inst for (f, e), links in zip(pairs, alignments)
+             for inst in extract_phrase_pairs(f, e, links, cfg.max_phrase_len)], len(pairs))
         oracle = brute_force_contingency_counts(pair_counts, pairs)
         counts = {key: ContingencyTable(*cell) for key, cell in oracle.items()}
 
