@@ -61,6 +61,8 @@ def main(argv=None) -> int:
                 doc = json.load(fh)
             ok = doc["ok"]
         except (ValueError, TypeError, KeyError):  # truncated, or not a report object
+            ok = None
+        if not isinstance(ok, bool):
             print(f"no valid report at {path}", file=sys.stderr)
             return 1
         print(json.dumps(doc, indent=2))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dmlex.model1 import parse_links
 from dmlex.phrases import (
     PhraseCounts,
     PhrasePairInstance,
@@ -282,6 +283,31 @@ class TestPhraseCountsIO:
             "a &#124;&#124;&#124; ||| b ||| 0-0 1-0 ||| 2",
         ]
 
+    @given(st.lists(st.tuples(tokenizer_phrases(), tokenizer_phrases(), st.integers(1, 3)),
+                    min_size=1, max_size=6), st.data())
+    def test_tokenizer_output_round_trips(self, pairs, data):
+        """Each line after the header holds one pair's escaped phrases, its most
+        frequent alignment and its joint count, in key order, so the fields give
+        the counts back."""
+        instances = []
+        for f, e, n in pairs:
+            link = st.tuples(st.integers(0, len(f) - 1), st.integers(0, len(e) - 1))
+            instances += [_instance(f, e, data.draw(st.sets(link, min_size=1, max_size=3)))
+                          for _ in range(n)]
+        counts = count_phrase_pairs(instances, len(pairs))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "phrase-table.txt")
+            write_phrase_counts(counts, path)
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().split("\n")
+        assert lines[0] == f"# N={len(pairs)}" and lines[-1] == ""
+        back = {}
+        for line in lines[1:-1]:
+            f, e, links, joint = line.split(" ||| ")
+            back[unescape_phrase(f), unescape_phrase(e)] = (int(joint), parse_links(links)[0])
+        assert list(back) == sorted(counts.entries)
+        assert back == counts.entries
+
 
 class TestPhraseTableIO:
     def _toy_table(self):
@@ -374,17 +400,29 @@ class TestPhraseTableIO:
 
         assert _fmt(0.333333333333) == "0.33333333"
 
-    def test_malformed_line_reports_line_number(self, tmp_path):
+    @pytest.mark.parametrize("line", [
+        "broken line without separators",
+        "a b ||| c ||| 0.5 0.5 ||| 0-0 ||| 2 ||| 3",
+        "a b ||| c ||| 0.5 0.5 ||| 0-0 ||| 1.5",
+        "a b ||| c ||| 0.5 0.5 ||| 0-9 1-0 ||| 2",
+        "a b ||| c ||| 0.5 0.5 ||| 2-0 ||| 2",
+        "a b ||| c ||| 0.5 0.5 ||| 0-x ||| 2",
+        "a b ||| c ||| 0.5 0.5 ||| 0 ||| 2",
+        "a b ||| c ||| 0.5 0.5 ||| +0-+0 ||| 2",
+        "a b ||| c ||| 0.5 0.5 ||| 0-0_0 ||| 2",
+        "a b ||| c ||| 0.5 0.5 ||| \u0660-\u0660 ||| 2",
+        "# N=abc",
+    ], ids=["no-separators", "six-fields", "count-not-integer", "link-beyond-english",
+            "link-beyond-foreign", "link-not-integer", "link-without-dash", "link-sign",
+            "link-underscore", "link-arabic-digits", "corpus-size-not-integer"])
+    def test_malformed_line_reports_line_number(self, tmp_path, line):
+        """A link is two ASCII decimal integers joined by `-` that lie inside the
+        pair, and a count is an integer."""
         path = tmp_path / "pt.txt"
-        for line in ["broken line without separators",
-                     "a b ||| c ||| 0.5 0.5 ||| 0-9 1-0 ||| 2",
-                     "a b ||| c ||| 0.5 0.5 ||| +0-+0 ||| 2",
-                     "a b ||| c ||| 0.5 0.5 ||| 0-0_0 ||| 2",
-                     "a b ||| c ||| 0.5 0.5 ||| \u0660-\u0660 ||| 2", "# N=abc"]:
-            path.write_text(f"# N=1\n{line}\n", encoding="utf-8")
-            with pytest.raises(ValueError, match=r"^line 2: ") as exc:
-                read_phrase_table(path)
-            assert str(exc.value).endswith(f" in {path}")
+        path.write_text(f"# N=1\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^line 2: ") as exc:
+            read_phrase_table(path)
+        assert str(exc.value).endswith(f" in {path}")
 
     def test_entries_sorted_lexicographically(self, tmp_path):
         table = self._toy_table()

@@ -238,12 +238,20 @@ class TestRunPipeline:
         assert 0 < stats["entries_kept"] < stats["entries_in"]
         assert list(calls.values()) == [0, stats["entries_kept"], 1]
 
+    @pytest.mark.parametrize("damage", [
+        None,
+        lambda lines: ["# N=7\n"] + lines[1:],
+        lambda lines: lines[:1] + ["a ||| b ||| 0-0 ||| -4\n"] + lines[2:],
+        lambda lines: lines[:1] + ["a ||| b ||| 0-0 ||| 4\n"] + lines[1:],
+    ], ids=["phrase-table-intact", "phrase-table-bad-corpus-size", "phrase-table-bad-count",
+            "phrase-table-pair-never-co-occurs"])
     def test_prune_extracts_the_counts_after_a_phrases_hit(self, corpus_root, tmp_path,
-                                                           monkeypatch):
+                                                           monkeypatch, damage):
         """A cold run counts the phrase pairs once and hands prune the counts in
         memory. A rerun with another prune.mode, where phrases is a hit, extracts
         and counts them anew in prune and writes the bytes of a cold run with that
-        mode."""
+        mode. prune reads no phrase-table.txt, so one damaged in between, with a
+        wrong `# N=`, a bad count or a pair the corpus never holds, changes nothing."""
         from dmlex import phrases
 
         counted = []
@@ -253,6 +261,12 @@ class TestRunPipeline:
         out, cold = str(tmp_path / "out"), str(tmp_path / "cold")
         assert run_pipeline(validate_config(_config_path(corpus_root), {"output": out})).ok
         assert len(counted) == 1
+        table = os.path.join("pairs", "xx", "phrase-table.txt")
+        if damage:
+            with open(os.path.join(out, table), encoding="utf-8") as fh:
+                lines = damage(fh.read().splitlines(keepends=True))
+            with open(os.path.join(out, table), "w", encoding="utf-8") as fh:
+                fh.write("".join(lines))
         report = run_pipeline(validate_config(_config_path(corpus_root),
                                               {"output": out, "prune.mode": "alpha"}))
         assert report.ok
@@ -261,7 +275,9 @@ class TestRunPipeline:
         assert run_pipeline(validate_config(_config_path(corpus_root),
                                             {"output": cold, "prune.mode": "alpha"})).ok
         assert len(counted) == 3
-        assert _read_outputs(out) == _read_outputs(cold)
+        warm, fresh = _read_outputs(out), _read_outputs(cold)
+        assert (warm.pop(table) != fresh.pop(table)) == bool(damage)
+        assert warm == fresh
 
     def test_phrases_max_len_is_in_the_keys_of_phrases_and_prune(self, corpus_root,
                                                                   tmp_path):
@@ -283,33 +299,38 @@ class TestRunPipeline:
         pruned = os.path.join("pairs", "xx", "phrase-table.pruned.txt")
         assert after[pruned] != before[pruned]
 
-    def test_prune_uses_the_bytes_its_key_hashed(self, corpus_root, tmp_path):
-        """alignments.txt rewritten between phrases and prune on one runner: prune
-        extracts from the new file rather than take the counts phrases held, so its
-        outputs and its key are those of a runner that never held them."""
+    @pytest.mark.parametrize("name, edit", [
+        ("alignments.txt", lambda line: " ".join(line.split()[:-1])),  # one link fewer
+        ("aligned.src", lambda line: " ".join(token + "x" for token in line.split())),
+        ("aligned.tgt", lambda line: " ".join(token + "x" for token in line.split())),
+    ], ids=["alignments", "aligned-src", "aligned-tgt"])
+    def test_prune_uses_the_bytes_its_key_hashed(self, corpus_root, tmp_path, name, edit):
+        """Any of prune's inputs rewritten between phrases and prune on one runner,
+        each line kept valid: prune extracts from the new files rather than take the
+        counts phrases held, so its outputs and its key are those of a runner that
+        never held them."""
         from dmlex.pipeline import PipelineRunner
 
-        def prune_after(name, edit, new_runner):
-            out = tmp_path / name
+        def prune_after(run, edited, new_runner):
+            out = tmp_path / run
             runner = PipelineRunner(validate_config(_config_path(corpus_root),
                                                     {"output": str(out)}))
             results = [runner.stage_ingest("en"), runner.stage_ingest("xx")]
             results += [getattr(runner, f"stage_{stage}")("xx")
                         for stage in ("align", "wordalign", "phrases")]
             assert all(r.error is None for r in results) and "xx" in runner.held
-            if edit:  # drop the last link of each pair, a valid file of fewer links
-                path = out / "pairs" / "xx" / "alignments.txt"
+            if edited:
+                path = out / "pairs" / "xx" / name
                 lines = path.read_text(encoding="utf-8").splitlines()
-                path.write_text("".join(" ".join(line.split()[:-1]) + "\n" for line in lines),
-                                encoding="utf-8")
+                path.write_text("".join(edit(line) + "\n" for line in lines), encoding="utf-8")
             if new_runner:
                 runner = PipelineRunner(runner.cfg)
             assert runner.stage_prune("xx").error is None
             return _read_outputs(str(out)), runner.cache.manifest["prune:xx"]["digest"]
 
-        held = prune_after("held", edit=False, new_runner=False)
-        edited = prune_after("edited", edit=True, new_runner=False)
-        assert edited == prune_after("fresh", edit=True, new_runner=True)
+        held = prune_after("held", edited=False, new_runner=False)
+        edited = prune_after("edited", edited=True, new_runner=False)
+        assert edited == prune_after("fresh", edited=True, new_runner=True)
         pruned = os.path.join("pairs", "xx", "phrase-table.pruned.txt")
         assert edited[0][pruned] != held[0][pruned]
 
@@ -781,14 +802,17 @@ class TestRunPipeline:
         counts = re.search(pattern, errors[stage]).groups()
         assert sorted(int(c) for c in counts) == [len(lines) - 1, len(lines)]
 
+    @pytest.mark.parametrize("stages, stage", [(STAGES[:STAGES.index("prune") + 1], "phrases"),
+                                               (["prune"], "prune")],
+                             ids=["through-prune", "prune-alone"])
     @pytest.mark.parametrize("link", ["0-99", "0-x", "+0-+0", "0-0_0", "\u0660-\u0660"],
                              ids=["alignments-range", "alignments-int", "alignments-sign",
                                   "alignments-underscore", "alignments-arabic-digits"])
-    def test_bad_links_in_alignments_fail_phrases_with_line_number(self, corpus_root,
-                                                                   tmp_path, link):
-        """A bad link added to a line of alignments.txt fails phrases, naming the
-        line. A link is two ASCII decimal integers joined by `-`, as the writers
-        write it."""
+    def test_bad_links_in_alignments_fail_the_extracting_stage_with_line_number(
+            self, corpus_root, tmp_path, link, stages, stage):
+        """A bad link added to a line of alignments.txt fails phrases, or prune when
+        it runs alone and so extracts the counts itself, naming the line. A link is
+        two ASCII decimal integers joined by `-`, as the writers write it."""
         out = tmp_path / "out"
         args = ["--config", _config_path(corpus_root), "--output", str(out)]
         assert cli_main(args + ["prune"]) == 0
@@ -797,12 +821,13 @@ class TestRunPipeline:
         lines[lineno - 1] = lines[lineno - 1].rstrip("\n") + f" {link}\n"
         path.write_text("".join(lines), encoding="utf-8")
 
-        assert cli_main(args + ["prune"]) == 1
-        with open(out / "report.json", encoding="utf-8") as fh:
-            errors = {s["stage"]: s["error"] for s in json.load(fh)["stages"] if s["error"]}
-        assert list(errors) == ["phrases"]
-        assert errors["phrases"].startswith(f"line {lineno}: ")
-        assert errors["phrases"].endswith(f" in {path}")
+        report = run_pipeline(validate_config(_config_path(corpus_root), {"output": str(out)}),
+                              stages)
+        assert not report.ok
+        errors = {r.stage: r.error for r in report.results if r.error}
+        assert list(errors) == [stage]
+        assert errors[stage].startswith(f"line {lineno}: ")
+        assert errors[stage].endswith(f" in {path}")
 
     @pytest.mark.parametrize("victim, lineno, text, stage", [
         ("phrase-table.pruned.txt", 2, "a ||| b ||| 0.5 nan ||| 0-0 ||| 3\n", "markers"),
@@ -993,8 +1018,10 @@ class TestCli:
         assert rc == 0
         assert '"ok": true' in capsys.readouterr().out
 
-    @pytest.mark.parametrize("damage", [lambda text: text[:len(text) // 2], lambda text: "[]\n"],
-                             ids=["truncated", "not-an-object"])
+    @pytest.mark.parametrize("damage", [lambda text: text[:len(text) // 2], lambda text: "[]\n",
+                                        lambda text: '{"stages": []}\n',
+                                        lambda text: '{"ok": "no", "stages": []}\n'],
+                             ids=["truncated", "not-an-object", "no-ok", "ok-not-a-boolean"])
     def test_report_subcommand_on_a_bad_report(self, corpus_root, tmp_path, capsys, damage):
         out = tmp_path / "out"
         args = ["--config", _config_path(corpus_root), "--output", str(out)]
@@ -1005,11 +1032,14 @@ class TestCli:
         assert cli_main(args + ["report"]) == 1
         assert capsys.readouterr() == ("", f"no valid report at {path}\n")
 
-    def test_invalid_utf8_in_config_is_a_config_error(self, corpus_root, tmp_path, capsys):
+    @pytest.mark.parametrize("tail", [b"# caf\xff\n", b"# caf\xc3(\n", b"# caf\xc3"],
+                             ids=["bad-start-byte", "bad-continuation-byte", "cut-at-the-end"])
+    def test_invalid_utf8_in_config_is_a_config_error(self, corpus_root, tmp_path, capsys,
+                                                      tail):
         path = _custom_config(corpus_root, tmp_path, "")
         good = open(path, "rb").read()
         with open(path, "wb") as fh:
-            fh.write(good + b"# caf\xff\n")
+            fh.write(good + tail)
         assert cli_main(["--config", path, "pipeline"]) == 2
         assert capsys.readouterr().err == (f"config error: byte {len(good) + 5}: invalid UTF-8 "
                                            f"in {path}\n")
