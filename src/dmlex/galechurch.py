@@ -114,14 +114,8 @@ def align_paragraph(src: list, tgt: list) -> list:
     i, j = m, n
     while i > 0 or j > 0:
         s, t = back[i][j]
-        beads.append(
-            Bead(
-                src_span=(i - s, i),
-                tgt_span=(j - t, j),
-                shape=SHAPE_NAMES[(s, t)],
-                cost=cost[i][j] - cost[i - s][j - t],
-            )
-        )
+        beads.append(Bead((i - s, i), (j - t, j), SHAPE_NAMES[(s, t)],
+                          cost[i][j] - cost[i - s][j - t]))
         i, j = i - s, j - t
     beads.reverse()
     return beads

@@ -180,26 +180,13 @@ def export_lexicon(lex: dict, fmt: str, path) -> None:
                     for rec in langs[language]:
                         fh.write(_tsv_fields(marker, language, rec) + "\n")
     elif fmt == "structured":
-        doc = {
-            "markers": [
-                {
-                    "marker": " ".join(marker),
-                    "languages": {
-                        language: [
-                            {
-                                "translation": " ".join(rec.translation),
-                                "score": rec.score,
-                                "joint_count": rec.joint_count,
-                                "context": rec.context,
-                            }
-                            for rec in langs[language]
-                        ]
-                        for language in sorted(langs)
-                    },
-                }
-                for marker, langs in lex.items()
-            ]
-        }
+        doc = {"markers": [
+            {"marker": " ".join(marker), "languages": {
+                language: [{"translation": " ".join(rec.translation), "score": rec.score,
+                            "joint_count": rec.joint_count, "context": rec.context}
+                           for rec in langs[language]]
+                for language in sorted(langs)}}
+            for marker, langs in lex.items()]}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, ensure_ascii=False, indent=2)
             fh.write("\n")

@@ -27,9 +27,14 @@ def train_model1(pairs, iterations: int = 5, prob_floor: float = PROB_FLOOR,
     """EM for Model 1 over (conditioning_tokens, generated_tokens) pairs.
 
     Uniform initialization over co-occurring word pairs; distributions are
-    renormalized and floor-pruned after every M-step; the corpus
-    log-likelihood under the table entering each iteration is recorded.
+    renormalized and floor-pruned after every M-step, and a conditioning word
+    left with none at or above the floor drops out; the corpus log-likelihood
+    under the table entering each iteration is recorded. t and the expected
+    counts are flat arrays, one slot per co-occurring (c, g), c in first-seen
+    order and g sorted; a pruned slot holds 0.0.
     """
+    from array import array  # a shared library: a CLI start that trains nothing skips it
+
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     pairs = list(pairs)
@@ -39,58 +44,65 @@ def train_model1(pairs, iterations: int = 5, prob_floor: float = PROB_FLOOR,
     def cond_tokens(cond):
         return [NULL_WORD] + list(cond) if use_null else list(cond)
 
-    # uniform init over co-occurring pairs
     cooc = {}
     for cond, gen in pairs:
         for c in cond_tokens(cond):
-            seen = cooc.setdefault(c, set())
-            seen.update(gen)
-    probs = {c: {g: 1.0 / len(gens) for g in sorted(gens)} for c, gens in cooc.items()}
-
-    generated_vocab = set()
-    for _, gen in pairs:
-        generated_vocab.update(gen)
+            cooc.setdefault(c, set()).update(gen)
+    slot_of = {}  # c -> {g: slot}, while the rows are built
+    spans = []  # (c, first slot, end slot), c in first-seen order
+    gen_words = []  # slot -> its g
+    for c, gens in cooc.items():
+        start = len(gen_words)
+        gen_words.extend(sorted(gens))
+        slot_of[c] = {g: slot for slot, g in enumerate(gen_words[start:], start)}
+        spans.append((c, start, len(gen_words)))
+    del cooc
+    # uniform init over co-occurring pairs
+    t = array("d", [1.0 / (end - start) for _, start, end in spans for _ in range(start, end)])
+    cond_id = {c: k for k, (c, _, _) in enumerate(spans)}
+    sentences = []  # (len(gen), conditioning ids, a row of slots per g: one per c)
+    for cond, gen in pairs:
+        ctoks = cond_tokens(cond)
+        sentences.append((len(gen), array("I", [cond_id[c] for c in ctoks]),
+                          array("I", [slot_of[c][g] for g in gen for c in ctoks])))
+    del slot_of, cond_id
 
     log_likelihoods = []
     for _ in range(iterations):
-        counts = {c: dict.fromkeys(gens, 0.0) for c, gens in probs.items()}
-        totals = dict.fromkeys(probs, 0.0)
+        counts = array("d", bytes(8 * len(t)))
+        totals = array("d", bytes(8 * len(spans)))
         ll = 0.0
-        for cond, gen in pairs:
-            ctoks = cond_tokens(cond)
-            ll -= len(gen) * math.log(len(ctoks))
-            for g in gen:
+        for n_gen, cids, rows in sentences:
+            k = len(cids)
+            ll -= n_gen * math.log(k)
+            for r in range(0, len(rows), k):
+                row = rows[r:r + k]
                 denom = 0.0
-                for c in ctoks:
-                    denom += probs[c].get(g, 0.0)
+                for slot in row:
+                    denom += t[slot]
                 ll += math.log(denom) if denom > 0.0 else math.log(prob_floor)
-                for c in ctoks:
-                    p = probs[c].get(g, 0.0)
+                for slot, c in zip(row, cids):
+                    p = t[slot]
                     if p > 0.0:
                         frac = p / denom
-                        counts[c][g] += frac
+                        counts[slot] += frac
                         totals[c] += frac
         log_likelihoods.append(ll)
 
-        new_probs = {}
-        for c, gcounts in counts.items():
+        for c, (_, start, end) in enumerate(spans):
             total = totals[c]
-            if total <= 0.0:
-                continue
-            dist = {g: v / total for g, v in gcounts.items() if v / total >= prob_floor}
-            if not dist:
-                continue
-            norm = sum(dist.values())
-            new_probs[c] = {g: v / norm for g, v in dist.items()}
-        probs = new_probs
+            dist = [v / total for v in counts[start:end]] if total > 0.0 else []
+            kept = [q for q in dist if q >= prob_floor]
+            if kept:
+                norm = sum(kept)
+                t[start:end] = array("d", [q / norm if q >= prob_floor else 0.0 for q in dist])
+            else:  # c drops out of the table
+                t[start:end] = array("d", bytes(8 * (end - start)))
 
-    return TranslationTable(
-        probs=probs,
-        prob_floor=prob_floor,
-        use_null=use_null,
-        log_likelihoods=log_likelihoods,
-        generated_vocab=generated_vocab,
-    )
+    dists = ((c, {g: p for g, p in zip(gen_words[start:end], t[start:end]) if p > 0.0})
+             for c, start, end in spans)
+    return TranslationTable({c: dist for c, dist in dists if dist}, prob_floor, use_null,
+                            log_likelihoods, {g for _, gen in pairs for g in gen})
 
 
 def viterbi_align(cond_tokens, gen_tokens, table: TranslationTable) -> list:

@@ -97,22 +97,24 @@ def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int 
 def count_phrase_pairs(instances, corpus_size: int) -> PhraseCounts:
     """Each pair's joint count and most frequent internal alignment, from any
     one-pass iterable of instances; a tie goes to the alignment whose sorted
-    links come first. Equal phrases and equal alignments are each kept as one
-    object, and only a pair seen more than once gets a tally of its alignments."""
-    shared = {}  # phrase or alignment -> its one kept copy
+    links come first. Equal phrases, equal alignments and the (1, alignment)
+    values of pairs seen once are each kept as one object, and only a pair seen
+    more than once gets a tally of its alignments."""
+    shared = {}  # phrase -> its one kept copy
+    ones = _Memo(lambda align: (1, align))  # alignment -> (1, its one kept copy)
     entries = {}
     tallies = {}  # pair seen more than once -> how often each of its alignments was seen
     for foreign, english, align in instances:
-        align = shared.setdefault(align, align)
+        one = ones[align]
         seen = entries.get((foreign, english))
         if seen is None:
             entries[shared.setdefault(foreign, foreign),
-                    shared.setdefault(english, english)] = (1, align)
+                    shared.setdefault(english, english)] = one
         else:
             tally = tallies.get((foreign, english))
             if tally is None:
                 tally = tallies[foreign, english] = Counter((seen[1],))
-            tally[align] += 1
+            tally[one[1]] += 1
     for key, tally in tallies.items():
         top = max(tally.values())
         entries[key] = (sum(tally.values()),

@@ -17,7 +17,7 @@ PAIR_STAGES = STAGES[1:-1]  # run per foreign language, in order
 # The format of the files each stage writes, part of its cache key: bump a stage's
 # version with any change to the bytes its writers emit, so outputs left by an
 # older build rerun instead of staying a hit.
-FORMAT_VERSIONS = {"ingest": 1, "align": 1, "wordalign": 1, "phrases": 1, "prune": 2,
+FORMAT_VERSIONS = {"ingest": 1, "align": 1, "wordalign": 1, "phrases": 1, "prune": 3,
                    "markers": 1, "lexicon": 1}
 
 _TRUE = {"true", "yes", "1", "on"}
@@ -389,21 +389,23 @@ class PipelineRunner:
               self.cfg.symmetrization)
 
         def body():
+            """One t-table at a time: t(f|e), whose english words condition, is
+            trained, written and aligned with, and dropped before t(e|f)."""
             pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
-            pairs_fe = [(tgt, src) for src, tgt in pairs]  # t(f|e): english conditions
-            pairs_ef = pairs  # t(e|f): foreign conditions
-            table_fe = model1.train_model1(pairs_fe, self.cfg.em_iterations)
-            table_ef = model1.train_model1(pairs_ef, self.cfg.em_iterations)
-            model1.write_translation_table(table_fe, p["table_fe"])
-            model1.write_translation_table(table_ef, p["table_ef"])
+            table = model1.train_model1([(tgt, src) for src, tgt in pairs],
+                                        self.cfg.em_iterations)
+            model1.write_translation_table(table, p["table_fe"])
+            tgt_to_src = [model1.viterbi_align(tgt, src, table) for src, tgt in pairs]
+            final_ll_fe = table.log_likelihoods[-1]
+            del table
+            table = model1.train_model1(pairs, self.cfg.em_iterations)
+            model1.write_translation_table(table, p["table_ef"])
             model1.write_alignments(
-                (model1.symmetrize(model1.viterbi_align(src, tgt, table_ef),
-                                   model1.viterbi_align(tgt, src, table_fe),
+                (model1.symmetrize(model1.viterbi_align(src, tgt, table), links,
                                    self.cfg.symmetrization)
-                 for src, tgt in pairs), p["alignments"])
-            return {"sentence_pairs": len(pairs),
-                    "final_ll_f_given_e": table_fe.log_likelihoods[-1],
-                    "final_ll_e_given_f": table_ef.log_likelihoods[-1]}
+                 for (src, tgt), links in zip(pairs, tgt_to_src)), p["alignments"])
+            return {"sentence_pairs": len(pairs), "final_ll_f_given_e": final_ll_fe,
+                    "final_ll_e_given_f": table.log_likelihoods[-1]}
 
         return self._run_stage(lang, "wordalign", em, inputs, outputs, body)
 
@@ -451,12 +453,15 @@ class PipelineRunner:
             counts = significance.contingency_counts(pair_counts, pairs)
             del pairs
             kept, report = significance.prune(pair_counts, counts, self.cfg.prune_config)
-            significance.write_prune_report(report, counts, p["prune_report"])
             del counts
+            significance.write_prune_report(report, p["prune_report"])
             phrases.write_phrase_table(phrases.score_counts(pair_counts, kept.entries),
                                        p["pruned_table"])
             return {"entries_in": len(pair_counts.entries), "entries_kept": report.kept_count,
-                    "entries_pruned": report.pruned_count, "threshold": report.threshold}
+                    "entries_pruned": report.pruned_count, "threshold": report.threshold,
+                    "distinct_tables": len(report.entries),
+                    "entries_1_1_1": sum(k for ct, k in report.entries.items()
+                                         if ct[:3] == (1, 1, 1))}
 
         params = (self.cfg.prune_config, significance.EPSILON, self.cfg.max_phrase_len)
         return self._run_stage(lang, "prune", params, inputs, outputs, body)

@@ -1,7 +1,8 @@
 """Significance pruning of phrase tables via Fisher's exact test."""
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .phrases import PhraseCounts, _Memo, escape_phrase
@@ -35,13 +36,16 @@ class PruneConfig:
             raise ValueError("custom_neg_log_p must be finite and >= 0")
 
     def threshold(self, n: int) -> float:
-        """Pruning threshold on -log p for n sentence pairs: alpha is ln(n), the
-        score of a 1-1-1 entry."""
+        """Pruning threshold on -log p for n sentence pairs. alpha is the computed
+        score of a 1-1-1 entry, ln(n) in exact arithmetic, so such an entry sits on
+        it and is pruned at every n; alpha_plus_epsilon is ln(n) + EPSILON."""
         if n < 1:
             raise ValueError("n must be >= 1")
         if self.threshold_mode == "custom":
             return self.custom_neg_log_p
-        return math.log(n) + (EPSILON if self.threshold_mode == "alpha_plus_epsilon" else 0.0)
+        if self.threshold_mode == "alpha":
+            return fisher_neg_log_p(ContingencyTable(1, 1, 1, n))
+        return math.log(n) + EPSILON
 
 
 def _postings(sentences, phrases) -> dict:
@@ -61,27 +65,42 @@ def _postings(sentences, phrases) -> dict:
     return postings
 
 
-def contingency_counts(table: PhraseCounts, pairs: list) -> dict:
+class _ContingencyView(Mapping):
+    """(foreign, english) -> ContingencyTable for the keys of entries, built from
+    the two postings when a key is looked up; equal counts share one table."""
+
+    def __init__(self, entries, src_ids, tgt_ids, n):
+        self._entries, self._src_ids, self._tgt_ids = entries, src_ids, tgt_ids
+        self._tables = _Memo(lambda cell: ContingencyTable(*cell, n=n))
+
+    def __getitem__(self, key):
+        if key not in self._entries:
+            raise KeyError(key)
+        s_ids, t_ids = self._src_ids[key[0]], self._tgt_ids[key[1]]
+        return self._tables[s_ids.bit_count(), t_ids.bit_count(), (s_ids & t_ids).bit_count()]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+
+def contingency_counts(table: PhraseCounts, pairs: list) -> Mapping:
     """Per-entry contingency counts against the extraction corpus, a list of
-    the table's N (src_tokens, tgt_tokens) sentence pairs."""
+    the table's N (src_tokens, tgt_tokens) sentence pairs: a read-only view
+    that holds the postings of each phrase, not a table per entry. An entry
+    that never co-occurs raises here, not on its lookup."""
     if table.corpus_size != len(pairs):
         raise ValueError(f"phrase table is for N={table.corpus_size} sentence pairs, "
                          f"but the aligned corpus has {len(pairs)}")
     src_ids = _postings((src for src, _ in pairs), {f for f, _ in table.entries})
     tgt_ids = _postings((tgt for _, tgt in pairs), {e for _, e in table.entries})
-    n = len(pairs)
-    # (c_s, c_t, c_st) -> the one ContingencyTable shared by its entries
-    tables = _Memo(lambda cell: ContingencyTable(*cell, n=n))
-    counts = {}
-    for key in table.entries:
-        foreign, english = key
-        s_ids, t_ids = src_ids[foreign], tgt_ids[english]
-        joint = (s_ids & t_ids).bit_count()
-        if joint == 0:
+    for foreign, english in table.entries:
+        if not src_ids[foreign] & tgt_ids[english]:
             raise RuntimeError(f"phrase pair '{escape_phrase(foreign)} ||| "
                                f"{escape_phrase(english)}' never co-occurs in its own corpus")
-        counts[key] = tables[s_ids.bit_count(), t_ids.bit_count(), joint]
-    return counts
+    return _ContingencyView(table.entries, src_ids, tgt_ids, len(pairs))
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -105,34 +124,37 @@ def fisher_neg_log_p(ct: ContingencyTable) -> float:
 class PruneReport:
     threshold: float
     scores: dict  # ContingencyTable -> its -log p, for each distinct table
+    entries: dict  # ContingencyTable -> how many entries have it
     kept_count: int
     pruned_count: int
 
 
-def prune(table: PhraseCounts, counts: dict, config: PruneConfig) -> tuple:
-    """Keep entries whose -log p exceeds the configured threshold.
+def prune(table: PhraseCounts, counts: Mapping, config: PruneConfig) -> tuple:
+    """Keep entries whose -log p exceeds the configured threshold, and count
+    the entries of each contingency table on the way.
 
     Returns (kept, report); kept is a PhraseCounts holding the surviving
     entries unchanged.
     """
     threshold = config.threshold(table.corpus_size)
     scores = _Memo(fisher_neg_log_p)  # few distinct tables
-    kept = PhraseCounts({key: value for key, value in table.entries.items()
-                         if scores[counts[key]] > threshold}, table.corpus_size)
-    return kept, PruneReport(threshold, scores, len(kept.entries),
-                             len(table.entries) - len(kept.entries))
+    entries = Counter()
+    kept = {}
+    for key, value in table.entries.items():
+        ct = counts[key]
+        entries[ct] += 1
+        if scores[ct] > threshold:
+            kept[key] = value
+    return PhraseCounts(kept, table.corpus_size), PruneReport(
+        threshold, scores, entries, len(kept), len(table.entries) - len(kept))
 
 
-def write_prune_report(report: PruneReport, counts: dict, path) -> None:
-    """One row per entry of counts, in key order: its contingency table, -log p
-    and fate. Entries that share a table share its columns."""
-    def columns(ct):
-        score = report.scores[ct]
-        return (f"\t{ct.c_s}\t{ct.c_t}\t{ct.c_st}\t{score:.8g}"
-                f"\t{'kept' if score > report.threshold else 'pruned'}\n")
-
-    cells = _Memo(columns)
+def write_prune_report(report: PruneReport, path) -> None:
+    """One row per distinct contingency table, in count order: c_s, c_t, c_st,
+    -log p, kept or pruned, and how many entries have that table."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# threshold={report.threshold:.8g}\n")
-        for key in sorted(counts):
-            fh.write(f"{escape_phrase(key[0])} ||| {escape_phrase(key[1])}{cells[counts[key]]}")
+        for ct in sorted(report.scores):
+            score = report.scores[ct]
+            fate = "kept" if score > report.threshold else "pruned"
+            fh.write(f"{ct.c_s}\t{ct.c_t}\t{ct.c_st}\t{score:.8g}\t{fate}\t{report.entries[ct]}\n")

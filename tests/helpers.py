@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from dmlex.galechurch import (BEAD_PRIORS, MEAN_CHAR_RATIO, SHAPES, SHAPE_NAMES, VARIANCE,
                               sentence_char_length)
 from dmlex.ingest import tokenize
+from dmlex.model1 import NULL_WORD, PROB_FLOOR, USE_NULL
 
 # ---------------------------------------------------------------------------
 # Gale-Church oracles
@@ -151,6 +152,61 @@ def fast_brute_force_align(src, tgt, cost_fn):
         tiling.append(((di, dj), (i, i + di), (j, j + dj)))
         i, j = i + di, j + dj
     return best_cost, tiling
+
+
+# ---------------------------------------------------------------------------
+# Model 1 oracle
+
+
+def dict_train_model1(pairs, iterations, prob_floor=PROB_FLOOR, use_null=USE_NULL):
+    """Model 1 EM over dicts of dicts, rebuilt every iteration: (probs,
+    log_likelihoods, generated_vocab). Its additions and sums run in the order
+    train_model1 promises, so the results must be equal, not just close. A
+    conditioning word whose probabilities all fall under the floor leaves
+    probs, and later iterations read 0.0 for it."""
+    def cond_tokens(cond):
+        return [NULL_WORD] + list(cond) if use_null else list(cond)
+
+    cooc = {}
+    for cond, gen in pairs:
+        for c in cond_tokens(cond):
+            cooc.setdefault(c, set()).update(gen)
+    probs = {c: {g: 1.0 / len(gens) for g in sorted(gens)} for c, gens in cooc.items()}
+    generated_vocab = {g for _, gen in pairs for g in gen}
+
+    log_likelihoods = []
+    for _ in range(iterations):
+        counts = {c: dict.fromkeys(gens, 0.0) for c, gens in probs.items()}
+        totals = dict.fromkeys(probs, 0.0)
+        ll = 0.0
+        for cond, gen in pairs:
+            ctoks = cond_tokens(cond)
+            ll -= len(gen) * math.log(len(ctoks))
+            for g in gen:
+                denom = 0.0
+                for c in ctoks:
+                    denom += probs.get(c, {}).get(g, 0.0)
+                ll += math.log(denom) if denom > 0.0 else math.log(prob_floor)
+                for c in ctoks:
+                    p = probs.get(c, {}).get(g, 0.0)
+                    if p > 0.0:
+                        frac = p / denom
+                        counts[c][g] += frac
+                        totals[c] += frac
+        log_likelihoods.append(ll)
+
+        new_probs = {}
+        for c, gcounts in counts.items():
+            total = totals[c]
+            if total <= 0.0:
+                continue
+            dist = {g: v / total for g, v in gcounts.items() if v / total >= prob_floor}
+            if not dist:
+                continue
+            norm = sum(dist.values())
+            new_probs[c] = {g: v / norm for g, v in dist.items()}
+        probs = new_probs
+    return probs, log_likelihoods, generated_vocab
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ GOLDEN = {
     "pairs/xx/phrase-table.txt": "d45fd9b18d6c6feb2d691fdb1355fc6cf540603a6270de8ecdc242fec8e63d7c",
     "pairs/xx/phrase-table.pruned.txt":
         "eb94183b4416c54b0111ae0cbb5141d07ebae70180bae9c13dd63e23943a7d37",
-    "pairs/xx/prune-report.tsv": "3a04c6b6e3e6ab4a38e83c6cfa6ac02735b9e2f62a0cde5a9527c0868730ea5e",
+    "pairs/xx/prune-report.tsv": "5f0f87ad77d2af052c25347c94a4cf00ab9b7abcc11f4e62baceb537282990a4",
     "pairs/xx/candidates.tsv": "b5eecd6ccd8014b2123638be46ec293c6cfe1cfaa1c0eeb91cec9dce26ed1c92",
     "lexicon.tsv": "f2e3e96559d200eff75f7dec000a3b2aec50dc197892b9d0c1e0cb1ba99ac266",
     "lexicon.json": "e60fd4fddf9a3ccc72ec3c76f02473f677c74af38d9a1377404f80c7be929c91",
@@ -45,7 +45,7 @@ GOLDEN_CACHE = {
     "align:xx": "0665dccd494813fee1691aac0dec70589197fe7c72734f41d5c781b1773bf8ad",
     "wordalign:xx": "dd241403d56352d7373c576fbb1b404f2bac47eaf43b642c304e16f572e4509b",
     "phrases:xx": "647d5b7ccfd564cc2211f586b8f7d891be517b359007078a6869af5d0825f924",
-    "prune:xx": "12e7a02c04eaeeb12dc61d0bd7cb29c0e4fa376e2ce70329c515f3d2c061d43d",
+    "prune:xx": "1b83d461470c540830361e142c378a1967cf8957f5d00cf412489f2a8158c7b7",
     "markers:xx": "7ac4dd9afec67e472fa47f36742cd07df46f48cd6ebfe3a37f1d53aab11a1b39",
     "lexicon:all": "d84b73f0a4ff6aa71d6987eb3f0981a08a58ae6fda335f79fd715d150e978563",
 }

@@ -3,7 +3,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmlex.model1 import (
@@ -18,7 +18,7 @@ from dmlex.model1 import (
     write_translation_table,
 )
 
-from helpers import tokenizer_tokens
+from helpers import dict_train_model1, tokenizer_tokens
 
 TOY = [(["the", "house"], ["la", "maison"]), (["the"], ["la"])]
 
@@ -75,6 +75,29 @@ class TestTrainModel1:
         t2 = train_model1(TOY, iterations=10)
         assert t1.probs == t2.probs
         assert t1.log_likelihoods == t2.log_likelihoods
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1,
+                                       max_size=4),
+                              st.lists(st.sampled_from(["x", "y", "z", "w", "v", "u"]),
+                                       max_size=6)),
+                    min_size=1, max_size=6),
+           st.integers(1, 6), st.sampled_from([1e-7, 0.05, 0.1, 0.2, 0.3]), st.booleans())
+    def test_equals_the_dict_of_dicts_oracle(self, pairs, iterations, prob_floor, use_null):
+        """Equal, not close: the flat arrays add and sum in the oracle's order,
+        also where the floor prunes entries or whole conditioning words."""
+        table = train_model1(pairs, iterations, prob_floor, use_null)
+        assert (table.probs, table.log_likelihoods, table.generated_vocab) == \
+            dict_train_model1(pairs, iterations, prob_floor, use_null)
+
+    def test_conditioning_word_under_the_floor_drops_out(self):
+        """Every t(x_k|c) is 1/6 < 0.2 after the first M-step, so NULL and `a`
+        leave the table, and the second E-step charges each token the floor."""
+        gen = ["x1", "x2", "x3", "x4", "x5", "x6"]
+        table = train_model1([(["a"], gen)], 2, prob_floor=0.2)
+        assert table.probs == {}
+        assert table.log_likelihoods[1] == pytest.approx(6 * math.log(0.2 / 2), rel=1e-12)
+        assert viterbi_align(["a"], gen, table) == [0] * 6  # a ties the floored NULL
 
     def test_floor_pruning_drops_tiny_probabilities(self):
         corpus = [(["a", "b"], ["x"]) for _ in range(5)] + [(["a"], ["x"])] * 50

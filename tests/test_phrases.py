@@ -268,6 +268,17 @@ class TestScoreCounts:
         for a, b in shared(list(counts.entries), [align for _, align in counts.entries.values()]):
             assert a == b and a is b
 
+    def test_pairs_seen_once_with_equal_alignments_share_one_count_value(self):
+        """Each distinct alignment has one (1, alignment) tuple, shared by every
+        pair seen once with it; a pair seen twice gets a value of its own."""
+        instances = [_instance([f], [e], {(0, 0)}) for f in ("f0", "f1") for e in ("e0", "e1")]
+        instances += [_instance(["f0", "f1"], ["e0"], {(k, 0)}) for k in (0, 1)]
+        entries = count_phrase_pairs(iter(instances), 2).entries
+        twice = entries.pop((("f0", "f1"), ("e0",)))
+        assert list(entries.values()) == [(1, frozenset({(0, 0)}))] * 4
+        assert len({id(value) for value in entries.values()}) == 1
+        assert twice == (2, frozenset({(0, 0)})) and twice[1] is entries[("f0",), ("e0",)][1]
+
 
 class TestPhraseCountsIO:
     def test_separator_entity_and_header_like_tokens_are_written_escaped(self, tmp_path):

@@ -451,6 +451,48 @@ class TestRunPipeline:
         assert seen["iterator"] is True
         assert report.results[0].stats["instances"] == seen["extracted"] > 0
 
+    def test_wordalign_drops_t_f_given_e_before_training_t_e_given_f(self, corpus_root,
+                                                                      tmp_path, monkeypatch):
+        """wordalign trains t(f|e), on english-conditioned pairs, first; reference
+        counting alone has freed that table before t(e|f) is trained."""
+        import weakref
+
+        from dmlex import model1
+
+        cfg = validate_config(_config_path(corpus_root), {"output": str(tmp_path / "out")})
+        assert run_pipeline(cfg, stages=["ingest", "align"]).ok
+        calls, real_train = [], model1.train_model1
+
+        def train(pairs, *args, **kwargs):
+            pairs = list(pairs)
+            alive = [ref() is not None for _, ref, _ in calls]  # earlier tables
+            table = real_train(pairs, *args, **kwargs)
+            calls.append((pairs, weakref.ref(table), alive))
+            return table
+
+        monkeypatch.setattr(model1, "train_model1", train)
+        assert run_pipeline(cfg, stages=["wordalign"]).ok
+        (fe_pairs, _, first_alive), (ef_pairs, _, second_alive) = calls
+        assert fe_pairs == [(tgt, src) for src, tgt in ef_pairs]
+        assert (first_alive, second_alive) == ([], [False])
+
+    def test_prune_report_has_a_row_per_distinct_table(self, corpus_root, tmp_path):
+        """The entries column sums to entries_in, and over the kept rows to
+        entries_kept. The test pins the keys of prune's stats, not their values."""
+        out = tmp_path / "out"
+        cfg = validate_config(_config_path(corpus_root), {"output": str(out)})
+        report = run_pipeline(cfg, stages=STAGES[:STAGES.index("prune") + 1])
+        stats = report.results[-1].stats
+        assert set(stats) == {"entries_in", "entries_kept", "entries_pruned", "threshold",
+                              "distinct_tables", "entries_1_1_1"}
+        lines = (out / "pairs" / "xx" / "prune-report.tsv").read_text("utf-8").splitlines()
+        rows = [line.split("\t") for line in lines[1:]]
+        assert len(rows) == stats["distinct_tables"] < stats["entries_in"]
+        assert sum(int(row[5]) for row in rows) == stats["entries_in"]
+        assert sum(int(row[5]) for row in rows if row[4] == "kept") == stats["entries_kept"]
+        assert sum(int(row[5]) for row in rows if row[:3] == ["1", "1", "1"]) == \
+            stats["entries_1_1_1"]
+
     def test_stage_subset(self, corpus_root, tmp_path):
         out = str(tmp_path / "out")
         cfg = validate_config(_config_path(corpus_root), {"output": out})

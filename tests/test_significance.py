@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,37 @@ class TestContingencyCounts:
         assert {key: (ct.c_s, ct.c_t, ct.c_st, ct.n) for key, ct in counts.items()} == {
             key: oracle[key] for key in occurring
         }
+        assert counts == {key: ContingencyTable(*oracle[key]) for key in occurring}
+
+    def test_view_is_a_read_only_mapping_of_the_entries(self):
+        pairs = [(["f0", "f1"], ["e0"]), (["f1"], ["e1"])]
+        table = _table_of([(("f0",), ("e0",)), (("f1",), ("e0",)), (("f1",), ("e1",))], 2)
+        counts = contingency_counts(table, pairs)
+        assert isinstance(counts, Mapping) and not hasattr(counts, "__setitem__")
+        assert list(counts) == list(table.entries) and len(counts) == 3
+        assert counts[("f1",), ("e1",)] == ContingencyTable(2, 1, 1, 2)
+        assert (("f0",), ("e1",)) not in counts  # co-occurs, but is no entry
+        with pytest.raises(KeyError):
+            counts[("f0",), ("e1",)]
+
+    def test_view_holds_no_per_entry_map(self):
+        """3,600 entries over 120 phrases: the view keeps the phrases' postings
+        and the one table they share, less than a pointer per entry, where a
+        dict of the entries would hold several."""
+        foreign = [f"f{k}" for k in range(60)]
+        english = [f"e{k}" for k in range(60)]
+        pairs = [(foreign, english)]
+        table = _table_of([((f,), (e,)) for f in foreign for e in english], 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            counts = contingency_counts(table, pairs)
+            built = tracemalloc.get_traced_memory()[0] - before
+            assert len(set(counts.values())) == 1
+            looked_up = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert max(built, looked_up) < 8 * len(table.entries)
 
     @pytest.mark.parametrize("key", [
         (("f9",), ("e0",)),  # the foreign phrase occurs nowhere
@@ -184,7 +217,20 @@ class TestFisherNegLogP:
 
 class TestThresholdFor:
     def test_alpha_is_log_n(self):
-        assert PruneConfig("alpha").threshold(10000) == pytest.approx(math.log(10000), rel=1e-12)
+        """alpha is the computed score of a 1-1-1 entry, ln(n) up to lgamma's
+        rounding, which reaches about 1e-12 of it at n = 10000."""
+        threshold = PruneConfig("alpha").threshold(10000)
+        assert threshold == fisher_neg_log_p(ContingencyTable(1, 1, 1, 10000))
+        assert threshold == pytest.approx(math.log(10000), rel=1e-9)
+
+    def test_alpha_prunes_a_1_1_1_entry_at_every_n(self):
+        """A 1-1-1 entry scores exactly alpha, so `>` prunes it whatever the
+        rounding; ln(n) as the threshold kept it at about half of these n."""
+        key = (("f",), ("e",))
+        for n in range(1, 3001):
+            table = PhraseCounts({key: (1, frozenset())}, n)
+            kept, report = prune(table, {key: ContingencyTable(1, 1, 1, n)}, PruneConfig("alpha"))
+            assert (kept.entries, report.pruned_count) == ({}, 1), n
 
     def test_alpha_of_one(self):
         assert PruneConfig("alpha").threshold(1) == 0.0
@@ -257,20 +303,23 @@ class TestPrune:
         counts = contingency_counts(table, pairs)
         _, report = prune(table, counts, PruneConfig())
         path = tmp_path / "report.tsv"
-        write_prune_report(report, counts, path)
+        write_prune_report(report, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("# threshold=")
-        body = [l for l in lines if not l.startswith("#")]
-        assert len(body) == len(table.entries)
-        assert all(l.endswith(("kept", "pruned")) for l in body)
+        rows = [l.split("\t") for l in lines[1:]]
+        assert len(rows) == len(set(counts.values()))
+        assert all(fate in ("kept", "pruned") for *_, fate, _ in rows)
+        assert sum(int(row[5]) for row in rows) == len(table.entries)
+        assert sum(int(row[5]) for row in rows if row[4] == "kept") == report.kept_count
 
-    def test_report_escapes_phrase_fields(self, tmp_path):
-        ct = ContingencyTable(1, 1, 1, 2)
-        report = PruneReport(threshold=1.0, scores={ct: 0.5}, kept_count=0, pruned_count=1)
+    def test_report_rows_are_distinct_tables_in_count_order(self, tmp_path):
+        cts = [ContingencyTable(2, 3, 1, 9), ContingencyTable(1, 1, 1, 9)]
+        report = PruneReport(threshold=1.0, scores={cts[0]: 1.5, cts[1]: 0.5},
+                             entries={cts[0]: 2, cts[1]: 7}, kept_count=2, pruned_count=7)
         path = tmp_path / "report.tsv"
-        write_prune_report(report, {(("a", "|||"), ("b&c",)): ct}, path)
-        row = path.read_text(encoding="utf-8").splitlines()[1]
-        assert row == "a &#124;&#124;&#124; ||| b&amp;c\t1\t1\t1\t0.5\tpruned"
+        write_prune_report(report, path)
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            "# threshold=1", "1\t1\t1\t0.5\tpruned\t7", "2\t3\t1\t1.5\tkept\t2"]
 
     def test_equal_but_distinct_tables_give_the_same_report(self, tmp_path):
         pairs = ([(["f0"], ["e0"])] * 4 + [(["f9"], ["e9"]), (["f8"], ["e8"])]
@@ -284,8 +333,9 @@ class TestPrune:
         for counts in (shared, distinct):
             kept, report = prune(table, counts, PruneConfig())
             path = tmp_path / f"report-{len(outputs)}.tsv"
-            write_prune_report(report, counts, path)
-            outputs.append((set(kept.entries), report.scores, path.read_bytes()))
+            write_prune_report(report, path)
+            outputs.append((set(kept.entries), report.scores, report.entries,
+                            path.read_bytes()))
         assert outputs[0] == outputs[1]
         assert 0 < len(outputs[0][0]) < len(shared)
 
@@ -311,7 +361,24 @@ class TestPruneOutputsMatchOracle:
         assert all(report.scores[ct] == fisher_neg_log_p(ct) for ct in counts.values())
         assert 0 < report.kept_count < len(pair_counts.entries)
         table = score_counts(pair_counts, kept.entries)
-        write_prune_report(report, counts, tmp_path / "prune-report.tsv")
+        write_prune_report(report, tmp_path / "prune-report.tsv")
         write_phrase_table(table, tmp_path / "phrase-table.pruned.txt")
         for name in ("prune-report.tsv", "phrase-table.pruned.txt"):
             assert (pair_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+class TestAlphaRun:
+    def test_alpha_prunes_every_1_1_1_entry_of_a_48_pair_run(self, tmp_path):
+        """At 48 pairs the computed 1-1-1 score exceeds ln(48), so a threshold of
+        ln(n) kept every 1-1-1 entry."""
+        cfg = validate_config(write_synthetic_corpus(str(tmp_path), n_pairs=48),
+                              {"prune.mode": "alpha"})
+        report = run_pipeline(cfg, stages=STAGES[:STAGES.index("prune") + 1])
+        stats = report.results[-1].stats
+        assert stats["threshold"] == fisher_neg_log_p(ContingencyTable(1, 1, 1, 48))
+        assert stats["threshold"] > math.log(48)
+        lines = (tmp_path / "out" / "pairs" / "xx" / "prune-report.tsv").read_text("utf-8")
+        rows = [line.split("\t") for line in lines.splitlines()[1:]]
+        assert [row[4:] for row in rows if row[:3] == ["1", "1", "1"]] == [
+            ["pruned", str(stats["entries_1_1_1"])]]
+        assert stats["entries_1_1_1"] > 0
