@@ -61,8 +61,10 @@ def train_model1(pairs, iterations: int = 5, prob_floor: float = PROB_FLOOR,
     t = array("d", [1.0 / (end - start) for _, start, end in spans for _ in range(start, end)])
     cond_id = {c: k for k, (c, _, _) in enumerate(spans)}
     sentences = []  # (len(gen), conditioning ids, a row of slots per g: one per c)
-    for cond, gen in pairs:
+    for k, (cond, gen) in enumerate(pairs):
         ctoks = cond_tokens(cond)
+        if not ctoks:
+            raise ValueError(f"sentence pair {k} has no conditioning tokens")
         sentences.append((len(gen), array("I", [cond_id[c] for c in ctoks]),
                           array("I", [slot_of[c][g] for g in gen for c in ctoks])))
     del slot_of, cond_id
@@ -94,7 +96,9 @@ def train_model1(pairs, iterations: int = 5, prob_floor: float = PROB_FLOOR,
             dist = [v / total for v in counts[start:end]] if total > 0.0 else []
             kept = [q for q in dist if q >= prob_floor]
             if kept:
-                norm = sum(kept)
+                norm = 0.0
+                for q in kept:  # left to right: sum() compensates from Python 3.12 on
+                    norm += q
                 t[start:end] = array("d", [q / norm if q >= prob_floor else 0.0 for q in dist])
             else:  # c drops out of the table
                 t[start:end] = array("d", bytes(8 * (end - start)))

@@ -184,16 +184,6 @@ def write_phrase_table(table: PhraseTable, path) -> None:
                      f"{entry.joint_count:.0f}\n")
 
 
-def write_phrase_counts(counts: PhraseCounts, path) -> None:
-    """`f ||| e ||| i-j links ||| joint count`, lexicographically sorted."""
-    links = _Memo(format_links)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# N={counts.corpus_size}\n")
-        for f, e in sorted(counts.entries):
-            joint, align = counts.entries[f, e]
-            fh.write(f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {links[align]} ||| {joint}\n")
-
-
 def read_phrase_table(path) -> PhraseTable:
     table = PhraseTable()
     links = _Memo(parse_links)

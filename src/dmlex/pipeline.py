@@ -17,7 +17,7 @@ PAIR_STAGES = STAGES[1:-1]  # run per foreign language, in order
 # The format of the files each stage writes, part of its cache key: bump a stage's
 # version with any change to the bytes its writers emit, so outputs left by an
 # older build rerun instead of staying a hit.
-FORMAT_VERSIONS = {"ingest": 1, "align": 1, "wordalign": 1, "phrases": 1, "prune": 3,
+FORMAT_VERSIONS = {"ingest": 1, "align": 1, "wordalign": 1, "phrases": 2, "prune": 3,
                    "markers": 1, "lexicon": 1}
 
 _TRUE = {"true", "yes", "1", "on"}
@@ -309,7 +309,6 @@ class PipelineRunner:
             "table_fe": os.path.join(d, "model1.f_given_e.tsv"),
             "table_ef": os.path.join(d, "model1.e_given_f.tsv"),
             "alignments": os.path.join(d, "alignments.txt"),
-            "phrase_table": os.path.join(d, "phrase-table.txt"),
             "pruned_table": os.path.join(d, "phrase-table.pruned.txt"),
             "prune_report": os.path.join(d, "prune-report.tsv"),
             "candidates": os.path.join(d, "candidates.tsv"),
@@ -420,19 +419,18 @@ class PipelineRunner:
         return pairs, phrases.count_phrase_pairs(instances, len(pairs))
 
     def stage_phrases(self, lang) -> StageResult:
+        """Extract and count the phrase pairs for prune, and write no file."""
         p = self._pair_paths(lang)
         inputs = [p["aligned_src"], p["aligned_tgt"], p["alignments"]]
-        outputs = [p["phrase_table"]]
 
         def body():
             _, counts = self._count_phrases(p)
-            phrases.write_phrase_counts(counts, p["phrase_table"])
             # for prune, if its key hashes the bytes that this stage's key hashed
             self.held[lang] = ([self.hashed[path] for path in inputs], counts)
             return {"instances": sum(joint for joint, _ in counts.entries.values()),
                     "entries": len(counts.entries)}
 
-        return self._run_stage(lang, "phrases", self.cfg.max_phrase_len, inputs, outputs, body)
+        return self._run_stage(lang, "phrases", self.cfg.max_phrase_len, inputs, [], body)
 
     def stage_prune(self, lang) -> StageResult:
         """Prune on counts alone, then score only the surviving pairs. The counts are

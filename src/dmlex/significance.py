@@ -116,7 +116,10 @@ def fisher_neg_log_p(ct: ContingencyTable) -> float:
         for k in range(ct.c_st, k_max + 1)
     ]
     m = max(log_terms)
-    log_p = m + math.log(sum(math.exp(t - m) for t in log_terms))
+    total = 0.0
+    for t in log_terms:  # left to right: sum() compensates from Python 3.12 on
+        total += math.exp(t - m)
+    log_p = m + math.log(total)
     return max(0.0, -log_p)
 
 

@@ -203,7 +203,9 @@ def dict_train_model1(pairs, iterations, prob_floor=PROB_FLOOR, use_null=USE_NUL
             dist = {g: v / total for g, v in gcounts.items() if v / total >= prob_floor}
             if not dist:
                 continue
-            norm = sum(dist.values())
+            norm = 0.0
+            for v in dist.values():  # left to right, as train_model1 sums
+                norm += v
             new_probs[c] = {g: v / norm for g, v in dist.items()}
         probs = new_probs
     return probs, log_likelihoods, generated_vocab

@@ -290,7 +290,7 @@ def test_c10_determinism_across_clean_runs(tmp_path):
         first = run_into(str(tmp_path / "out1"))
         second = run_into(str(tmp_path / "out2"))
         assert set(first) == set(second)
-        assert any(name.endswith("phrase-table.txt") for name in first)
+        assert any(name.endswith("phrase-table.pruned.txt") for name in first)
         assert any(name.endswith("lexicon.tsv") for name in first)
         for name in first:
             assert first[name] == second[name], name

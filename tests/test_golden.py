@@ -30,7 +30,6 @@ GOLDEN = {
         "877f9649b61ea4032574df93198555c8b4e88ec6fce845fd25b76c2ba5d632ca",
     "pairs/xx/model1.f_given_e.tsv":
         "15e32d4c8b13a6cc47738c0aa79dd29cb3be597c07b24182cd213dbad0cc4230",
-    "pairs/xx/phrase-table.txt": "d45fd9b18d6c6feb2d691fdb1355fc6cf540603a6270de8ecdc242fec8e63d7c",
     "pairs/xx/phrase-table.pruned.txt":
         "eb94183b4416c54b0111ae0cbb5141d07ebae70180bae9c13dd63e23943a7d37",
     "pairs/xx/prune-report.tsv": "5f0f87ad77d2af052c25347c94a4cf00ab9b7abcc11f4e62baceb537282990a4",
@@ -44,7 +43,7 @@ GOLDEN_CACHE = {
     "ingest:xx": "1b150e382e8e1f3d7f6d5b65f825538100f4408cf8e5cee62356cc20ffb3abf8",
     "align:xx": "0665dccd494813fee1691aac0dec70589197fe7c72734f41d5c781b1773bf8ad",
     "wordalign:xx": "dd241403d56352d7373c576fbb1b404f2bac47eaf43b642c304e16f572e4509b",
-    "phrases:xx": "647d5b7ccfd564cc2211f586b8f7d891be517b359007078a6869af5d0825f924",
+    "phrases:xx": "3e1c7e4a44d21776cd7d204264dc8ff0b58be624cc54a61a0acdb3b29ae99336",
     "prune:xx": "1b83d461470c540830361e142c378a1967cf8957f5d00cf412489f2a8158c7b7",
     "markers:xx": "7ac4dd9afec67e472fa47f36742cd07df46f48cd6ebfe3a37f1d53aab11a1b39",
     "lexicon:all": "d84b73f0a4ff6aa71d6987eb3f0981a08a58ae6fda335f79fd715d150e978563",

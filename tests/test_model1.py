@@ -66,6 +66,38 @@ class TestTrainModel1:
         with pytest.raises(ValueError):
             train_model1([], iterations=1)
 
+    @pytest.mark.parametrize("pairs, index", [
+        ([([], ["x"]), (["a"], ["x"])], 0),
+        ([(["a"], ["x"]), ([], [])], 1),
+    ], ids=["first", "second-and-empty"])
+    def test_pair_without_conditioning_tokens_is_named(self, pairs, index):
+        """Without NULL, an empty conditioning sentence has nothing to generate
+        from; the error names its pair, not a math domain error."""
+        with pytest.raises(ValueError,
+                           match=rf"^sentence pair {index} has no conditioning tokens$"):
+            train_model1(pairs, 1, use_null=False)
+
+    def test_m_step_normalizes_by_a_left_to_right_sum(self):
+        """One iteration from the uniform start leaves t(g|a) = count(g) / 20
+        before normalizing. Those three add to 1 - 2^-53 from left to right, and
+        to 1.0 compensated, as sum() adds them from Python 3.12 on."""
+        table = train_model1([(["a"], ["x"] * 6 + ["y"] * 7 + ["z"] * 7)], 1, use_null=False)
+        kept = [6 / 20, 7 / 20, 7 / 20]
+        norm = 0.0
+        for q in kept:
+            norm += q
+        assert norm != math.fsum(kept)
+        assert table.probs["a"] == {g: q / norm for g, q in zip("xyz", kept)}
+        assert table.probs["a"]["x"] == 0.30000000000000004
+
+    def test_oracle_normalizes_by_a_left_to_right_sum(self):
+        """The dict oracle sums as train_model1 does, so the two stay equal on
+        every Python; on the case above it gives the left-to-right table."""
+        probs, _, _ = dict_train_model1([(["a"], ["x"] * 6 + ["y"] * 7 + ["z"] * 7)], 1,
+                                        use_null=False)
+        assert probs == {"a": {"x": 0.30000000000000004, "y": 0.35000000000000003,
+                               "z": 0.35000000000000003}}
+
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
             train_model1(TOY, iterations=0)

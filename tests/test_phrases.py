@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dmlex.model1 import parse_links
 from dmlex.phrases import (
     PhraseCounts,
     PhrasePairInstance,
@@ -19,7 +18,6 @@ from dmlex.phrases import (
     score_counts,
     score_phrase_table,
     unescape_phrase,
-    write_phrase_counts,
     write_phrase_table,
 )
 
@@ -280,46 +278,6 @@ class TestScoreCounts:
         assert twice == (2, frozenset({(0, 0)})) and twice[1] is entries[("f0",), ("e0",)][1]
 
 
-class TestPhraseCountsIO:
-    def test_separator_entity_and_header_like_tokens_are_written_escaped(self, tmp_path):
-        counts = PhraseCounts({(("a", "|||"), ("b",)): (2, frozenset({(0, 0), (1, 0)})),
-                               (("&#124;", "&amp;"), ("x|y", "&")): (1, frozenset({(0, 0)})),
-                               (("#", "N=5"), ("#eu",)): (4, frozenset({(1, 0)}))}, 7)
-        path = tmp_path / "phrase-table.txt"
-        write_phrase_counts(counts, path)
-        assert path.read_text(encoding="utf-8").splitlines() == [
-            "# N=7",
-            "# N=5 ||| #eu ||| 1-0 ||| 4",
-            "&amp;#124; &amp;amp; ||| x&#124;y &amp; ||| 0-0 ||| 1",
-            "a &#124;&#124;&#124; ||| b ||| 0-0 1-0 ||| 2",
-        ]
-
-    @given(st.lists(st.tuples(tokenizer_phrases(), tokenizer_phrases(), st.integers(1, 3)),
-                    min_size=1, max_size=6), st.data())
-    def test_tokenizer_output_round_trips(self, pairs, data):
-        """Each line after the header holds one pair's escaped phrases, its most
-        frequent alignment and its joint count, in key order, so the fields give
-        the counts back."""
-        instances = []
-        for f, e, n in pairs:
-            link = st.tuples(st.integers(0, len(f) - 1), st.integers(0, len(e) - 1))
-            instances += [_instance(f, e, data.draw(st.sets(link, min_size=1, max_size=3)))
-                          for _ in range(n)]
-        counts = count_phrase_pairs(instances, len(pairs))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "phrase-table.txt")
-            write_phrase_counts(counts, path)
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.read().split("\n")
-        assert lines[0] == f"# N={len(pairs)}" and lines[-1] == ""
-        back = {}
-        for line in lines[1:-1]:
-            f, e, links, joint = line.split(" ||| ")
-            back[unescape_phrase(f), unescape_phrase(e)] = (int(joint), parse_links(links)[0])
-        assert list(back) == sorted(counts.entries)
-        assert back == counts.entries
-
-
 class TestPhraseTableIO:
     def _toy_table(self):
         instances = [
@@ -362,18 +320,23 @@ class TestPhraseTableIO:
         assert set(back.entries) == set(table.entries)
         assert back.corpus_size == 3
 
-    def test_separator_and_entity_tokens_round_trip(self, tmp_path):
+    def test_separator_entity_and_header_like_tokens_round_trip(self, tmp_path):
         # unescaped, ("a", "|||") / ("b",) was written `a ||| ||| b ||| ...`
-        # and read back as ("a",) / ("|||", "b")
-        table = PhraseTable(corpus_size=2)
-        for f, e in ((("a", "|||"), ("b",)), (("&#124;", "&amp;"), ("x|y", "&"))):
+        # and read back as ("a",) / ("|||", "b"); a `# N=5` phrase is a data line
+        table = PhraseTable(corpus_size=7)
+        for f, e in ((("a", "|||"), ("b",)), (("&#124;", "&amp;"), ("x|y", "&")),
+                     (("#", "N=5"), ("#eu",))):
             table.add(PhraseTableEntry(f, e, 0.5, 0.5, frozenset({(0, 0)}), 1.0))
         path = tmp_path / "pt.txt"
         write_phrase_table(table, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[1].startswith("&amp;#124; &amp;amp; ||| x&#124;y &amp; ||| ")
-        assert lines[2].startswith("a &#124;&#124;&#124; ||| b ||| ")
-        assert set(read_phrase_table(path).entries) == set(table.entries)
+        assert lines[0] == "# N=7"
+        assert lines[1].startswith("# N=5 ||| #eu ||| ")
+        assert lines[2].startswith("&amp;#124; &amp;amp; ||| x&#124;y &amp; ||| ")
+        assert lines[3].startswith("a &#124;&#124;&#124; ||| b ||| ")
+        back = read_phrase_table(path)
+        assert set(back.entries) == set(table.entries)
+        assert back.corpus_size == 7
 
     @given(tokenizer_phrases(max_len=5))
     def test_escape_equals_two_replace_reference(self, tokens):

@@ -181,30 +181,42 @@ class TestRunPipeline:
                           ("lexicon", "all"): after[candidates] == before[candidates]}
 
     def test_translation_tables_are_inputs_of_no_stage(self, corpus_root, tmp_path):
-        """wordalign writes the t-tables as its record of EM, and phrases writes
-        phrase-table.txt as its record of extraction; no later stage reads them: after
-        a t-table and phrase-table.txt are edited every stage stays a hit, and every
+        """wordalign writes the t-tables as its record of EM, and no later stage
+        reads them: after a t-table is edited every stage stays a hit, and every
         other file stays."""
         out = str(tmp_path / "out")
         cfg = validate_config(_config_path(corpus_root), {"output": out})
         assert run_pipeline(cfg).ok
         before = _read_outputs(out)
-        edited = [os.path.join("pairs", "xx", name)
-                  for name in ("model1.e_given_f.tsv", "phrase-table.txt")]
-        for rel in edited:  # a valid file without its first entry
-            with open(os.path.join(out, rel), encoding="utf-8") as fh:
-                lines = fh.read().splitlines(keepends=True)
-            lines.pop(next(k for k, line in enumerate(lines) if not line.startswith("#")))
-            with open(os.path.join(out, rel), "w", encoding="utf-8") as fh:
-                fh.write("".join(lines))
+        edited = os.path.join("pairs", "xx", "model1.e_given_f.tsv")
+        with open(os.path.join(out, edited), encoding="utf-8") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        # a valid file without its first entry
+        lines.pop(next(k for k, line in enumerate(lines) if not line.startswith("#")))
+        with open(os.path.join(out, edited), "w", encoding="utf-8") as fh:
+            fh.write("".join(lines))
 
         report = run_pipeline(cfg)
         assert report.ok
         assert all(r.cache_hit for r in report.results)
         after = _read_outputs(out)
-        for rel in edited:
-            assert after.pop(rel) != before.pop(rel)
+        assert after.pop(edited) != before.pop(edited)
         assert after == before
+
+    def test_phrases_writes_no_file(self, corpus_root, tmp_path):
+        """phrases keeps its counts in memory for prune: after a cold run no pair
+        directory holds phrase-table.txt, and the manifest still records phrases,
+        so a rerun finds it a hit."""
+        out = tmp_path / "out"
+        cfg = validate_config(_config_path(corpus_root), {"output": str(out)})
+        assert run_pipeline(cfg).ok
+        pair_dirs = list((out / "pairs").iterdir())
+        assert [d.name for d in pair_dirs] == ["xx"]
+        assert not any((d / "phrase-table.txt").exists() for d in pair_dirs)
+        with open(out / ".cache.json", encoding="utf-8") as fh:
+            assert "phrases:xx" in json.load(fh)
+        report = run_pipeline(cfg)
+        assert {r.stage: r.cache_hit for r in report.results}["phrases"] is True
 
     @pytest.mark.parametrize("stages", [["prune"], ["phrases", "prune"]],
                              ids=["counts-extracted", "counts-held"])
@@ -238,20 +250,12 @@ class TestRunPipeline:
         assert 0 < stats["entries_kept"] < stats["entries_in"]
         assert list(calls.values()) == [0, stats["entries_kept"], 1]
 
-    @pytest.mark.parametrize("damage", [
-        None,
-        lambda lines: ["# N=7\n"] + lines[1:],
-        lambda lines: lines[:1] + ["a ||| b ||| 0-0 ||| -4\n"] + lines[2:],
-        lambda lines: lines[:1] + ["a ||| b ||| 0-0 ||| 4\n"] + lines[1:],
-    ], ids=["phrase-table-intact", "phrase-table-bad-corpus-size", "phrase-table-bad-count",
-            "phrase-table-pair-never-co-occurs"])
     def test_prune_extracts_the_counts_after_a_phrases_hit(self, corpus_root, tmp_path,
-                                                           monkeypatch, damage):
+                                                           monkeypatch):
         """A cold run counts the phrase pairs once and hands prune the counts in
         memory. A rerun with another prune.mode, where phrases is a hit, extracts
         and counts them anew in prune and writes the bytes of a cold run with that
-        mode. prune reads no phrase-table.txt, so one damaged in between, with a
-        wrong `# N=`, a bad count or a pair the corpus never holds, changes nothing."""
+        mode."""
         from dmlex import phrases
 
         counted = []
@@ -261,12 +265,6 @@ class TestRunPipeline:
         out, cold = str(tmp_path / "out"), str(tmp_path / "cold")
         assert run_pipeline(validate_config(_config_path(corpus_root), {"output": out})).ok
         assert len(counted) == 1
-        table = os.path.join("pairs", "xx", "phrase-table.txt")
-        if damage:
-            with open(os.path.join(out, table), encoding="utf-8") as fh:
-                lines = damage(fh.read().splitlines(keepends=True))
-            with open(os.path.join(out, table), "w", encoding="utf-8") as fh:
-                fh.write("".join(lines))
         report = run_pipeline(validate_config(_config_path(corpus_root),
                                               {"output": out, "prune.mode": "alpha"}))
         assert report.ok
@@ -275,9 +273,7 @@ class TestRunPipeline:
         assert run_pipeline(validate_config(_config_path(corpus_root),
                                             {"output": cold, "prune.mode": "alpha"})).ok
         assert len(counted) == 3
-        warm, fresh = _read_outputs(out), _read_outputs(cold)
-        assert (warm.pop(table) != fresh.pop(table)) == bool(damage)
-        assert warm == fresh
+        assert _read_outputs(out) == _read_outputs(cold)
 
     def test_phrases_max_len_is_in_the_keys_of_phrases_and_prune(self, corpus_root,
                                                                   tmp_path):
@@ -399,12 +395,12 @@ class TestRunPipeline:
                                                           monkeypatch, stage):
         """A stage recorded under another format version reruns, and only it, so an
         output directory written by an older writer keeps none of its bytes, such as
-        the `# direction=` line that t-tables carried before."""
+        the `# direction=` line that t-tables carried before. phrases writes no file,
+        so for it the rerun alone is checked, and that the other outputs stay."""
         from dmlex import pipeline
 
         victim = {"ingest": "ingest/xx/ep-0.txt", "align": "pairs/xx/aligned.src",
-                  "wordalign": "pairs/xx/model1.f_given_e.tsv",
-                  "phrases": "pairs/xx/phrase-table.txt",
+                  "wordalign": "pairs/xx/model1.f_given_e.tsv", "phrases": None,
                   "prune": "pairs/xx/phrase-table.pruned.txt",
                   "markers": "pairs/xx/candidates.tsv", "lexicon": "lexicon.tsv"}[stage]
         fresh, out = tmp_path / "fresh", tmp_path / "out"
@@ -414,8 +410,9 @@ class TestRunPipeline:
         monkeypatch.setitem(pipeline.FORMAT_VERSIONS, stage, pipeline.FORMAT_VERSIONS[stage] - 1)
         assert run_pipeline(cfg).ok
         monkeypatch.undo()
-        path = out / victim
-        path.write_bytes(b"# direction=f_given_e\n" + path.read_bytes())
+        if victim:
+            path = out / victim
+            path.write_bytes(b"# direction=f_given_e\n" + path.read_bytes())
 
         report = run_pipeline(cfg)
         assert report.ok
@@ -500,7 +497,7 @@ class TestRunPipeline:
         assert report.ok
         assert {r.stage for r in report.results} == {"ingest", "align"}
         assert os.path.isfile(os.path.join(out, "pairs", "xx", "aligned.src"))
-        assert not os.path.exists(os.path.join(out, "pairs", "xx", "phrase-table.txt"))
+        assert not os.path.exists(os.path.join(out, "pairs", "xx", "alignments.txt"))
 
     def test_report_files_written(self, corpus_root, tmp_path):
         out = str(tmp_path / "out")

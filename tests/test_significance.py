@@ -20,6 +20,7 @@ from dmlex.significance import (
     ContingencyTable,
     PruneConfig,
     PruneReport,
+    _log_comb,
     contingency_counts,
     fisher_neg_log_p,
     prune,
@@ -192,6 +193,20 @@ class TestFisherNegLogP:
         assert exact_fisher_neg_log_p(3, 4, 2, 20) == pytest.approx(
             -math.log(5 / 57), rel=1e-12
         )
+
+    def test_tail_is_summed_left_to_right(self):
+        """The tail terms of (3, 3, 1, 7), scaled by their largest, add up to
+        another float from left to right than compensated, as sum() adds them
+        from Python 3.12 on; the score is the left-to-right one."""
+        log_terms = [_log_comb(3, k) + _log_comb(4, 3 - k) - _log_comb(7, 3) for k in (1, 2, 3)]
+        m = max(log_terms)
+        terms = [math.exp(x - m) for x in log_terms]
+        total = 0.0
+        for x in terms:
+            total += x
+        assert total != math.fsum(terms)
+        ct = ContingencyTable(c_s=3, c_t=3, c_st=1, n=7)
+        assert fisher_neg_log_p(ct) == -(m + math.log(total)) == 0.1213608570042678
 
     def test_oracle_agreement_on_margin_lattice(self):
         for n in (1, 2, 3, 5, 10, 25, 60, 120, 200):
