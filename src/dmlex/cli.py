@@ -68,6 +68,13 @@ def main(argv=None) -> int:
         print(json.dumps(doc, indent=2))
         return 0 if ok else 1
 
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as exc:  # a path through a regular file, say: no stage could write there
+        print(f"config error: cannot create output directory {config.output_dir}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
+
     report = run_pipeline(config, stages=_SUBCOMMAND_STAGES[args.command])
     print(render_report(report), end="")
     return 0 if report.ok else 1

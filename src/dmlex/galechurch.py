@@ -1,7 +1,7 @@
 """Length-based sentence alignment (Gale & Church dynamic program)."""
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Bead shapes in tie-break preference order: (src sentences, tgt sentences).
 SHAPES = [(1, 1), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2)]
@@ -27,12 +27,8 @@ _PRIOR_MASS = {
 BEAD_PRIORS = {k: v / sum(_PRIOR_MASS.values()) for k, v in _PRIOR_MASS.items()}
 
 
-@dataclass(frozen=True)
-class Bead:
-    src_span: tuple  # half-open (start, end) sentence indices
-    tgt_span: tuple
-    shape: str
-    cost: float
+# src_span, tgt_span: half-open (start, end) sentence indices
+Bead = namedtuple("Bead", "src_span tgt_span shape cost")
 
 
 def sentence_char_length(tokens: list) -> int:

@@ -1,10 +1,7 @@
 """Europarl-style corpus ingestion: parsing, tokenization, paragraph pairing."""
 
-import logging
 import os
-from dataclasses import dataclass
-
-log = logging.getLogger(__name__)
+from collections import namedtuple
 
 # Punctuation characters split into standalone tokens.
 PUNCTUATION = set(".,;:!?\"'()[]-—…«»")
@@ -12,13 +9,9 @@ PUNCTUATION = set(".,;:!?\"'()[]-—…«»")
 MARKUP_PREFIXES = ("<CHAPTER", "<SPEAKER", "<P>")
 
 
-@dataclass
-class Document:
-    """Tokenized, lowercased document keeping paragraph anchors."""
-
-    file_id: str
-    language: str
-    paragraphs: list  # list of paragraphs; paragraph = list of token lists
+# A tokenized, lowercased document keeping paragraph anchors: paragraphs is a
+# list of paragraphs, and a paragraph a list of token lists.
+Document = namedtuple("Document", "file_id language paragraphs")
 
 
 def read_text(path) -> str:
@@ -113,7 +106,9 @@ def pair_documents(src: Document, tgt: Document) -> list:
     count mismatch each document collapses into one paragraph (the corpus
     collapse rule)."""
     if not src.paragraphs or not tgt.paragraphs:
-        log.warning(
+        import logging  # the only use: a CLI start that pairs nothing skips it
+
+        logging.getLogger(__name__).warning(
             "empty document side for %s (%s: %d paragraphs, %s: %d paragraphs)",
             src.file_id, src.language, len(src.paragraphs), tgt.language, len(tgt.paragraphs),
         )

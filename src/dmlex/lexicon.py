@@ -1,10 +1,10 @@
 """Marker candidate selection, filtering and lexicon assembly/export."""
 
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .ingest import PUNCTUATION, normalize_case, read_text, text_lines, tokenize
-from .phrases import PhraseTable, PhraseTableEntry
+from .phrases import PhraseTable
 
 CANDIDATES_HEADER = "marker\tlanguage\ttranslation\tscore\tjoint_count\tcontext\n"
 CONTEXTS = ("none", "preceded", "followed", "both")  # punctuation around the marker
@@ -14,37 +14,27 @@ def is_punct_token(token: str) -> bool:
     return all(ch in PUNCTUATION for ch in token)
 
 
-@dataclass
-class MarkerCandidate:
-    marker: tuple
-    language: str
-    translation: tuple
-    raw_entry: PhraseTableEntry
-    context: str  # one of CONTEXTS
+# raw_entry: a PhraseTableEntry; context: one of CONTEXTS
+MarkerCandidate = namedtuple("MarkerCandidate", "marker language translation raw_entry context")
 
 
-@dataclass
-class FilterPolicy:
-    min_dir_phrase_prob: float = 0.05
-    min_inv_phrase_prob: float = 0.05
-    min_joint_count: int = 2
-    max_length_delta: int = 3
+class FilterPolicy(namedtuple("FilterPolicy", "min_dir_phrase_prob min_inv_phrase_prob "
+                                              "min_joint_count max_length_delta")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.min_dir_phrase_prob <= 1 and 0 <= self.min_inv_phrase_prob <= 1):
+    def __new__(cls, min_dir_phrase_prob=0.05, min_inv_phrase_prob=0.05, min_joint_count=2,
+                max_length_delta=3):
+        if not (0 <= min_dir_phrase_prob <= 1 and 0 <= min_inv_phrase_prob <= 1):
             raise ValueError("probability floors must lie in [0, 1]")
-        if self.min_joint_count < 1:
+        if min_joint_count < 1:
             raise ValueError("min_joint_count must be >= 1")
-        if self.max_length_delta < 0:
+        if max_length_delta < 0:
             raise ValueError("max_length_delta must be >= 0")
+        return super().__new__(cls, min_dir_phrase_prob, min_inv_phrase_prob, min_joint_count,
+                               max_length_delta)
 
 
-@dataclass(frozen=True)
-class LexiconRecord:
-    translation: tuple
-    score: float
-    joint_count: float
-    context: str
+LexiconRecord = namedtuple("LexiconRecord", "translation score joint_count context")
 
 
 def load_seed_markers(path) -> list:
@@ -67,16 +57,28 @@ def load_seed_markers(path) -> list:
 
 def select_candidates(table: PhraseTable, marker, language: str = "") -> list:
     """Phrase-table entries whose english side is the marker alone or the
-    marker with one punctuation token before and/or after it."""
+    marker with one punctuation token p before and/or q after it, from one pass
+    over the english sides. The marker alone comes first, then by sorted p:
+    `followed` (p after it), `preceded`, then `both` by sorted q. An english side
+    with punctuation at the marker's edges can match twice."""
     marker = tuple(marker)
-    patterns = [(marker, "none")]
-    for p in sorted(PUNCTUATION):
-        patterns.append((marker + (p,), "followed"))
-        patterns.append(((p,) + marker, "preceded"))
-        for q in sorted(PUNCTUATION):
-            patterns.append(((p,) + marker + (q,), "both"))
+    n = len(marker)
+    hits = []  # (rank, english side, context)
+    for english in table.by_english:
+        extra = len(english) - n
+        if extra == 0 and english == marker:
+            hits.append(((), english, "none"))
+        elif extra == 1:
+            if english[-1] in PUNCTUATION and english[:-1] == marker:
+                hits.append(((english[-1], 0), english, "followed"))
+            if english[0] in PUNCTUATION and english[1:] == marker:
+                hits.append(((english[0], 1), english, "preceded"))
+        elif (extra == 2 and english[0] in PUNCTUATION and english[-1] in PUNCTUATION
+              and english[1:-1] == marker):
+            hits.append(((english[0], 2, english[-1]), english, "both"))
+    hits.sort()  # ranks are distinct
     return [MarkerCandidate(marker, language, entry.foreign_phrase, entry, context)
-            for english, context in patterns for entry in table.by_english.get(english, [])]
+            for _, english, context in hits for entry in table.by_english[english]]
 
 
 def strip_punctuation_context(candidate: MarkerCandidate) -> MarkerCandidate:
@@ -86,7 +88,7 @@ def strip_punctuation_context(candidate: MarkerCandidate) -> MarkerCandidate:
         translation.pop(0)
     while translation and is_punct_token(translation[-1]):
         translation.pop()
-    return replace(candidate, translation=tuple(translation))
+    return candidate._replace(translation=tuple(translation))
 
 
 def _marker_positions(candidate: MarkerCandidate):

@@ -1,22 +1,24 @@
 """IBM Model 1 EM training, Viterbi alignment and symmetrization."""
 
 import math
-from dataclasses import dataclass, field
 
 NULL_WORD = "<NULL>"
 PROB_FLOOR = 1e-7  # probabilities below it are pruned, and unseen pairs get it
 USE_NULL = True  # every conditioning sentence carries the NULL word
 
 
-@dataclass
 class TranslationTable:
-    """Directional word-translation probabilities t(generated | conditioning)."""
+    """Directional word-translation probabilities t(generated | conditioning). A
+    plain class, not a tuple, so that a weak reference can show when it is freed."""
 
-    probs: dict  # conditioning word -> {generated word: probability}
-    prob_floor: float = PROB_FLOOR
-    use_null: bool = USE_NULL
-    log_likelihoods: list = field(default_factory=list)  # one per EM iteration
-    generated_vocab: set = field(default_factory=set)
+    def __init__(self, probs, prob_floor=PROB_FLOOR, use_null=USE_NULL, log_likelihoods=None,
+                 generated_vocab=None):
+        self.probs = probs  # conditioning word -> {generated word: probability}
+        self.prob_floor = prob_floor
+        self.use_null = use_null
+        # one per EM iteration
+        self.log_likelihoods = [] if log_likelihoods is None else log_likelihoods
+        self.generated_vocab = set() if generated_vocab is None else generated_vocab
 
     def lookup(self, cond: str, gen: str) -> float:
         return self.probs.get(cond, {}).get(gen, self.prob_floor)
@@ -267,24 +269,26 @@ def read_table(path, sep, n_fields, header, add) -> None:
 def read_translation_table(path) -> TranslationTable:
     """The table written by write_translation_table; every probability must lie
     in (0, 1], the floor in (0, 1), and `# null=` must be true or false."""
-    table = TranslationTable(probs={})
+    probs, vocab = {}, set()
+    prob_floor, use_null = PROB_FLOOR, USE_NULL
 
     def header(key, value):
+        nonlocal prob_floor, use_null
         if key == "floor":
-            table.prob_floor = float(value)
-            if not 0.0 < table.prob_floor < 1.0:  # NaN fails every comparison
+            prob_floor = float(value)
+            if not 0.0 < prob_floor < 1.0:  # NaN fails every comparison
                 raise ValueError(f"floor {value!r} is not in (0, 1)")
         elif key == "null":
             if value not in ("true", "false"):
                 raise ValueError(f"null {value!r} is not true or false")
-            table.use_null = value == "true"
+            use_null = value == "true"
 
     def add(cond, gen, prob):
         p = float(prob)
         if not 0.0 < p <= 1.0:
             raise ValueError(f"probability {prob!r} is not in (0, 1]")
-        table.probs.setdefault(cond, {})[gen] = p
-        table.generated_vocab.add(gen)
+        probs.setdefault(cond, {})[gen] = p
+        vocab.add(gen)
 
     read_table(path, "\t", 3, header, add)
-    return table
+    return TranslationTable(probs, prob_floor, use_null, generated_vocab=vocab)

@@ -1,7 +1,6 @@
 """Alignment-consistent phrase extraction and phrase-table scoring."""
 
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field
 
 from .model1 import format_links, links_inside, parse_links, read_table
 
@@ -12,21 +11,16 @@ PhrasePairInstance = namedtuple(
     "PhrasePairInstance", "foreign_phrase english_phrase internal_alignment")
 
 
-@dataclass
-class PhraseTableEntry:
-    foreign_phrase: tuple
-    english_phrase: tuple
-    inv_phrase_prob: float  # phi(f|e)
-    dir_phrase_prob: float  # phi(e|f)
-    most_frequent_internal_alignment: frozenset
-    joint_count: float
+# inv_phrase_prob: phi(f|e); dir_phrase_prob: phi(e|f)
+PhraseTableEntry = namedtuple("PhraseTableEntry", "foreign_phrase english_phrase inv_phrase_prob "
+                              "dir_phrase_prob most_frequent_internal_alignment joint_count")
 
 
-@dataclass
 class PhraseTable:
-    entries: dict = field(default_factory=dict)  # (foreign, english) -> entry
-    by_english: dict = field(default_factory=dict)
-    corpus_size: int = 0
+    def __init__(self, entries=None, by_english=None, corpus_size=0):
+        self.entries = {} if entries is None else entries  # (foreign, english) -> entry
+        self.by_english = {} if by_english is None else by_english
+        self.corpus_size = corpus_size
 
     def add(self, entry: PhraseTableEntry) -> None:
         key = (entry.foreign_phrase, entry.english_phrase)
@@ -37,11 +31,18 @@ class PhraseTable:
         return len(self.entries)
 
 
-@dataclass
 class PhraseCounts:
-    """Each pair's joint count and most frequent internal alignment."""
-    entries: dict = field(default_factory=dict)  # (foreign, english) -> (joint count, frozenset)
-    corpus_size: int = 0
+    """Each pair's joint count and most frequent internal alignment. A plain
+    class, not a tuple, so that a weak reference can show when it is freed."""
+
+    def __init__(self, entries=None, corpus_size=0):
+        # (foreign, english) -> (joint count, frozenset)
+        self.entries = {} if entries is None else entries
+        self.corpus_size = corpus_size
+
+    def __eq__(self, other):
+        return isinstance(other, PhraseCounts) and (
+            (self.entries, self.corpus_size) == (other.entries, other.corpus_size))
 
 
 def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int = 7) -> list:

@@ -7,8 +7,7 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import galechurch, ingest, lexicon as lexmod, model1, phrases, significance
 
@@ -30,20 +29,10 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass
-class PipelineConfig:
-    corpus_root: str
-    english_code: str
-    foreign_codes: list
-    markers_file: str
-    output_dir: str
-    cache: bool
-    jobs: int
-    em_iterations: int
-    symmetrization: str
-    max_phrase_len: int
-    prune_config: significance.PruneConfig
-    filter_policy: lexmod.FilterPolicy
+# prune_config: a significance.PruneConfig; filter_policy: a lexicon.FilterPolicy
+PipelineConfig = namedtuple("PipelineConfig", "corpus_root english_code foreign_codes markers_file "
+                            "output_dir cache jobs em_iterations symmetrization max_phrase_len "
+                            "prune_config filter_policy")
 
 
 def _parse_bool(value: str) -> bool:
@@ -206,19 +195,18 @@ def validate_config(path, overrides: dict | None = None) -> PipelineConfig:
     )
 
 
-@dataclass
-class StageResult:
-    pair: str  # language code, or "shared" / "all"
-    stage: str
-    cache_hit: bool = False
-    seconds: float = 0.0
-    stats: dict = field(default_factory=dict)
-    error: str | None = None
+class StageResult(namedtuple("StageResult", "pair stage cache_hit seconds stats error")):
+    """pair: a language code, or "shared" / "all"; stats: a fresh dict by default."""
+    __slots__ = ()
+
+    def __new__(cls, pair, stage, cache_hit=False, seconds=0.0, stats=None, error=None):
+        return super().__new__(cls, pair, stage, cache_hit, seconds,
+                               {} if stats is None else stats, error)
 
 
-@dataclass
 class RunReport:
-    results: list = field(default_factory=list)
+    def __init__(self, results=None):
+        self.results = [] if results is None else results
 
     @property
     def ok(self) -> bool:
@@ -537,6 +525,9 @@ def run_pipeline(config: PipelineConfig, stages=None) -> RunReport:
                     break
             runner.held.pop(lang, None)  # counts no prune took, as after a failure
             return results
+
+        # imported here: a CLI start that runs nothing, or fails its config, skips it
+        from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             for results in pool.map(run_pair, config.foreign_codes):

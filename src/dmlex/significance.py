@@ -3,7 +3,6 @@
 import math
 from collections import Counter, namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .phrases import PhraseCounts, _Memo, escape_phrase
 
@@ -24,16 +23,16 @@ class ContingencyTable(namedtuple("ContingencyTable", "c_s c_t c_st n")):
 EPSILON = 1e-9  # alpha_plus_epsilon sits this far above alpha
 
 
-@dataclass
-class PruneConfig:
-    threshold_mode: str = "alpha_plus_epsilon"  # alpha | alpha_plus_epsilon | custom
-    custom_neg_log_p: float = 0.0
+class PruneConfig(namedtuple("PruneConfig", "threshold_mode custom_neg_log_p")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.threshold_mode not in ("alpha", "alpha_plus_epsilon", "custom"):
-            raise ValueError(f"unknown threshold mode: {self.threshold_mode}")
-        if self.threshold_mode == "custom" and not 0 <= self.custom_neg_log_p < math.inf:
+    def __new__(cls, threshold_mode="alpha_plus_epsilon", custom_neg_log_p=0.0):
+        # threshold_mode: alpha | alpha_plus_epsilon | custom
+        if threshold_mode not in ("alpha", "alpha_plus_epsilon", "custom"):
+            raise ValueError(f"unknown threshold mode: {threshold_mode}")
+        if threshold_mode == "custom" and not 0 <= custom_neg_log_p < math.inf:
             raise ValueError("custom_neg_log_p must be finite and >= 0")
+        return super().__new__(cls, threshold_mode, custom_neg_log_p)
 
     def threshold(self, n: int) -> float:
         """Pruning threshold on -log p for n sentence pairs. alpha is the computed
@@ -123,13 +122,9 @@ def fisher_neg_log_p(ct: ContingencyTable) -> float:
     return max(0.0, -log_p)
 
 
-@dataclass
-class PruneReport:
-    threshold: float
-    scores: dict  # ContingencyTable -> its -log p, for each distinct table
-    entries: dict  # ContingencyTable -> how many entries have it
-    kept_count: int
-    pruned_count: int
+# scores: ContingencyTable -> its -log p, for each distinct table;
+# entries: ContingencyTable -> how many entries have it
+PruneReport = namedtuple("PruneReport", "threshold scores entries kept_count pruned_count")
 
 
 def prune(table: PhraseCounts, counts: Mapping, config: PruneConfig) -> tuple:

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from dmlex.galechurch import (BEAD_PRIORS, MEAN_CHAR_RATIO, SHAPES, SHAPE_NAMES, VARIANCE,
                               sentence_char_length)
-from dmlex.ingest import tokenize
+from dmlex.ingest import PUNCTUATION, tokenize
+from dmlex.lexicon import MarkerCandidate
 from dmlex.model1 import NULL_WORD, PROB_FLOOR, USE_NULL
 
 # ---------------------------------------------------------------------------
@@ -327,6 +328,21 @@ def reference_marker_match(english_side, marker, punct_tokens):
     if re.fullmatch(f"{marker_s} (?:{punct})", side):
         return "followed"
     return None
+
+
+def enumerate_marker_candidates(table, marker, language=""):
+    """select_candidates by enumeration: probe the table for every english
+    pattern, 1 + 17 * 2 + 17 ** 2 of them over the 17 punctuation tokens, in
+    pattern order, each pattern's entries in table order."""
+    marker = tuple(marker)
+    patterns = [(marker, "none")]
+    for p in sorted(PUNCTUATION):
+        patterns.append((marker + (p,), "followed"))
+        patterns.append(((p,) + marker, "preceded"))
+        for q in sorted(PUNCTUATION):
+            patterns.append(((p,) + marker + (q,), "both"))
+    return [MarkerCandidate(marker, language, entry.foreign_phrase, entry, context)
+            for english, context in patterns for entry in table.by_english.get(english, [])]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmlex.lexicon import (
     FilterPolicy,
@@ -18,7 +20,7 @@ from dmlex.lexicon import (
 )
 from dmlex.phrases import PhraseTable, PhraseTableEntry
 
-from helpers import reference_marker_match
+from helpers import enumerate_marker_candidates, reference_marker_match
 
 
 def _entry(foreign, english, inv=0.5, dir_=0.5, joint=3.0, alignment=None):
@@ -128,6 +130,21 @@ class TestSelectCandidates:
                 if ctx is not None:
                     expected[side] = ctx
             assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_pass_equals_the_pattern_enumeration(self, data):
+        """Same candidates in the same order as probing every pattern, also for
+        markers with punctuation at their edges, where one english side can match
+        two patterns, and for english sides with several entries."""
+        tokens = st.sampled_from(["aa", "bb", ",", ".", "(", "!", "..."])
+        marker = data.draw(st.lists(tokens, min_size=1, max_size=3), label="marker")
+        tokens = st.one_of(tokens, st.sampled_from(marker))  # sides near the marker
+        sides = data.draw(st.lists(st.lists(tokens, min_size=1, max_size=5), max_size=40))
+        foreign = st.sampled_from(["ff", "gg", "hh"])
+        table = _table([_entry(data.draw(foreign), " ".join(side)) for side in sides])
+        assert (select_candidates(table, marker, language="pt")
+                == enumerate_marker_candidates(table, marker, language="pt"))
 
 
 class TestStripPunctuationContext:

@@ -1153,18 +1153,72 @@ class TestCli:
         assert f"config error: {message}\n" in capsys.readouterr().err
         assert not (out / "ingest").exists()
 
+    def test_uncreatable_output_directory_is_a_config_error(self, corpus_root, tmp_path,
+                                                            capsys):
+        """An output path through a regular file ends in one line and exit 2, not
+        in a traceback."""
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        out = str(afile / "out")
+        assert cli_main(["--config", _config_path(corpus_root), "--output", out,
+                         "pipeline"]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: cannot create output directory {out}: Not a directory\n")
+
     def test_runtime_imports_neither_numpy_nor_scipy(self, corpus_root, tmp_path):
-        code = (
+        lines = _python_lines(
             "import sys\n"
             "from dmlex.cli import main\n"
             f"rc = main(['--config', {_config_path(corpus_root)!r}, "
             f"'--output', {str(tmp_path / 'out')!r}, 'pipeline'])\n"
             "print(rc, sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))))\n"
         )
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert lines[-1] == "0 []"
+
+    def test_cli_start_defers_the_thread_pool_and_needs_no_dataclasses(self, corpus_root,
+                                                                       tmp_path):
+        """Importing the CLI and validating a config, all that a CLI start which runs
+        no stage does, loads none of these modules beyond what `python -c pass` loads.
+        A pipeline run then loads the thread pool: it is deferred, not gone."""
+        lines = _python_lines(
+            "import sys\n"
+            "watched = ('dataclasses', 'inspect', 'concurrent.futures', 'logging')\n"
+            "at_start = {m for m in watched if m in sys.modules}\n"
+            "from dmlex.cli import main\n"
+            "from dmlex.pipeline import validate_config\n"
+            f"validate_config({_config_path(corpus_root)!r})\n"
+            "print(sorted(m for m in watched if m in sys.modules and m not in at_start))\n"
+            f"rc = main(['--config', {_config_path(corpus_root)!r}, "
+            f"'--output', {str(tmp_path / 'out')!r}, 'pipeline'])\n"
+            "print(rc, 'concurrent.futures' in sys.modules)\n"
+        )
+        assert (lines[0], lines[-1]) == ("[]", "0 True")
+
+
+def _python_lines(code):
+    """The stdout lines of `code` run by a fresh interpreter that imports dmlex
+    from this checkout."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_default_containers_are_fresh_per_instance():
+    """Records built with a default container each get their own, as a shared
+    default of a tuple type would not."""
+    from dmlex.model1 import TranslationTable
+    from dmlex.phrases import PhraseCounts, PhraseTable
+    from dmlex.pipeline import RunReport, StageResult
+
+    a, b = TranslationTable(probs={}), TranslationTable(probs={})
+    assert a.generated_vocab is not b.generated_vocab
+    assert a.log_likelihoods is not b.log_likelihoods
+    assert StageResult("xx", "align").stats is not StageResult("xx", "align").stats
+    assert PhraseCounts().entries is not PhraseCounts().entries
+    a, b = PhraseTable(), PhraseTable()
+    assert (a.entries is not b.entries) and (a.by_english is not b.by_english)
+    assert RunReport().results is not RunReport().results
