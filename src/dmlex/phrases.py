@@ -31,18 +31,8 @@ class PhraseTable:
         return len(self.entries)
 
 
-class PhraseCounts:
-    """Each pair's joint count and most frequent internal alignment. A plain
-    class, not a tuple, so that a weak reference can show when it is freed."""
-
-    def __init__(self, entries=None, corpus_size=0):
-        # (foreign, english) -> (joint count, frozenset)
-        self.entries = {} if entries is None else entries
-        self.corpus_size = corpus_size
-
-    def __eq__(self, other):
-        return isinstance(other, PhraseCounts) and (
-            (self.entries, self.corpus_size) == (other.entries, other.corpus_size))
+# entries: (foreign, english) -> (joint count, most frequent internal alignment)
+PhraseCounts = namedtuple("PhraseCounts", "entries corpus_size")
 
 
 def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int = 7) -> list:

@@ -282,8 +282,6 @@ class PipelineRunner:
         self.file_ids = sorted(
             os.listdir(os.path.join(config.corpus_root, config.english_code))
         )
-        self.hashed = {}  # input path -> sha256 of its bytes when a stage's key last read it
-        self.held = {}  # language -> (sha256 of each input phrases' key hashed, its counts)
 
     # ---- paths ----------------------------------------------------------
     def ingest_dir(self, lang):
@@ -309,25 +307,26 @@ class PipelineRunner:
         It reruns unless the cache is on, its record holds the digest of its format
         version, its parameters and the bytes of its inputs (every file its body reads)
         and every output exists. Whatever digesting or the body raises becomes the
-        result's error."""
+        result's error. Its seconds are the time spent, a cache hit's digesting included."""
         key = f"{stage}:{pair}"
         started = time.monotonic()
         try:
-            hashes = {path: _sha256_file(path) for path in inputs}
-            self.hashed.update(hashes)
-            digest = _digest((FORMAT_VERSIONS[stage], params), hashes)
+            digest = _digest((FORMAT_VERSIONS[stage], params),
+                             {path: _sha256_file(path) for path in inputs})
             cached = self.cache.hit(key, digest, outputs) if self.cfg.cache else None
             if cached is not None:
-                return StageResult(pair, stage, cache_hit=True, stats=cached["stats"])
-            self.cache.store(key, None)  # no record may outlive the outputs it covers
-            for path in outputs:
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-            stats = body()
-            self.cache.store(key, digest, stats)
+                result = StageResult(pair, stage, cache_hit=True, stats=cached["stats"])
+            else:
+                self.cache.store(key, None)  # no record may outlive the outputs it covers
+                for path in outputs:
+                    os.makedirs(os.path.dirname(path), exist_ok=True)
+                stats = body()
+                self.cache.store(key, digest, stats)
+                result = StageResult(pair, stage, stats=stats)
         except Exception as exc:  # noqa: BLE001 - reported per stage
             # str() of some exceptions, a bare StopIteration among them, is empty
-            return StageResult(pair, stage, error=str(exc) or type(exc).__name__)
-        return StageResult(pair, stage, seconds=time.monotonic() - started, stats=stats)
+            result = StageResult(pair, stage, error=str(exc) or type(exc).__name__)
+        return result._replace(seconds=time.monotonic() - started)
 
     def stage_ingest(self, lang) -> StageResult:
         src_dir = os.path.join(self.cfg.corpus_root, lang)
@@ -396,46 +395,30 @@ class PipelineRunner:
 
         return self._run_stage(lang, "wordalign", em, inputs, outputs, body)
 
-    def _count_phrases(self, p):
-        """The aligned corpus's sentence pairs and the phrase counts extracted from
-        them, each instance counted as it is extracted, never listed."""
-        pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
-        alignments = model1.read_alignments(p["alignments"], pairs)
-        instances = itertools.chain.from_iterable(
-            phrases.extract_phrase_pairs(src, tgt, links, self.cfg.max_phrase_len)
-            for links, (src, tgt) in zip(alignments, pairs))
-        return pairs, phrases.count_phrase_pairs(instances, len(pairs))
-
     def stage_phrases(self, lang) -> StageResult:
-        """Extract and count the phrase pairs for prune, and write no file."""
+        """No work of its own: prune extracts and counts the phrase pairs. The row
+        keeps its inputs and key, and so its cache record, until the benchmark
+        harness takes its stage list from STAGES (ROADMAP); then it goes."""
         p = self._pair_paths(lang)
         inputs = [p["aligned_src"], p["aligned_tgt"], p["alignments"]]
-
-        def body():
-            _, counts = self._count_phrases(p)
-            # for prune, if its key hashes the bytes that this stage's key hashed
-            self.held[lang] = ([self.hashed[path] for path in inputs], counts)
-            return {"instances": sum(joint for joint, _ in counts.entries.values()),
-                    "entries": len(counts.entries)}
-
-        return self._run_stage(lang, "phrases", self.cfg.max_phrase_len, inputs, [], body)
+        return self._run_stage(lang, "phrases", self.cfg.max_phrase_len, inputs, [], dict)
 
     def stage_prune(self, lang) -> StageResult:
-        """Prune on counts alone, then score only the surviving pairs. The counts are
-        the ones phrases held in this run if prune's key hashed the same inputs as
-        phrases' key did, and otherwise, after a phrases cache hit say, extracted
-        anew from those inputs."""
+        """Extract and count the phrase pairs, each instance counted as it is
+        extracted and never listed, prune on counts alone, then score only the
+        surviving pairs."""
         p = self._pair_paths(lang)
         inputs = [p["aligned_src"], p["aligned_tgt"], p["alignments"]]
         outputs = [p["pruned_table"], p["prune_report"]]
-        held = self.held.pop(lang, None)  # taken on a hit or a failure too
 
         def body():
-            seen, pair_counts = held or (None, None)
-            if seen == [self.hashed[path] for path in inputs]:
-                pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
-            else:
-                pairs, pair_counts = self._count_phrases(p)
+            pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
+            # no name holds the link sets, so they are freed once counted
+            instances = itertools.chain.from_iterable(
+                phrases.extract_phrase_pairs(src, tgt, links, self.cfg.max_phrase_len)
+                for links, (src, tgt) in zip(model1.read_alignments(p["alignments"], pairs),
+                                             pairs))
+            pair_counts = phrases.count_phrase_pairs(instances, len(pairs))
             counts = significance.contingency_counts(pair_counts, pairs)
             del pairs
             kept, report = significance.prune(pair_counts, counts, self.cfg.prune_config)
@@ -443,7 +426,8 @@ class PipelineRunner:
             significance.write_prune_report(report, p["prune_report"])
             phrases.write_phrase_table(phrases.score_counts(pair_counts, kept.entries),
                                        p["pruned_table"])
-            return {"entries_in": len(pair_counts.entries), "entries_kept": report.kept_count,
+            return {"instances": sum(joint for joint, _ in pair_counts.entries.values()),
+                    "entries_in": len(pair_counts.entries), "entries_kept": report.kept_count,
                     "entries_pruned": report.pruned_count, "threshold": report.threshold,
                     "distinct_tables": len(report.entries),
                     "entries_1_1_1": sum(k for ct, k in report.entries.items()
@@ -523,7 +507,6 @@ def run_pipeline(config: PipelineConfig, stages=None) -> RunReport:
                 results.append(getattr(runner, f"stage_{stage}")(lang))
                 if results[-1].error is not None:
                     break
-            runner.held.pop(lang, None)  # counts no prune took, as after a failure
             return results
 
         # imported here: a CLI start that runs nothing, or fails its config, skips it

@@ -7,6 +7,7 @@ pytest verdict carries the same information when output is captured.
 import itertools
 import math
 import os
+import pathlib
 import random
 import time
 from contextlib import contextmanager
@@ -63,7 +64,7 @@ def test_c01_published_scale_out_of_scope_is_documented():
     # this repo substitutes the property-based criteria below and must say so.
     with verdict("C01 published-scale counts documented as out of scope"):
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
-        text = open(readme, encoding="utf-8").read().lower()
+        text = pathlib.Path(readme).read_text(encoding="utf-8").lower()
         assert "not" in text and "reproduc" in text
         assert "property" in text
 
@@ -284,7 +285,7 @@ def test_c10_determinism_across_clean_runs(tmp_path):
                     if name in skip:
                         continue
                     path = os.path.join(dirpath, name)
-                    blobs[os.path.relpath(path, out_dir)] = open(path, "rb").read()
+                    blobs[os.path.relpath(path, out_dir)] = pathlib.Path(path).read_bytes()
             return blobs
 
         first = run_into(str(tmp_path / "out1"))

@@ -6,8 +6,8 @@ this test green; a change that alters an output on purpose updates the
 digest here and says why in CHANGES.md. The run reports and the cache
 manifest carry timings and paths, so they are not pinned; the stage digests
 in the manifest are, because a cache primed by an earlier build hits only
-while they hold. `prune` gets its counts from `phrases` in memory in a full
-run and extracts them itself when run alone; both must give the pinned bytes.
+while they hold. `prune` extracts the phrase pairs itself, so a rerun of
+`prune` alone must give the pinned bytes too.
 """
 
 import hashlib
@@ -65,7 +65,7 @@ def test_stage_outputs_match_pinned_digests(tmp_path):
         assert {key: rec["digest"] for key, rec in json.load(fh).items()} == GOLDEN_CACHE
     assert os.path.getsize(out / "lexicon.tsv") > 0
 
-    # a new runner holds no counts, so prune alone extracts them from its inputs
+    # prune alone, on a new runner with the cache off, extracts anew from its inputs
     rerun = run_pipeline(validate_config(config, {"cache": "false"}), stages=["prune"])
     assert [(r.stage, r.cache_hit, r.error) for r in rerun.results] == [("prune", False, None)]
     assert _digests(out) == GOLDEN
