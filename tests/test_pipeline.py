@@ -140,6 +140,17 @@ class TestRunPipeline:
         assert all(r.seconds > 0 for r in second.results)  # a hit's digesting is timed
         assert _read_outputs(out) == snapshot
 
+    def test_every_result_of_a_warm_rerun_is_timed(self, corpus_root, tmp_path):
+        """A cache hit still digests its inputs and outputs, and its result says how
+        long that took, so report.json shows where a warm rerun spends its time."""
+        cfg = validate_config(_config_path(corpus_root), {"output": str(tmp_path / "out")})
+        assert run_pipeline(cfg).ok
+        warm = run_pipeline(cfg)
+        assert warm.ok and all(r.cache_hit for r in warm.results)
+        assert all(r.seconds > 0 for r in warm.results)
+        with open(tmp_path / "out" / "report.json", encoding="utf-8") as fh:
+            assert all(s["seconds"] > 0 for s in json.load(fh)["stages"])
+
     def test_cache_digests_do_not_depend_on_the_output_path(self, corpus_root, tmp_path):
         """Output directories whose paths sort before and after the markers file's
         give the same digests."""
@@ -220,9 +231,13 @@ class TestRunPipeline:
         report = run_pipeline(cfg)
         assert {r.stage: r.cache_hit for r in report.results}["phrases"] is True
 
-    def test_prune_scores_only_the_surviving_pairs(self, corpus_root, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("stages", [["prune"], ["phrases", "prune"]],
+                             ids=["counts-extracted", "after-phrases"])
+    def test_prune_scores_only_the_surviving_pairs(self, corpus_root, tmp_path, monkeypatch,
+                                                   stages):
         """prune reads no t-table, counts the phrase pairs once and builds a
-        PhraseTableEntry for each kept pair alone."""
+        PhraseTableEntry for each kept pair alone, whether phrases runs before it
+        or not."""
         from dmlex import model1, phrases
 
         out = str(tmp_path / "out")
@@ -232,7 +247,7 @@ class TestRunPipeline:
                  (phrases, "count_phrase_pairs"): 0}
         _count_calls(monkeypatch, calls)
         report = run_pipeline(validate_config(_config_path(corpus_root),
-                                              {"output": out, "cache": "false"}), ["prune"])
+                                              {"output": out, "cache": "false"}), stages)
         assert report.ok
         stats = report.results[-1].stats
         assert 0 < stats["entries_kept"] < stats["entries_in"]
@@ -296,6 +311,40 @@ class TestRunPipeline:
         assert after == _read_outputs(cold)
         pruned = os.path.join("pairs", "xx", "phrase-table.pruned.txt")
         assert after[pruned] != before[pruned]
+
+    @pytest.mark.parametrize("name, edit", [
+        ("alignments.txt", lambda line: " ".join(line.split()[:-1])),  # one link fewer
+        ("aligned.src", lambda line: " ".join(token + "x" for token in line.split())),
+        ("aligned.tgt", lambda line: " ".join(token + "x" for token in line.split())),
+    ], ids=["alignments", "aligned-src", "aligned-tgt"])
+    def test_prune_uses_the_bytes_its_key_hashed(self, corpus_root, tmp_path, name, edit):
+        """Any of prune's inputs rewritten between phrases and prune on one runner,
+        each line kept valid: prune extracts from the new files, so its outputs and
+        its key are those of a new runner that ran prune alone."""
+        from dmlex.pipeline import PipelineRunner
+
+        def prune_after(run, edited, new_runner):
+            out = tmp_path / run
+            runner = PipelineRunner(validate_config(_config_path(corpus_root),
+                                                    {"output": str(out)}))
+            results = [runner.stage_ingest("en"), runner.stage_ingest("xx")]
+            results += [getattr(runner, f"stage_{stage}")("xx")
+                        for stage in ("align", "wordalign", "phrases")]
+            assert all(r.error is None for r in results)
+            if edited:
+                path = out / "pairs" / "xx" / name
+                lines = path.read_text(encoding="utf-8").splitlines()
+                path.write_text("".join(edit(line) + "\n" for line in lines), encoding="utf-8")
+            if new_runner:
+                runner = PipelineRunner(runner.cfg)
+            assert runner.stage_prune("xx").error is None
+            return _read_outputs(str(out)), runner.cache.manifest["prune:xx"]["digest"]
+
+        unedited = prune_after("unedited", edited=False, new_runner=False)
+        edited = prune_after("edited", edited=True, new_runner=False)
+        assert edited == prune_after("fresh", edited=True, new_runner=True)
+        pruned = os.path.join("pairs", "xx", "phrase-table.pruned.txt")
+        assert edited[0][pruned] != unedited[0][pruned]
 
     @pytest.mark.parametrize("stage", STAGES)
     def test_output_of_another_format_version_is_rewritten(self, corpus_root, tmp_path,
@@ -446,6 +495,8 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("module, function, stage", [
         ("phrases", "count_phrase_pairs", "prune"),
+        ("model1", "read_alignments", "prune"),
+        ("significance", "contingency_counts", "prune"),
         ("lexicon", "read_candidates", "lexicon"),
     ])
     def test_exception_with_empty_text_fails_its_stage(self, corpus_root, tmp_path,
@@ -749,15 +800,17 @@ class TestRunPipeline:
         counts = re.search(pattern, errors[stage]).groups()
         assert sorted(int(c) for c in counts) == [len(lines) - 1, len(lines)]
 
+    @pytest.mark.parametrize("stages", [STAGES[:STAGES.index("prune") + 1], ["prune"]],
+                             ids=["through-prune", "prune-alone"])
     @pytest.mark.parametrize("link", ["0-99", "0-x", "+0-+0", "0-0_0", "\u0660-\u0660"],
                              ids=["alignments-range", "alignments-int", "alignments-sign",
                                   "alignments-underscore", "alignments-arabic-digits"])
     def test_bad_links_in_alignments_fail_the_extracting_stage_with_line_number(
-            self, corpus_root, tmp_path, link):
+            self, corpus_root, tmp_path, link, stages):
         """A bad link added to a line of alignments.txt fails prune, which extracts
-        the phrase pairs, naming the line; phrases, which reads the file only for its
-        key, passes. A link is two ASCII decimal integers joined by `-`, as the
-        writers write it."""
+        the phrase pairs, naming the line, whether it runs after phrases or alone;
+        phrases, which reads the file only for its key, passes. A link is two ASCII
+        decimal integers joined by `-`, as the writers write it."""
         out = tmp_path / "out"
         args = ["--config", _config_path(corpus_root), "--output", str(out)]
         assert cli_main(args + ["prune"]) == 0
@@ -767,7 +820,7 @@ class TestRunPipeline:
         path.write_text("".join(lines), encoding="utf-8")
 
         report = run_pipeline(validate_config(_config_path(corpus_root), {"output": str(out)}),
-                              STAGES[:STAGES.index("prune") + 1])
+                              stages)
         assert not report.ok
         errors = {r.stage: r.error for r in report.results if r.error}
         assert list(errors) == ["prune"]
