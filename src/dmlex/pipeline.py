@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import json
 import os
-import threading
 import time
 from collections import namedtuple
 
@@ -13,10 +12,10 @@ from . import galechurch, ingest, lexicon as lexmod, model1, phrases, significan
 
 STAGES = ["ingest", "align", "wordalign", "phrases", "prune", "markers", "lexicon"]
 PAIR_STAGES = STAGES[1:-1]  # run per foreign language, in order
-# The format of the files each stage writes, part of its cache key: bump a stage's
-# version with any change to the bytes its writers emit, so outputs left by an
-# older build rerun instead of staying a hit.
-FORMAT_VERSIONS = {"ingest": 1, "align": 1, "wordalign": 1, "phrases": 2, "prune": 3,
+# The format of each stage's files and record, part of its cache key: bump a
+# stage's version with any change to the bytes its writers emit or the stats its
+# record holds, so a record left by an older build reruns instead of staying a hit.
+FORMAT_VERSIONS = {"ingest": 1, "align": 1, "wordalign": 1, "phrases": 3, "prune": 4,
                    "markers": 1, "lexicon": 1}
 
 _TRUE = {"true", "yes", "1", "on"}
@@ -31,7 +30,7 @@ class ConfigError(ValueError):
 
 # prune_config: a significance.PruneConfig; filter_policy: a lexicon.FilterPolicy
 PipelineConfig = namedtuple("PipelineConfig", "corpus_root english_code foreign_codes markers_file "
-                            "output_dir cache jobs em_iterations symmetrization max_phrase_len "
+                            "output_dir cache em_iterations symmetrization max_phrase_len "
                             "prune_config filter_policy")
 
 
@@ -73,7 +72,7 @@ _KNOWN_KEYS = {
     "markers": (str, None, None),
     "output": (str, "out", None),
     "cache": (_parse_bool, "true", None),
-    "jobs": (int, "1", _at_least_one),
+    "jobs": (int, "1", _at_least_one),  # checked, then unused: see cli.py's --jobs
     "em.iterations": (int, "5", _at_least_one),
     "wordalign.symmetrization": (str, "grow-diag-final-and", _known_heuristic),
     "phrases.max_len": (int, "7", _at_least_one),
@@ -186,7 +185,6 @@ def validate_config(path, overrides: dict | None = None) -> PipelineConfig:
         markers_file=markers_file,
         output_dir=parsed["output"],
         cache=parsed["cache"],
-        jobs=parsed["jobs"],
         em_iterations=parsed["em.iterations"],
         symmetrization=parsed["wordalign.symmetrization"],
         max_phrase_len=parsed["phrases.max_len"],
@@ -196,7 +194,7 @@ def validate_config(path, overrides: dict | None = None) -> PipelineConfig:
 
 
 class StageResult(namedtuple("StageResult", "pair stage cache_hit seconds stats error")):
-    """pair: a language code, or "shared" / "all"; stats: a fresh dict by default."""
+    """pair: a language code, or "all" for lexicon; stats: a fresh dict by default."""
     __slots__ = ()
 
     def __new__(cls, pair, stage, cache_hit=False, seconds=0.0, stats=None, error=None):
@@ -236,7 +234,6 @@ class _Cache:
     def __init__(self, path):
         self.path = path
         self.manifest = {}
-        self.lock = threading.Lock()  # pair threads store concurrently
         if os.path.isfile(path):
             try:
                 with open(path, encoding="utf-8") as fh:
@@ -258,19 +255,18 @@ class _Cache:
         """Record a stage, or forget it when digest is None, and rewrite the
         manifest through a temp file, so an interrupted write leaves the previous
         manifest in place. Forgetting a stage that has no record writes nothing."""
-        with self.lock:
-            if digest is not None:
-                self.manifest[key] = {"digest": digest, "stats": stats}
-            elif self.manifest.pop(key, None) is None:
-                return
-            tmp = f"{self.path}.{os.getpid()}.tmp"
-            try:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(self.manifest, fh, indent=2, sort_keys=True)
-                os.replace(tmp, self.path)
-            finally:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
+        if digest is not None:
+            self.manifest[key] = {"digest": digest, "stats": stats}
+        elif self.manifest.pop(key, None) is None:
+            return
+        tmp = f"{self.path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(self.manifest, fh, indent=2, sort_keys=True)
+            os.replace(tmp, self.path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 class PipelineRunner:
@@ -480,12 +476,11 @@ class PipelineRunner:
 
 
 def run_pipeline(config: PipelineConfig, stages=None) -> RunReport:
-    """Run the selected stages: ingest for every language, the pair stages of up
-    to `jobs` foreign languages at a time, then the lexicon of the pairs that did
-    not fail. A failure stops only its own pair, and a failed ingest of the pair's
-    language or of English skips it. Results appear in config order.
-    The cyclic garbage collector is paused meanwhile: reference counting frees the
-    acyclic stage data."""
+    """Run the selected stages: ingest for every language, the pair stages of each
+    foreign language in config order, then the lexicon of the pairs that did not
+    fail. A failure stops only its own pair, and a failed ingest of the pair's
+    language or of English skips it. The cyclic garbage collector is paused
+    meanwhile: reference counting frees the acyclic stage data."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -497,24 +492,14 @@ def run_pipeline(config: PipelineConfig, stages=None) -> RunReport:
                                   for lang in [config.english_code, *config.foreign_codes])
 
         failed = {r.pair for r in report.results if r.error is not None}
-
-        def run_pair(lang):
-            results = []
+        for lang in config.foreign_codes:
             for stage in (s for s in selected if s in PAIR_STAGES):
                 if lang in failed or config.english_code in failed:
-                    results.append(StageResult(lang, stage, error="skipped: ingest failed"))
+                    report.results.append(StageResult(lang, stage, error="skipped: ingest failed"))
                     break
-                results.append(getattr(runner, f"stage_{stage}")(lang))
-                if results[-1].error is not None:
+                report.results.append(getattr(runner, f"stage_{stage}")(lang))
+                if report.results[-1].error is not None:
                     break
-            return results
-
-        # imported here: a CLI start that runs nothing, or fails its config, skips it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            for results in pool.map(run_pair, config.foreign_codes):
-                report.results.extend(results)
 
         if "lexicon" in selected:
             failed = {r.pair for r in report.results if r.error is not None}

@@ -43,8 +43,8 @@ GOLDEN_CACHE = {
     "ingest:xx": "1b150e382e8e1f3d7f6d5b65f825538100f4408cf8e5cee62356cc20ffb3abf8",
     "align:xx": "0665dccd494813fee1691aac0dec70589197fe7c72734f41d5c781b1773bf8ad",
     "wordalign:xx": "dd241403d56352d7373c576fbb1b404f2bac47eaf43b642c304e16f572e4509b",
-    "phrases:xx": "3e1c7e4a44d21776cd7d204264dc8ff0b58be624cc54a61a0acdb3b29ae99336",
-    "prune:xx": "1b83d461470c540830361e142c378a1967cf8957f5d00cf412489f2a8158c7b7",
+    "phrases:xx": "422f6c20758f620071f80a8e6bb1486c74bac4d88715b773a0eca3aaee63e480",
+    "prune:xx": "151058d0c374826b44883632cc9e31eb96723e2375a47e9210a70dc33442d81f",
     "markers:xx": "7ac4dd9afec67e472fa47f36742cd07df46f48cd6ebfe3a37f1d53aab11a1b39",
     "lexicon:all": "d84b73f0a4ff6aa71d6987eb3f0981a08a58ae6fda335f79fd715d150e978563",
 }

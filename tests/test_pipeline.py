@@ -34,6 +34,20 @@ def _config_path(root):
     return os.path.join(root, "pipeline.cfg")
 
 
+def _two_language_config(corpus_root, tmp_path):
+    """A copy of the fixture under tmp_path with a second foreign language, yy, whose
+    corpus is xx's; returns its config path."""
+    import shutil
+
+    root = tmp_path / "two"
+    shutil.copytree(corpus_root, root)
+    shutil.copytree(root / "corpus" / "xx", root / "corpus" / "yy")
+    cfg_file = root / "pipeline.cfg"
+    base = cfg_file.read_text(encoding="utf-8")
+    cfg_file.write_text(base.replace("foreign = xx", "foreign = xx,yy"), encoding="utf-8")
+    return str(cfg_file)
+
+
 def _custom_config(corpus_root, tmp_path, extra_line):
     """The fixture config plus one line, written under tmp_path. Relative paths
     in a config resolve against its own directory, so they are pinned to the
@@ -374,6 +388,34 @@ class TestRunPipeline:
         assert report.ok
         assert {r.stage for r in report.results if not r.cache_hit} == {stage}
         assert _read_outputs(str(out)) == _read_outputs(str(fresh))
+
+    def test_stats_of_an_older_build_are_not_reported(self, corpus_root, tmp_path,
+                                                      monkeypatch):
+        """A manifest primed by the build before prune took over phrase extraction
+        holds, under that build's format versions, phrases' old counts and a prune
+        record without `instances`. Both stages rerun and report fresh stats, not
+        the ones the old records hold."""
+        from dmlex import pipeline
+
+        out = tmp_path / "out"
+        cfg = validate_config(_config_path(corpus_root), {"output": str(out)})
+        monkeypatch.setitem(pipeline.FORMAT_VERSIONS, "phrases", 2)
+        monkeypatch.setitem(pipeline.FORMAT_VERSIONS, "prune", 3)
+        assert run_pipeline(cfg).ok
+        monkeypatch.undo()
+        manifest_path = out / ".cache.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["phrases:xx"]["stats"] = {"entries": 22136, "instances": 22724}
+        del manifest["prune:xx"]["stats"]["instances"]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+        report = run_pipeline(cfg)
+        assert report.ok
+        assert {r.stage for r in report.results if not r.cache_hit} == {"phrases", "prune"}
+        stats = {r.stage: r.stats for r in report.results}
+        assert stats["phrases"] == {} and stats["prune"]["instances"] > 0
+        stored = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert stored["phrases:xx"]["stats"] == {} and "instances" in stored["prune:xx"]["stats"]
 
     def test_prune_counts_instances_as_they_are_extracted(self, corpus_root, tmp_path,
                                                            monkeypatch):
@@ -750,33 +792,36 @@ class TestRunPipeline:
         assert {r.stage for r in report.results} == {stage}
         assert declared and opened - declared == set()
 
-    def test_concurrent_manifest_stores_lose_nothing(self, tmp_path):
-        path = str(tmp_path / ".cache.json")
-        cache = _Cache(path)
-        errors = []
-
-        def worker(w):
-            try:
-                for k in range(25):
-                    cache.store(f"stage{k}:{w}", "d", {"k": k})
-            except Exception as exc:  # noqa: BLE001 - reported by the assert below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        with open(path, encoding="utf-8") as fh:
-            assert len(json.load(fh)) == 8 * 25
+    def test_manifest_stores_lose_nothing(self, tmp_path):
+        """200 stores in a row, each rewriting the manifest through a temp file, keep
+        every record and leave no temp file behind."""
+        path = tmp_path / ".cache.json"
+        cache = _Cache(str(path))
+        for w in range(8):
+            for k in range(25):
+                cache.store(f"stage{k}:{w}", "d", {"k": k})
+        assert len(json.loads(path.read_text(encoding="utf-8"))) == 8 * 25
+        assert len(_Cache(str(path)).manifest) == 8 * 25
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+
+    def test_pair_stages_run_on_the_main_thread_in_config_order(self, corpus_root, tmp_path,
+                                                               monkeypatch):
+        """With --jobs 2 on two languages, every stage call runs on the calling
+        thread, one language pair after the other in config order."""
+        from dmlex.pipeline import PAIR_STAGES, PipelineRunner
+
+        calls = []
+        for stage in STAGES:
+            def recording(self, arg, _stage=stage, _real=getattr(PipelineRunner, f"stage_{stage}")):
+                calls.append((_stage, arg, threading.current_thread() is threading.main_thread()))
+                return _real(self, arg)
+            monkeypatch.setattr(PipelineRunner, f"stage_{stage}", recording)
+        assert cli_main(["--config", _two_language_config(corpus_root, tmp_path),
+                         "--output", str(tmp_path / "out"), "--jobs", "2", "pipeline"]) == 0
+        assert calls == [("ingest", "en", True), ("ingest", "xx", True), ("ingest", "yy", True),
+                         *[(stage, "xx", True) for stage in PAIR_STAGES],
+                         *[(stage, "yy", True) for stage in PAIR_STAGES],
+                         ("lexicon", ["xx", "yy"], True)]
 
     @pytest.mark.parametrize("stage, victim, pattern", [
         ("wordalign", "aligned.tgt", r"aligned\.src has (\d+) lines but .*aligned\.tgt has (\d+)"),
@@ -929,16 +974,8 @@ class TestGarbageCollectorPause:
         assert gc.isenabled()
 
     def test_enabled_after_a_two_job_run(self, corpus_root, tmp_path):
-        import shutil
-
-        root = tmp_path / "two"
-        shutil.copytree(corpus_root, root)
-        shutil.copytree(root / "corpus" / "xx", root / "corpus" / "yy")
-        cfg_file = root / "pipeline.cfg"
-        base = cfg_file.read_text(encoding="utf-8")
-        cfg_file.write_text(base.replace("foreign = xx", "foreign = xx,yy"), encoding="utf-8")
-        assert cli_main(["--config", str(cfg_file), "--output", str(root / "out"),
-                         "--jobs", "2", "pipeline"]) == 0
+        assert cli_main(["--config", _two_language_config(corpus_root, tmp_path),
+                         "--output", str(tmp_path / "out"), "--jobs", "2", "pipeline"]) == 0
         assert gc.isenabled()
 
     def test_caller_who_disabled_it_finds_it_disabled(self, corpus_root, tmp_path):
@@ -1042,27 +1079,18 @@ class TestCli:
         assert capsys.readouterr().err == (f"config error: byte {len(good) + 5}: invalid UTF-8 "
                                            f"in {path}\n")
 
-    def test_jobs_flag_parallel_pairs(self, corpus_root, tmp_path):
-        import shutil
-
-        root = tmp_path / "two"
-        shutil.copytree(corpus_root, root)
-        shutil.copytree(root / "corpus" / "xx", root / "corpus" / "yy")
-        cfg_file = root / "pipeline.cfg"
-        base = cfg_file.read_text(encoding="utf-8")
-        cfg_file.write_text(base.replace("foreign = xx", "foreign = xx,yy"), encoding="utf-8")
-        rc = cli_main(["--config", str(cfg_file), "--output", str(root / "out"),
-                       "--jobs", "2", "pipeline"])
-        assert rc == 0
-        assert os.path.isfile(root / "out" / "pairs" / "yy" / "candidates.tsv")
-
-        assert cli_main(["--config", str(cfg_file), "--output", str(root / "serial"),
-                         "--jobs", "1", "pipeline"]) == 0
-        assert _read_outputs(str(root / "out")) == _read_outputs(str(root / "serial"))
-        rows = []
-        for out in ("out", "serial"):
-            with open(root / out / "report.json", encoding="utf-8") as fh:
-                rows.append([(s["pair"], s["stage"]) for s in json.load(fh)["stages"]])
+    def test_jobs_flag_changes_nothing(self, corpus_root, tmp_path):
+        """--jobs is accepted and checked, and the outputs and the report's rows are
+        the same for every value."""
+        cfg_file = _two_language_config(corpus_root, tmp_path)
+        for jobs in ("2", "1"):
+            assert cli_main(["--config", cfg_file, "--output", str(tmp_path / jobs),
+                             "--jobs", jobs, "pipeline"]) == 0
+        assert os.path.isfile(tmp_path / "2" / "pairs" / "yy" / "candidates.tsv")
+        assert _read_outputs(str(tmp_path / "2")) == _read_outputs(str(tmp_path / "1"))
+        rows = [[(s["pair"], s["stage"]) for s in json.loads(
+                    (tmp_path / jobs / "report.json").read_text(encoding="utf-8"))["stages"]]
+                for jobs in ("2", "1")]
         assert rows[0] == rows[1]
         assert [pair for pair, stage in rows[0] if stage == "align"] == ["xx", "yy"]
 
@@ -1134,11 +1162,11 @@ class TestCli:
         )
         assert lines[-1] == "0 []"
 
-    def test_cli_start_defers_the_thread_pool_and_needs_no_dataclasses(self, corpus_root,
-                                                                       tmp_path):
+    def test_cli_start_and_pipeline_run_load_no_thread_pool_or_dataclasses(self, corpus_root,
+                                                                          tmp_path):
         """Importing the CLI and validating a config, all that a CLI start which runs
         no stage does, loads none of these modules beyond what `python -c pass` loads.
-        A pipeline run then loads the thread pool: it is deferred, not gone."""
+        A pipeline run never loads the thread pool: the pairs run on one thread."""
         lines = _python_lines(
             "import sys\n"
             "watched = ('dataclasses', 'inspect', 'concurrent.futures', 'logging')\n"
@@ -1151,7 +1179,7 @@ class TestCli:
             f"'--output', {str(tmp_path / 'out')!r}, 'pipeline'])\n"
             "print(rc, 'concurrent.futures' in sys.modules)\n"
         )
-        assert (lines[0], lines[-1]) == ("[]", "0 True")
+        assert (lines[0], lines[-1]) == ("[]", "0 False")
 
 
 def _count_calls(monkeypatch, calls):
