@@ -32,11 +32,16 @@ def train_model1(pairs, iterations: int = 5, prob_floor: float = PROB_FLOOR,
     renormalized and floor-pruned after every M-step, and a conditioning word
     left with none at or above the floor drops out; the corpus log-likelihood
     under the table entering each iteration is recorded. t and the expected
-    counts are flat arrays, one slot per co-occurring (c, g), c in first-seen
-    order and g sorted; a pruned slot holds 0.0.
-    """
-    from array import array  # a shared library: a CLI start that trains nothing skips it
+    counts are lists of floats, one slot per co-occurring (c, g), c in
+    first-seen order and g sorted; a pruned slot holds 0.0.
 
+    Every float is added in the order of the dict-of-dicts EM that
+    tests/helpers.py keeps as the oracle, so the two give equal tables. A
+    sentence's E-step first sums each generated token's denominator over the
+    conditioning tokens in order. Then it walks the column of each distinct
+    conditioning word: generated tokens in order, each fraction added to the
+    word's count and total once per occurrence of the word, back to back.
+    """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     pairs = list(pairs)
@@ -50,7 +55,7 @@ def train_model1(pairs, iterations: int = 5, prob_floor: float = PROB_FLOOR,
     for cond, gen in pairs:
         for c in cond_tokens(cond):
             cooc.setdefault(c, set()).update(gen)
-    slot_of = {}  # c -> {g: slot}, while the rows are built
+    slot_of = {}  # c -> {g: slot}, while the sentences are built
     spans = []  # (c, first slot, end slot), c in first-seen order
     gen_words = []  # slot -> its g
     for c, gens in cooc.items():
@@ -60,50 +65,63 @@ def train_model1(pairs, iterations: int = 5, prob_floor: float = PROB_FLOOR,
         spans.append((c, start, len(gen_words)))
     del cooc
     # uniform init over co-occurring pairs
-    t = array("d", [1.0 / (end - start) for _, start, end in spans for _ in range(start, end)])
+    t = [1.0 / (end - start) for _, start, end in spans for _ in range(start, end)]
     cond_id = {c: k for k, (c, _, _) in enumerate(spans)}
-    sentences = []  # (len(gen), conditioning ids, a row of slots per g: one per c)
+    # per sentence: len(gen) * log(len(cond)); the column of each c in order;
+    # and per distinct c, its id, its occurrences and its column, a slot per g
+    sentences = []
     for k, (cond, gen) in enumerate(pairs):
         ctoks = cond_tokens(cond)
         if not ctoks:
             raise ValueError(f"sentence pair {k} has no conditioning tokens")
-        sentences.append((len(gen), array("I", [cond_id[c] for c in ctoks]),
-                          array("I", [slot_of[c][g] for g in gen for c in ctoks])))
+        columns = {c: list(map(slot_of[c].__getitem__, gen)) for c in dict.fromkeys(ctoks)}
+        sentences.append((len(gen) * math.log(len(ctoks)), list(map(columns.__getitem__, ctoks)),
+                          [(cond_id[c], ctoks.count(c), column) for c, column in columns.items()]))
     del slot_of, cond_id
 
+    log_floor = math.log(prob_floor)
     log_likelihoods = []
     for _ in range(iterations):
-        counts = array("d", bytes(8 * len(t)))
-        totals = array("d", bytes(8 * len(spans)))
+        counts = [0.0] * len(t)
+        totals = [0.0] * len(spans)
         ll = 0.0
-        for n_gen, cids, rows in sentences:
-            k = len(cids)
-            ll -= n_gen * math.log(k)
-            for r in range(0, len(rows), k):
-                row = rows[r:r + k]
+        for length_term, in_order, columns in sentences:
+            ll -= length_term
+            denoms = []
+            for row in zip(*in_order):  # the slots of one g, c in order
                 denom = 0.0
                 for slot in row:
                     denom += t[slot]
-                ll += math.log(denom) if denom > 0.0 else math.log(prob_floor)
-                for slot, c in zip(row, cids):
-                    p = t[slot]
-                    if p > 0.0:
-                        frac = p / denom
+                if denom > 0.0:
+                    ll += math.log(denom)
+                else:  # every t of g is 0.0: the floor's likelihood and fractions of 0.0
+                    ll += log_floor
+                    denom = math.inf
+                denoms.append(denom)
+            for c, occurrences, column in columns:
+                total = totals[c]
+                if occurrences == 1:  # most words: no inner loop to pay for per link
+                    for slot, denom in zip(column, denoms):
+                        frac = t[slot] / denom
                         counts[slot] += frac
-                        totals[c] += frac
+                        total += frac
+                else:
+                    for slot, denom in zip(column, denoms):
+                        frac = t[slot] / denom
+                        for _ in range(occurrences):
+                            counts[slot] += frac
+                            total += frac
+                totals[c] = total
         log_likelihoods.append(ll)
 
-        for c, (_, start, end) in enumerate(spans):
-            total = totals[c]
+        for (_, start, end), total in zip(spans, totals):
             dist = [v / total for v in counts[start:end]] if total > 0.0 else []
-            kept = [q for q in dist if q >= prob_floor]
-            if kept:
-                norm = 0.0
-                for q in kept:  # left to right: sum() compensates from Python 3.12 on
-                    norm += q
-                t[start:end] = array("d", [q / norm if q >= prob_floor else 0.0 for q in dist])
-            else:  # c drops out of the table
-                t[start:end] = array("d", bytes(8 * (end - start)))
+            kept = [q if q >= prob_floor else 0.0 for q in dist]
+            norm = 0.0
+            for q in kept:  # left to right: sum() compensates from Python 3.12 on
+                norm += q
+            # with nothing kept, c drops out of the table
+            t[start:end] = [q / norm for q in kept] if norm > 0.0 else [0.0] * (end - start)
 
     dists = ((c, {g: p for g, p in zip(gen_words[start:end], t[start:end]) if p > 0.0})
              for c, start, end in spans)
@@ -115,8 +133,12 @@ def viterbi_align(cond_tokens, gen_tokens, table: TranslationTable) -> list:
     """For each generated token, its best conditioning position, or None.
 
     Ties go to the smallest conditioning index; NULL loses all ties;
-    out-of-vocabulary generated tokens link to NULL.
+    out-of-vocabulary generated tokens link to NULL. Each conditioning word's
+    distribution is fetched once; a word missing from the table reads the floor.
     """
+    floor = table.prob_floor
+    dists = [table.probs.get(c, {}) for c in cond_tokens]
+    null = table.probs.get(NULL_WORD, {})
     links = []
     for g in gen_tokens:
         if g not in table.generated_vocab:
@@ -124,12 +146,12 @@ def viterbi_align(cond_tokens, gen_tokens, table: TranslationTable) -> list:
             continue
         best_i = None
         best_p = -1.0
-        for i, c in enumerate(cond_tokens):
-            p = table.lookup(c, g)
+        for i, dist in enumerate(dists):
+            p = dist.get(g, floor)
             if p > best_p:
                 best_p = p
                 best_i = i
-        if table.use_null and table.lookup(NULL_WORD, g) > best_p:
+        if table.use_null and null.get(g, floor) > best_p:
             best_i = None
         links.append(best_i)
     return links
@@ -193,9 +215,15 @@ def write_translation_table(table: TranslationTable, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# floor={table.prob_floor!r}\n")
         fh.write(f"# null={'true' if table.use_null else 'false'}\n")
+        text = {}  # probability -> its digits, formatted once
         for cond in sorted(table.probs):
-            for gen in sorted(table.probs[cond]):
-                fh.write(f"{cond}\t{gen}\t{table.probs[cond][gen]:.8g}\n")
+            dist = table.probs[cond]
+            for gen in sorted(dist):
+                p = dist[gen]
+                digits = text.get(p)
+                if digits is None:
+                    digits = text[p] = f"{p:.8g}"
+                fh.write(f"{cond}\t{gen}\t{digits}\n")
 
 
 def format_links(links) -> str:

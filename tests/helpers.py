@@ -212,6 +212,23 @@ def dict_train_model1(pairs, iterations, prob_floor=PROB_FLOOR, use_null=USE_NUL
     return probs, log_likelihoods, generated_vocab
 
 
+def brute_force_viterbi(cond_tokens, gen_tokens, table):
+    """viterbi_align by a table.lookup of every (c, g): for each generated
+    token, the first position of the highest probability, or None when the
+    token is out of vocabulary, the conditioning side is empty, or NULL (with
+    use_null) scores strictly higher."""
+    links = []
+    for g in gen_tokens:
+        scores = [table.lookup(c, g) for c in cond_tokens]
+        best = max(scores, default=None)
+        if (g not in table.generated_vocab or best is None
+                or (table.use_null and table.lookup(NULL_WORD, g) > best)):
+            links.append(None)
+        else:
+            links.append(scores.index(best))
+    return links
+
+
 # ---------------------------------------------------------------------------
 # Phrase extraction oracle
 

@@ -3,7 +3,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmlex.model1 import (
@@ -18,7 +18,7 @@ from dmlex.model1 import (
     write_translation_table,
 )
 
-from helpers import dict_train_model1, tokenizer_tokens
+from helpers import brute_force_viterbi, dict_train_model1, tokenizer_tokens
 
 TOY = [(["the", "house"], ["la", "maison"]), (["the"], ["la"])]
 
@@ -115,9 +115,17 @@ class TestTrainModel1:
                                        max_size=6)),
                     min_size=1, max_size=6),
            st.integers(1, 6), st.sampled_from([1e-7, 0.05, 0.1, 0.2, 0.3]), st.booleans())
+    # `a` twice in a sentence: its total adds each fraction twice back to back
+    @example([(["b"], ["x"]), (["b", "a", "a"], ["x", "y"])], 2, 1e-7, False)
+    # `x` twice in a sentence: a column walks the generated tokens in order
+    @example([(["b"], ["y", "x"]), (["a"], ["x", "z", "x"])], 2, 1e-7, True)
+    # t(x|NULL) and t(x|a) are 0.25 < 0.3 after the first M-step, so the second
+    # E-step charges x the floor and gives it no fractions
+    @example([(["a"], ["x", "y"]), (["a"], ["y", "y"])], 2, 0.3, True)
     def test_equals_the_dict_of_dicts_oracle(self, pairs, iterations, prob_floor, use_null):
-        """Equal, not close: the flat arrays add and sum in the oracle's order,
-        also where the floor prunes entries or whole conditioning words."""
+        """Equal, not close: the E-step and the M-step add and sum in the
+        oracle's order, also where the floor prunes entries or whole
+        conditioning words."""
         table = train_model1(pairs, iterations, prob_floor, use_null)
         assert (table.probs, table.log_likelihoods, table.generated_vocab) == \
             dict_train_model1(pairs, iterations, prob_floor, use_null)
@@ -166,6 +174,25 @@ class TestViterbiAlign:
             generated_vocab={"x"},
         )
         assert viterbi_align(["a"], ["x"], table) == [0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1,
+                                       max_size=4),
+                              st.lists(st.sampled_from(["x", "y", "z", "w", "v", "u"]),
+                                       max_size=6)),
+                    min_size=1, max_size=6),
+           st.lists(st.tuples(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=4),
+                              st.lists(st.sampled_from(["x", "y", "z", "w", "oov"]),
+                                       max_size=6)),
+                    max_size=4),
+           st.integers(1, 4), st.sampled_from([1e-7, 0.05, 0.1, 0.2, 0.3]), st.booleans())
+    def test_equals_the_lookup_oracle(self, pairs, others, iterations, prob_floor, use_null):
+        """Equal on the training pairs and on others that may hold an unseen
+        conditioning word `e`, an out-of-vocabulary `oov` or an empty
+        conditioning side; the higher floors make words drop out."""
+        table = train_model1(pairs, iterations, prob_floor, use_null)
+        for cond, gen in pairs + others:
+            assert viterbi_align(cond, gen, table) == brute_force_viterbi(cond, gen, table)
 
 
 class TestSymmetrize:
