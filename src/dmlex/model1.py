@@ -32,8 +32,8 @@ def train_model1(pairs, iterations: int = 5, prob_floor: float = PROB_FLOOR,
     renormalized and floor-pruned after every M-step, and a conditioning word
     left with none at or above the floor drops out; the corpus log-likelihood
     under the table entering each iteration is recorded. t and the expected
-    counts are lists of floats, one slot per co-occurring (c, g), c in
-    first-seen order and g sorted; a pruned slot holds 0.0.
+    counts hold one list of floats per conditioning word c, c in first-seen
+    order, with a slot per co-occurring g, sorted; a pruned slot holds 0.0.
 
     Every float is added in the order of the dict-of-dicts EM that
     tests/helpers.py keeps as the oracle, so the two give equal tables. A
@@ -55,76 +55,76 @@ def train_model1(pairs, iterations: int = 5, prob_floor: float = PROB_FLOOR,
     for cond, gen in pairs:
         for c in cond_tokens(cond):
             cooc.setdefault(c, set()).update(gen)
-    slot_of = {}  # c -> {g: slot}, while the sentences are built
-    spans = []  # (c, first slot, end slot), c in first-seen order
-    gen_words = []  # slot -> its g
-    for c, gens in cooc.items():
-        start = len(gen_words)
-        gen_words.extend(sorted(gens))
-        slot_of[c] = {g: slot for slot, g in enumerate(gen_words[start:], start)}
-        spans.append((c, start, len(gen_words)))
+    words = list(cooc)  # c in first-seen order
+    gen_words = [sorted(gens) for gens in cooc.values()]  # per c, its g
     del cooc
+    # slot numbers start at 0 for every c, so all columns share one int object per number
+    slots = list(range(max(map(len, gen_words), default=0)))
+    slot_of = {c: dict(zip(gens, slots)) for c, gens in zip(words, gen_words)}
+    cond_id = {c: k for k, c in enumerate(words)}
     # uniform init over co-occurring pairs
-    t = [1.0 / (end - start) for _, start, end in spans for _ in range(start, end)]
-    cond_id = {c: k for k, (c, _, _) in enumerate(spans)}
-    # per sentence: len(gen) * log(len(cond)); the column of each c in order;
-    # and per distinct c, its id, its occurrences and its column, a slot per g
+    t = [[1.0 / len(gens) for _ in gens] for gens in gen_words]
+    # per sentence: len(gen) * log(len(cond)); len(gen); the id and column of
+    # each c in order; the occurrence counts m of its words; and per distinct
+    # c, its id, its m and its column with each slot m times over
     sentences = []
     for k, (cond, gen) in enumerate(pairs):
         ctoks = cond_tokens(cond)
         if not ctoks:
             raise ValueError(f"sentence pair {k} has no conditioning tokens")
-        columns = {c: list(map(slot_of[c].__getitem__, gen)) for c in dict.fromkeys(ctoks)}
-        sentences.append((len(gen) * math.log(len(ctoks)), list(map(columns.__getitem__, ctoks)),
-                          [(cond_id[c], ctoks.count(c), column) for c, column in columns.items()]))
+        columns = {c: (cond_id[c], tuple(map(slot_of[c].__getitem__, gen)))
+                   for c in dict.fromkeys(ctoks)}
+        spread = []
+        for c, (i, column) in columns.items():
+            m = ctoks.count(c)  # a word seen once walks the column it has in order
+            spread.append((i, m, column if m == 1 else tuple(s for s in column for _ in range(m))))
+        sentences.append((len(gen) * math.log(len(ctoks)), len(gen),
+                          tuple(map(columns.__getitem__, ctoks)), tuple({m for _, m, _ in spread}),
+                          tuple(spread)))
     del slot_of, cond_id
 
     log_floor = math.log(prob_floor)
     log_likelihoods = []
     for _ in range(iterations):
-        counts = [0.0] * len(t)
-        totals = [0.0] * len(spans)
+        counts = [[0.0] * len(tc) for tc in t]
+        totals = [0.0] * len(t)
         ll = 0.0
-        for length_term, in_order, columns in sentences:
+        for length_term, n_gen, in_order, repeats, spread in sentences:
             ll -= length_term
-            denoms = []
-            for row in zip(*in_order):  # the slots of one g, c in order
-                denom = 0.0
-                for slot in row:
-                    denom += t[slot]
+            denoms = [0.0] * n_gen
+            for c, column in in_order:
+                tc = t[c]
+                denoms = [denom + tc[s] for denom, s in zip(denoms, column)]
+            for j, denom in enumerate(denoms):
                 if denom > 0.0:
                     ll += math.log(denom)
                 else:  # every t of g is 0.0: the floor's likelihood and fractions of 0.0
                     ll += log_floor
-                    denom = math.inf
-                denoms.append(denom)
-            for c, occurrences, column in columns:
+                    denoms[j] = math.inf
+            # per m, each denominator m times over, to walk beside a column spread m times
+            spread_denoms = {m: [denom for denom in denoms for _ in range(m)] for m in repeats}
+            for c, m, column in spread:
+                tc = t[c]
+                cc = counts[c]
                 total = totals[c]
-                if occurrences == 1:  # most words: no inner loop to pay for per link
-                    for slot, denom in zip(column, denoms):
-                        frac = t[slot] / denom
-                        counts[slot] += frac
-                        total += frac
-                else:
-                    for slot, denom in zip(column, denoms):
-                        frac = t[slot] / denom
-                        for _ in range(occurrences):
-                            counts[slot] += frac
-                            total += frac
+                for s, denom in zip(column, spread_denoms[m]):
+                    frac = tc[s] / denom
+                    cc[s] += frac
+                    total += frac
                 totals[c] = total
         log_likelihoods.append(ll)
 
-        for (_, start, end), total in zip(spans, totals):
-            dist = [v / total for v in counts[start:end]] if total > 0.0 else []
+        for c, (cc, total) in enumerate(zip(counts, totals)):
+            dist = [v / total for v in cc] if total > 0.0 else []
             kept = [q if q >= prob_floor else 0.0 for q in dist]
             norm = 0.0
             for q in kept:  # left to right: sum() compensates from Python 3.12 on
                 norm += q
             # with nothing kept, c drops out of the table
-            t[start:end] = [q / norm for q in kept] if norm > 0.0 else [0.0] * (end - start)
+            t[c] = [q / norm for q in kept] if norm > 0.0 else [0.0] * len(cc)
 
-    dists = ((c, {g: p for g, p in zip(gen_words[start:end], t[start:end]) if p > 0.0})
-             for c, start, end in spans)
+    dists = ((c, {g: p for g, p in zip(gens, tc) if p > 0.0})
+             for c, gens, tc in zip(words, gen_words, t))
     return TranslationTable({c: dist for c, dist in dists if dist}, prob_floor, use_null,
                             log_likelihoods, {g for _, gen in pairs for g in gen})
 
@@ -215,15 +215,9 @@ def write_translation_table(table: TranslationTable, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# floor={table.prob_floor!r}\n")
         fh.write(f"# null={'true' if table.use_null else 'false'}\n")
-        text = {}  # probability -> its digits, formatted once
         for cond in sorted(table.probs):
-            dist = table.probs[cond]
-            for gen in sorted(dist):
-                p = dist[gen]
-                digits = text.get(p)
-                if digits is None:
-                    digits = text[p] = f"{p:.8g}"
-                fh.write(f"{cond}\t{gen}\t{digits}\n")
+            for gen in sorted(table.probs[cond]):
+                fh.write(f"{cond}\t{gen}\t{table.probs[cond][gen]:.8g}\n")
 
 
 def format_links(links) -> str:
