@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="output directory (overrides config)")
     parser.add_argument("--jobs", type=int, help="ignored once checked to be at least 1: the "
                         "language pairs run in order on one thread; kept while perfbench/run.py "
-                        "passes it, until ROADMAP item 3")
+                        "passes it, until ROADMAP item 2")
     parser.add_argument("--no-cache", action="store_true", help="disable stage caching")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMAND_STAGES:

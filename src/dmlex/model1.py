@@ -211,7 +211,7 @@ def symmetrize(src_to_tgt: list, tgt_to_src: list, heuristic: str = "grow-diag-f
 
 
 def write_translation_table(table: TranslationTable, path) -> None:
-    """Tab-separated `cond \\t gen \\t prob`, 8 significant digits, sorted."""
+    """Tab-separated `cond \\t gen \\t prob`, 8 significant digits, sorted; no stage calls it."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# floor={table.prob_floor!r}\n")
         fh.write(f"# null={'true' if table.use_null else 'false'}\n")
@@ -290,7 +290,7 @@ def read_table(path, sep, n_fields, header, add) -> None:
 
 def read_translation_table(path) -> TranslationTable:
     """The table written by write_translation_table; every probability must lie
-    in (0, 1], the floor in (0, 1), and `# null=` must be true or false."""
+    in (0, 1], the floor in (0, 1), and `# null=` must be true or false; no stage calls it."""
     probs, vocab = {}, set()
     prob_floor, use_null = PROB_FLOOR, USE_NULL
 

@@ -15,7 +15,7 @@ PAIR_STAGES = STAGES[1:-1]  # run per foreign language, in order
 # The format of each stage's files and record, part of its cache key: bump a
 # stage's version with any change to the bytes its writers emit or the stats its
 # record holds, so a record left by an older build reruns instead of staying a hit.
-FORMAT_VERSIONS = {"ingest": 1, "align": 1, "wordalign": 1, "phrases": 3, "prune": 4,
+FORMAT_VERSIONS = {"ingest": 1, "align": 1, "wordalign": 2, "phrases": 3, "prune": 4,
                    "markers": 1, "lexicon": 1}
 
 _TRUE = {"true", "yes", "1", "on"}
@@ -288,8 +288,6 @@ class PipelineRunner:
         return {
             "aligned_src": os.path.join(d, "aligned.src"),
             "aligned_tgt": os.path.join(d, "aligned.tgt"),
-            "table_fe": os.path.join(d, "model1.f_given_e.tsv"),
-            "table_ef": os.path.join(d, "model1.e_given_f.tsv"),
             "alignments": os.path.join(d, "alignments.txt"),
             "pruned_table": os.path.join(d, "phrase-table.pruned.txt"),
             "prune_report": os.path.join(d, "prune-report.tsv"),
@@ -366,35 +364,35 @@ class PipelineRunner:
     def stage_wordalign(self, lang) -> StageResult:
         p = self._pair_paths(lang)
         inputs = [p["aligned_src"], p["aligned_tgt"]]
-        outputs = [p["table_fe"], p["table_ef"], p["alignments"]]
+        outputs = [p["alignments"]]
         em = (self.cfg.em_iterations, model1.PROB_FLOOR, model1.USE_NULL,
               self.cfg.symmetrization)
 
         def body():
-            """One t-table at a time: t(f|e), whose english words condition, is
-            trained, written and aligned with, and dropped before t(e|f)."""
+            """One t-table at a time: t(f|e), whose english words condition, is trained
+            and aligned with, then dropped before t(e|f). Only the links are written."""
             pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
             table = model1.train_model1([(tgt, src) for src, tgt in pairs],
                                         self.cfg.em_iterations)
-            model1.write_translation_table(table, p["table_fe"])
             tgt_to_src = [model1.viterbi_align(tgt, src, table) for src, tgt in pairs]
-            final_ll_fe = table.log_likelihoods[-1]
+            ll_fe, entries_fe = table.log_likelihoods, sum(len(d) for d in table.probs.values())
             del table
             table = model1.train_model1(pairs, self.cfg.em_iterations)
-            model1.write_translation_table(table, p["table_ef"])
             model1.write_alignments(
                 (model1.symmetrize(model1.viterbi_align(src, tgt, table), links,
                                    self.cfg.symmetrization)
                  for (src, tgt), links in zip(pairs, tgt_to_src)), p["alignments"])
-            return {"sentence_pairs": len(pairs), "final_ll_f_given_e": final_ll_fe,
-                    "final_ll_e_given_f": table.log_likelihoods[-1]}
+            return {"sentence_pairs": len(pairs), "log_likelihoods_f_given_e": ll_fe,
+                    "ttable_entries_f_given_e": entries_fe,
+                    "log_likelihoods_e_given_f": table.log_likelihoods,
+                    "ttable_entries_e_given_f": sum(len(d) for d in table.probs.values())}
 
         return self._run_stage(lang, "wordalign", em, inputs, outputs, body)
 
     def stage_phrases(self, lang) -> StageResult:
         """No work of its own: prune extracts and counts the phrase pairs. The row
-        keeps its inputs and key, and so its cache record, until the benchmark
-        harness takes its stage list from STAGES (ROADMAP); then it goes."""
+        keeps its inputs and key, and so its cache record, while the benchmark
+        harness lists it; it goes with that row of perfbench/run.py (ROADMAP item 4)."""
         p = self._pair_paths(lang)
         inputs = [p["aligned_src"], p["aligned_tgt"], p["alignments"]]
         return self._run_stage(lang, "phrases", self.cfg.max_phrase_len, inputs, [], dict)

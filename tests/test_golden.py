@@ -26,10 +26,6 @@ GOLDEN = {
     "pairs/xx/aligned.src": "0bb208e4b81bf612d1aef55c5e3e8d361ed2a7c869bd378e1032fe18cfe01ea3",
     "pairs/xx/aligned.tgt": "b942ea1dc3e01901a035c76148de756377629e87862dc2db3ab93cfd78e81754",
     "pairs/xx/alignments.txt": "5ada3a9e44b6bbcdc0c2045a4b7f4d41faccf0fdcb862968c36f85afcc22d5ae",
-    "pairs/xx/model1.e_given_f.tsv":
-        "877f9649b61ea4032574df93198555c8b4e88ec6fce845fd25b76c2ba5d632ca",
-    "pairs/xx/model1.f_given_e.tsv":
-        "15e32d4c8b13a6cc47738c0aa79dd29cb3be597c07b24182cd213dbad0cc4230",
     "pairs/xx/phrase-table.pruned.txt":
         "eb94183b4416c54b0111ae0cbb5141d07ebae70180bae9c13dd63e23943a7d37",
     "pairs/xx/prune-report.tsv": "5f0f87ad77d2af052c25347c94a4cf00ab9b7abcc11f4e62baceb537282990a4",
@@ -42,7 +38,7 @@ GOLDEN_CACHE = {
     "ingest:en": "8421dbd4eb6c04a0d62ea834b39a1018c2334c1155db7dc6e22ff83e42f8e55f",
     "ingest:xx": "1b150e382e8e1f3d7f6d5b65f825538100f4408cf8e5cee62356cc20ffb3abf8",
     "align:xx": "0665dccd494813fee1691aac0dec70589197fe7c72734f41d5c781b1773bf8ad",
-    "wordalign:xx": "dd241403d56352d7373c576fbb1b404f2bac47eaf43b642c304e16f572e4509b",
+    "wordalign:xx": "ba74fb2e78eaf92637f1676f2f7a565751888980cfa6ed455a2677f0cdf013f1",
     "phrases:xx": "422f6c20758f620071f80a8e6bb1486c74bac4d88715b773a0eca3aaee63e480",
     "prune:xx": "151058d0c374826b44883632cc9e31eb96723e2375a47e9210a70dc33442d81f",
     "markers:xx": "7ac4dd9afec67e472fa47f36742cd07df46f48cd6ebfe3a37f1d53aab11a1b39",

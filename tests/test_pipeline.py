@@ -207,28 +207,53 @@ class TestRunPipeline:
                           ("markers", "xx"): not table_changes,
                           ("lexicon", "all"): after[candidates] == before[candidates]}
 
-    def test_translation_tables_are_inputs_of_no_stage(self, corpus_root, tmp_path):
-        """wordalign writes the t-tables as its record of EM, and no later stage
-        reads them: after a t-table is edited every stage stays a hit, and every
-        other file stays."""
-        out = str(tmp_path / "out")
-        cfg = validate_config(_config_path(corpus_root), {"output": out})
-        assert run_pipeline(cfg).ok
-        before = _read_outputs(out)
-        edited = os.path.join("pairs", "xx", "model1.e_given_f.tsv")
-        with open(os.path.join(out, edited), encoding="utf-8") as fh:
-            lines = fh.read().splitlines(keepends=True)
-        # a valid file without its first entry
-        lines.pop(next(k for k, line in enumerate(lines) if not line.startswith("#")))
-        with open(os.path.join(out, edited), "w", encoding="utf-8") as fh:
-            fh.write("".join(lines))
+    def test_every_output_is_read_by_a_later_stage_or_is_an_end_product(
+            self, corpus_root, tmp_path, monkeypatch):
+        """Each file a stage writes in a cold run is an input of a later stage, or one
+        of the end products: the prune report and the two lexicon exports. So no
+        stage writes a file that nothing reads."""
+        from dmlex.pipeline import PipelineRunner
 
-        report = run_pipeline(cfg)
-        assert report.ok
-        assert all(r.cache_hit for r in report.results)
-        after = _read_outputs(out)
-        assert after.pop(edited) != before.pop(edited)
-        assert after == before
+        calls, real_run_stage = [], PipelineRunner._run_stage
+
+        def run_stage(self, pair, stage, params, inputs, outputs, body):
+            calls.append((f"{stage}:{pair}", list(inputs), list(outputs)))
+            return real_run_stage(self, pair, stage, params, inputs, outputs, body)
+
+        monkeypatch.setattr(PipelineRunner, "_run_stage", run_stage)
+        cfg = validate_config(_config_path(corpus_root), {"output": str(tmp_path / "out")})
+        assert run_pipeline(cfg).ok
+        assert [key for key, _, _ in calls] == [f"{s}:{p}" for s, p in (
+            ("ingest", "en"), ("ingest", "xx"), *((s, "xx") for s in STAGES[1:-1]),
+            ("lexicon", "all"))]
+        end_products = {"prune-report.tsv", "lexicon.tsv", "lexicon.json"}
+        unread = [os.path.basename(path) for k, (_, _, outputs) in enumerate(calls)
+                  for path in outputs
+                  if os.path.basename(path) not in end_products
+                  and not any(path in inputs for _, inputs, _ in calls[k + 1:])]
+        assert not unread, f"read by no later stage: {', '.join(unread)}"
+
+    def test_report_holds_the_em_record_of_both_directions(self, corpus_root, tmp_path):
+        """wordalign's stats in report.json hold every EM iteration's log-likelihood
+        and the entry count of each t-table, equal to those of train_model1 run on
+        the same aligned corpus."""
+        from dmlex import galechurch, model1
+
+        out = tmp_path / "out"
+        cfg = validate_config(_config_path(corpus_root),
+                              {"output": str(out), "em.iterations": "3"})
+        assert run_pipeline(cfg).ok
+        with open(out / "report.json", encoding="utf-8") as fh:
+            (stats,) = [s["stats"] for s in json.load(fh)["stages"] if s["stage"] == "wordalign"]
+        pairs = galechurch.read_aligned_corpus(out / "pairs" / "xx" / "aligned.src",
+                                               out / "pairs" / "xx" / "aligned.tgt")
+        for direction, direction_pairs in (("f_given_e", [(tgt, src) for src, tgt in pairs]),
+                                           ("e_given_f", pairs)):
+            table = model1.train_model1(direction_pairs, 3)
+            assert len(stats[f"log_likelihoods_{direction}"]) == 3
+            assert stats[f"log_likelihoods_{direction}"] == table.log_likelihoods
+            assert stats[f"ttable_entries_{direction}"] == sum(
+                len(d) for d in table.probs.values()) > 0
 
     def test_phrases_writes_no_file(self, corpus_root, tmp_path):
         """phrases does no work of its own: after a cold run no pair directory holds
@@ -370,7 +395,7 @@ class TestRunPipeline:
         from dmlex import pipeline
 
         victim = {"ingest": "ingest/xx/ep-0.txt", "align": "pairs/xx/aligned.src",
-                  "wordalign": "pairs/xx/model1.f_given_e.tsv", "phrases": None,
+                  "wordalign": "pairs/xx/alignments.txt", "phrases": None,
                   "prune": "pairs/xx/phrase-table.pruned.txt",
                   "markers": "pairs/xx/candidates.tsv", "lexicon": "lexicon.tsv"}[stage]
         fresh, out = tmp_path / "fresh", tmp_path / "out"
