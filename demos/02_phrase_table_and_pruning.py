@@ -5,8 +5,8 @@ Run as:  python3 demos/02_phrase_table_and_pruning.py
 """
 
 from dmlex.model1 import train_model1, viterbi_align
-from dmlex.phrases import count_phrase_pairs, extract_phrase_pairs, score_counts
-from dmlex.significance import PruneConfig, contingency_counts, prune
+from dmlex.phrases import count_phrase_pairs, score_counts
+from dmlex.significance import ContingencyTable, PruneConfig, contingency_counts, prune
 
 # foreign / english pairs; "bom dia" <-> "good morning" recurs, while the
 # last pair contributes vocabulary that occurs exactly once
@@ -20,19 +20,20 @@ pairs = [
 
 table_ef = train_model1(pairs, iterations=8)
 
-instances = []
+alignments = []
 for f, e in pairs:
     # foreign conditions, english generated: one f_pos (or None) per e_pos
     alignment = viterbi_align(f, e, table_ef)
-    links = {(i, j) for j, i in enumerate(alignment) if i is not None}
-    instances.extend(extract_phrase_pairs(f, e, links, max_phrase_len=3))
+    alignments.append({(i, j) for j, i in enumerate(alignment) if i is not None})
 
-phrase_counts = count_phrase_pairs(instances, corpus_size=len(pairs))
+# one pass per sentence pair: every n-gram gets an id, and each extracted phrase
+# pair is counted under its (foreign id, english id) key
+phrase_counts = count_phrase_pairs(pairs, alignments, max_phrase_len=3)
 print(f"extracted {len(phrase_counts.entries)} phrase pairs from {len(pairs)} sentence pairs")
 
-# prune on counts alone, then compute the phrase probabilities of the
-# surviving pairs only
-counts = contingency_counts(phrase_counts, pairs)
+# prune on counts alone, then build the phrases, alignments and probabilities
+# of the surviving pairs only
+counts = contingency_counts(phrase_counts)
 kept, report = prune(phrase_counts, counts, PruneConfig())
 scored = score_counts(phrase_counts, kept.entries)
 
@@ -41,13 +42,8 @@ print(f"threshold = ln({n}) + eps = {report.threshold:.4f}")
 print(f"kept {report.kept_count}, pruned {report.pruned_count}\n")
 
 print("surviving entries:")
-for f, e in sorted(scored.entries):
-    print(f"  {' '.join(f):24s} ||| {' '.join(e):24s} joint={counts[(f, e)].c_st}")
+for (f, e), entry in scored.entries.items():
+    print(f"  {' '.join(f):24s} ||| {' '.join(e):24s} joint={entry.joint_count:.0f}")
 
-dropped_111 = sum(
-    1
-    for key in phrase_counts.entries
-    if key not in kept.entries
-    and (counts[key].c_s, counts[key].c_t, counts[key].c_st) == (1, 1, 1)
-)
-print(f"\n{dropped_111} of the pruned entries were 1-1-1 singletons")
+print(f"\n{report.entries[ContingencyTable(1, 1, 1, n)]} of the pruned entries "
+      "were 1-1-1 singletons")

@@ -55,28 +55,32 @@ def load_seed_markers(path) -> list:
     return markers
 
 
+def _english_cores(by_english) -> dict:
+    """core -> [(rank, english side, context)]: each english side under itself, and
+    under itself less a punctuation token p before and/or q after its core."""
+    cores = {}
+    for english in by_english:
+        cores.setdefault(english, []).append(((), english, "none"))
+        if english and english[-1] in PUNCTUATION:
+            cores.setdefault(english[:-1], []).append(((english[-1], 0), english, "followed"))
+        if english and english[0] in PUNCTUATION:
+            cores.setdefault(english[1:], []).append(((english[0], 1), english, "preceded"))
+            if len(english) > 1 and english[-1] in PUNCTUATION:
+                cores.setdefault(english[1:-1], []).append(
+                    ((english[0], 2, english[-1]), english, "both"))
+    return cores
+
+
 def select_candidates(table: PhraseTable, marker, language: str = "") -> list:
-    """Phrase-table entries whose english side is the marker alone or the
-    marker with one punctuation token p before and/or q after it, from one pass
-    over the english sides. The marker alone comes first, then by sorted p:
-    `followed` (p after it), `preceded`, then `both` by sorted q. An english side
-    with punctuation at the marker's edges can match twice."""
+    """Phrase-table entries whose english side is the marker alone or the marker with
+    one punctuation token p before and/or q after it, from the table's index of english
+    sides by core. The marker alone comes first, then by sorted p: `followed` (p after
+    it), `preceded`, then `both` by sorted q. A side with punctuation at both edges
+    can match twice."""
+    if table.english_cores is None:
+        table.english_cores = _english_cores(table.by_english)
     marker = tuple(marker)
-    n = len(marker)
-    hits = []  # (rank, english side, context)
-    for english in table.by_english:
-        extra = len(english) - n
-        if extra == 0 and english == marker:
-            hits.append(((), english, "none"))
-        elif extra == 1:
-            if english[-1] in PUNCTUATION and english[:-1] == marker:
-                hits.append(((english[-1], 0), english, "followed"))
-            if english[0] in PUNCTUATION and english[1:] == marker:
-                hits.append(((english[0], 1), english, "preceded"))
-        elif (extra == 2 and english[0] in PUNCTUATION and english[-1] in PUNCTUATION
-              and english[1:-1] == marker):
-            hits.append(((english[0], 2, english[-1]), english, "both"))
-    hits.sort()  # ranks are distinct
+    hits = sorted(table.english_cores.get(marker, ()))  # ranks are distinct
     return [MarkerCandidate(marker, language, entry.foreign_phrase, entry, context)
             for _, english, context in hits for entry in table.by_english[english]]
 

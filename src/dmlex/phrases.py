@@ -1,14 +1,10 @@
 """Alignment-consistent phrase extraction and phrase-table scoring."""
 
+from bisect import bisect_left
 from collections import Counter, namedtuple
+from itertools import repeat
 
 from .model1 import format_links, links_inside, parse_links, read_table
-
-
-# internal_alignment: frozenset of (foreign offset, english offset) links.
-# A tuple, so that building one is cheap.
-PhrasePairInstance = namedtuple(
-    "PhrasePairInstance", "foreign_phrase english_phrase internal_alignment")
 
 
 # inv_phrase_prob: phi(f|e); dir_phrase_prob: phi(e|f)
@@ -21,22 +17,32 @@ class PhraseTable:
         self.entries = {} if entries is None else entries  # (foreign, english) -> entry
         self.by_english = {} if by_english is None else by_english
         self.corpus_size = corpus_size
+        self.english_cores = None  # lexicon's index of the english sides, built on first use
 
     def add(self, entry: PhraseTableEntry) -> None:
         key = (entry.foreign_phrase, entry.english_phrase)
         self.entries[key] = entry
         self.by_english.setdefault(entry.english_phrase, []).append(entry)
+        self.english_cores = None
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-# entries: (foreign, english) -> (joint count, most frequent internal alignment)
-PhraseCounts = namedtuple("PhraseCounts", "entries corpus_size")
+# One side's n-grams of up to max_phrase_len tokens. ids: n-gram -> id, in order of
+# first sight; pairs[id]: the index of the one sentence pair containing it, or the
+# ascending list of those indices; instances[id]: the extracted instances it is part of.
+PhraseIds = namedtuple("PhraseIds", "ids pairs instances")
+
+# entries: foreign id << shift | english id -> the ref of its one instance, or a list
+# of refs; a ref is (pair index << width | english start) << width | foreign start.
+# links: the links of each sentence pair as sorted (english, foreign) positions.
+PhraseCounts = namedtuple("PhraseCounts", "entries corpus_size foreign english links shift width")
 
 
 def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int = 7) -> list:
-    """All consistent phrase pairs up to max_phrase_len tokens per side.
+    """The spans (f_start, f_end, e_start, e_end), ends exclusive, of all consistent
+    phrase pairs up to max_phrase_len tokens per side.
 
     src is the foreign side, tgt the english side; alignment links are
     (src_pos, tgt_pos). Consistency: no link leaves the span pair and at
@@ -67,15 +73,11 @@ def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int 
             # consistency: every link touching [f_min, f_max] must stay inside
             if min(e_lo[f_min:f_max + 1]) < e_start or max(e_hi[f_min:f_max + 1]) > e_end:
                 continue
-            english = tuple(tgt_tokens[e_start:e_end + 1])
-            # consistent, so the links of these english words are all the links inside
-            inside = [(i, j - e_start) for i, j in links if e_start <= j <= e_end]
             fs = f_min
             while True:
-                align = frozenset((i - fs, j) for i, j in inside)
                 fe = f_max
                 while fe - fs < max_phrase_len:
-                    out.append(PhrasePairInstance(tuple(src_tokens[fs:fe + 1]), english, align))
+                    out.append((fs, fe + 1, e_start, e_end + 1))
                     fe += 1
                     if fe >= n_src or src_aligned[fe]:
                         break
@@ -85,52 +87,85 @@ def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int 
     return out
 
 
-def count_phrase_pairs(instances, corpus_size: int) -> PhraseCounts:
-    """Each pair's joint count and most frequent internal alignment, from any
-    one-pass iterable of instances; a tie goes to the alignment whose sorted
-    links come first. Equal phrases, equal alignments and the (1, alignment)
-    values of pairs seen once are each kept as one object, and only a pair seen
-    more than once gets a tally of its alignments."""
-    shared = {}  # phrase -> its one kept copy
-    ones = _Memo(lambda align: (1, align))  # alignment -> (1, its one kept copy)
-    entries = {}
-    tallies = {}  # pair seen more than once -> how often each of its alignments was seen
-    for foreign, english, align in instances:
-        one = ones[align]
-        seen = entries.get((foreign, english))
-        if seen is None:
-            entries[shared.setdefault(foreign, foreign),
-                    shared.setdefault(english, english)] = one
+def _ngram_ids(tokens, side: PhraseIds, pair: int, max_len: int) -> list:
+    """rows[start][length - 1]: the id of each n-gram of tokens, interned into side,
+    whose n-grams seen before gain this pair once."""
+    ids, pairs, intern = side.ids, side.pairs, side.ids.setdefault
+    known, tokens = len(ids), tuple(tokens)
+    n = len(tokens)
+    rows = [[intern(tokens[i:j], len(ids)) for j in range(i + 1, min(n, i + max_len) + 1)]
+            for i in range(n)]
+    pairs.extend(repeat(pair, len(ids) - known))
+    side.instances.extend(repeat(0, len(ids) - known))
+    for gid in {gid for row in rows for gid in row if gid < known}:
+        if pairs[gid].__class__ is int:
+            pairs[gid] = [pairs[gid], pair]
         else:
-            tally = tallies.get((foreign, english))
-            if tally is None:
-                tally = tallies[foreign, english] = Counter((seen[1],))
-            tally[one[1]] += 1
-    for key, tally in tallies.items():
-        top = max(tally.values())
-        entries[key] = (sum(tally.values()),
-                        min((a for a, c in tally.items() if c == top), key=sorted))
-    return PhraseCounts(entries, corpus_size)
+            pairs[gid].append(pair)
+    return rows
+
+
+def count_phrase_pairs(pairs: list, alignments, max_phrase_len: int = 7) -> PhraseCounts:
+    """Every consistent phrase pair of the (src_tokens, tgt_tokens) sentence pairs
+    under their link sets, from one pass over each pair: its n-grams get ids and
+    postings, and its instances are counted by (foreign id, english id) and kept
+    as refs, with no phrase tuple or alignment built."""
+    foreign, english = PhraseIds({}, [], []), PhraseIds({}, [], [])
+    f_count, e_count = foreign.instances, english.instances
+    width = max((len(s) for pair in pairs for s in pair), default=0).bit_length()
+    shift = (sum(len(tgt) for _, tgt in pairs) * max_phrase_len).bit_length()  # > any id
+    entries, links = {}, []
+    for k, ((src, tgt), alignment) in enumerate(zip(pairs, alignments, strict=True)):
+        links.append(sorted((j, i) for i, j in alignment))
+        f_rows = _ngram_ids(src, foreign, k, max_phrase_len)
+        e_rows = _ngram_ids(tgt, english, k, max_phrase_len)
+        for fs, fe, es, ee in extract_phrase_pairs(src, tgt, alignment, max_phrase_len):
+            fid, eid = f_rows[fs][fe - fs - 1], e_rows[es][ee - es - 1]
+            f_count[fid] += 1
+            e_count[eid] += 1
+            key, ref = fid << shift | eid, (k << width | es) << width | fs
+            seen = entries.setdefault(key, ref)
+            if seen.__class__ is list:
+                seen.append(ref)
+            elif seen is not ref:
+                entries[key] = [seen, ref]
+    return PhraseCounts(entries, len(pairs), foreign, english, links, shift, width)
+
+
+def _internal_alignment(counts: PhraseCounts, ref: int, e_len: int) -> frozenset:
+    """The links of the instance at ref relative to its spans, from its pair's links in
+    (english, foreign) order: being consistent, the instance holds those of its english words."""
+    width = counts.width
+    span, links = (1 << width) - 1, counts.links[ref >> 2 * width]
+    f_start, e_start = ref & span, ref >> width & span
+    inside = links[bisect_left(links, (e_start,)):bisect_left(links, (e_start + e_len,))]
+    return frozenset((i - f_start, j - e_start) for j, i in inside)
 
 
 def score_counts(counts: PhraseCounts, keys) -> PhraseTable:
-    """Relative-frequency phrase probabilities for the given keys, with marginals
-    over every pair in counts."""
-    marg_f, marg_e = {}, {}
-    for (f, e), (joint, _) in counts.entries.items():
-        marg_f[f] = marg_f.get(f, 0) + joint
-        marg_e[e] = marg_e.get(e, 0) + joint
-    table = PhraseTable(corpus_size=counts.corpus_size)
-    for f, e in sorted(keys):
-        joint, align = counts.entries[f, e]
-        table.add(PhraseTableEntry(f, e, joint / marg_e[e], joint / marg_f[f], align,
-                                   float(joint)))
+    """The given entries with relative-frequency phrase probabilities and their most
+    frequent internal alignment, a tie going to the one whose sorted links come
+    first; phrase tuples and alignments are built for these entries alone."""
+    f_grams, e_grams = list(counts.foreign.ids), list(counts.english.ids)
+    f_count, e_count = counts.foreign.instances, counts.english.instances
+    shift, mask = counts.shift, (1 << counts.shift) - 1
+    table, aligns = PhraseTable(corpus_size=counts.corpus_size), {}  # equal alignments: one
+    for f, e, key in sorted((f_grams[key >> shift], e_grams[key & mask], key) for key in keys):
+        refs = counts.entries[key]
+        if refs.__class__ is int:
+            joint, align = 1, _internal_alignment(counts, refs, len(e))
+        else:
+            tally = Counter(_internal_alignment(counts, ref, len(e)) for ref in refs)
+            top, joint = max(tally.values()), len(refs)
+            align = min((a for a, c in tally.items() if c == top), key=sorted)
+        table.add(PhraseTableEntry(f, e, joint / e_count[key & mask], joint / f_count[key >> shift],
+                                   aligns.setdefault(align, align), float(joint)))
     return table
 
 
-def score_phrase_table(instances, corpus_size: int) -> PhraseTable:
+def score_phrase_table(pairs: list, alignments, max_phrase_len: int = 7) -> PhraseTable:
     """Every extracted pair, counted and scored."""
-    counts = count_phrase_pairs(instances, corpus_size)
+    counts = count_phrase_pairs(pairs, alignments, max_phrase_len)
     return score_counts(counts, counts.entries)
 
 

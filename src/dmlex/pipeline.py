@@ -2,7 +2,6 @@
 
 import gc
 import hashlib
-import itertools
 import json
 import os
 import time
@@ -398,29 +397,24 @@ class PipelineRunner:
         return self._run_stage(lang, "phrases", self.cfg.max_phrase_len, inputs, [], dict)
 
     def stage_prune(self, lang) -> StageResult:
-        """Extract and count the phrase pairs, each instance counted as it is
-        extracted and never listed, prune on counts alone, then score only the
-        surviving pairs."""
+        """Extract and count the phrase pairs by phrase id in one pass over each sentence
+        pair, prune on counts alone, then build the phrases and alignments of the
+        surviving pairs only and score them."""
         p = self._pair_paths(lang)
         inputs = [p["aligned_src"], p["aligned_tgt"], p["alignments"]]
         outputs = [p["pruned_table"], p["prune_report"]]
 
         def body():
             pairs = galechurch.read_aligned_corpus(p["aligned_src"], p["aligned_tgt"])
-            # no name holds the link sets, so they are freed once counted
-            instances = itertools.chain.from_iterable(
-                phrases.extract_phrase_pairs(src, tgt, links, self.cfg.max_phrase_len)
-                for links, (src, tgt) in zip(model1.read_alignments(p["alignments"], pairs),
-                                             pairs))
-            pair_counts = phrases.count_phrase_pairs(instances, len(pairs))
-            counts = significance.contingency_counts(pair_counts, pairs)
+            pair_counts = phrases.count_phrase_pairs(
+                pairs, model1.read_alignments(p["alignments"], pairs), self.cfg.max_phrase_len)
             del pairs
+            counts = significance.contingency_counts(pair_counts)
             kept, report = significance.prune(pair_counts, counts, self.cfg.prune_config)
-            del counts
             significance.write_prune_report(report, p["prune_report"])
             phrases.write_phrase_table(phrases.score_counts(pair_counts, kept.entries),
                                        p["pruned_table"])
-            return {"instances": sum(joint for joint, _ in pair_counts.entries.values()),
+            return {"instances": sum(pair_counts.foreign.instances),
                     "entries_in": len(pair_counts.entries), "entries_kept": report.kept_count,
                     "entries_pruned": report.pruned_count, "threshold": report.threshold,
                     "distinct_tables": len(report.entries),

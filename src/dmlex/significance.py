@@ -1,10 +1,12 @@
 """Significance pruning of phrase tables via Fisher's exact test."""
 
 import math
+from array import array
 from collections import Counter, namedtuple
-from collections.abc import Mapping
+from collections.abc import Mapping, ValuesView
+from itertools import compress
 
-from .phrases import PhraseCounts, _Memo, escape_phrase
+from .phrases import PhraseCounts
 
 
 class ContingencyTable(namedtuple("ContingencyTable", "c_s c_t c_st n")):
@@ -47,36 +49,23 @@ class PruneConfig(namedtuple("PruneConfig", "threshold_mode custom_neg_log_p")):
         return math.log(n) + EPSILON
 
 
-def _postings(sentences, phrases) -> dict:
-    """phrase -> bitmask of the ids of the sentences containing it, from one
-    pass over each sentence's n-grams up to the longest phrase asked for."""
-    postings = dict.fromkeys(phrases, 0)
-    max_len = max(map(len, postings), default=0)
-    for pair_id, sent in enumerate(sentences):
-        sent = tuple(sent)
-        n = len(sent)
-        bit = 1 << pair_id
-        for i in range(n):
-            for j in range(i + 1, min(n, i + max_len) + 1):
-                gram = sent[i:j]
-                if gram in postings:
-                    postings[gram] |= bit
-    return postings
+class _Tables(ValuesView):
+    def __iter__(self):
+        return map(self._mapping._tables.__getitem__, self._mapping._which)
 
 
-class _ContingencyView(Mapping):
-    """(foreign, english) -> ContingencyTable for the keys of entries, built from
-    the two postings when a key is looked up; equal counts share one table."""
+class _ContingencyCounts(Mapping):
+    """Entry key -> ContingencyTable: the distinct tables and, in entry order, the
+    position of each entry's table, not a table per entry."""
 
-    def __init__(self, entries, src_ids, tgt_ids, n):
-        self._entries, self._src_ids, self._tgt_ids = entries, src_ids, tgt_ids
-        self._tables = _Memo(lambda cell: ContingencyTable(*cell, n=n))
+    def __init__(self, entries, tables, which):
+        self._entries, self._tables, self._which = entries, tables, which
+        self._at = None  # entry key -> its place in entry order, built on the first lookup
 
     def __getitem__(self, key):
-        if key not in self._entries:
-            raise KeyError(key)
-        s_ids, t_ids = self._src_ids[key[0]], self._tgt_ids[key[1]]
-        return self._tables[s_ids.bit_count(), t_ids.bit_count(), (s_ids & t_ids).bit_count()]
+        if self._at is None:
+            self._at = {k: i for i, k in enumerate(self._entries)}
+        return self._tables[self._which[self._at[key]]]
 
     def __iter__(self):
         return iter(self._entries)
@@ -84,22 +73,28 @@ class _ContingencyView(Mapping):
     def __len__(self):
         return len(self._entries)
 
+    def values(self):
+        return _Tables(self)
 
-def contingency_counts(table: PhraseCounts, pairs: list) -> Mapping:
-    """Per-entry contingency counts against the extraction corpus, a list of
-    the table's N (src_tokens, tgt_tokens) sentence pairs: a read-only view
-    that holds the postings of each phrase, not a table per entry. An entry
-    that never co-occurs raises here, not on its lookup."""
-    if table.corpus_size != len(pairs):
-        raise ValueError(f"phrase table is for N={table.corpus_size} sentence pairs, "
-                         f"but the aligned corpus has {len(pairs)}")
-    src_ids = _postings((src for src, _ in pairs), {f for f, _ in table.entries})
-    tgt_ids = _postings((tgt for _, tgt in pairs), {e for _, e in table.entries})
-    for foreign, english in table.entries:
-        if not src_ids[foreign] & tgt_ids[english]:
-            raise RuntimeError(f"phrase pair '{escape_phrase(foreign)} ||| "
-                               f"{escape_phrase(english)}' never co-occurs in its own corpus")
-    return _ContingencyView(table.entries, src_ids, tgt_ids, len(pairs))
+
+def contingency_counts(table: PhraseCounts) -> Mapping:
+    """Each entry's contingency counts, from one walk over the entries. c_s and c_t
+    are its phrases' sentence-pair counts. If either is 1, c_st is 1, since the entry
+    was extracted from that pair; else c_st is the size of their postings' overlap."""
+    f_pairs, e_pairs, shift = table.foreign.pairs, table.english.pairs, table.shift
+    mask = (1 << shift) - 1
+    cells, which = {}, array("I")  # (c_s, c_t, c_st) -> its place, in order of first sight
+    for key in table.entries:
+        s_ids, t_ids = f_pairs[key >> shift], e_pairs[key & mask]
+        if s_ids.__class__ is int:
+            cell = (1, 1 if t_ids.__class__ is int else len(t_ids), 1)
+        elif t_ids.__class__ is int:
+            cell = (len(s_ids), 1, 1)
+        else:
+            cell = (len(s_ids), len(t_ids), len(set(s_ids).intersection(t_ids)))
+        which.append(cells.setdefault(cell, len(cells)))
+    tables = [ContingencyTable(*cell, table.corpus_size) for cell in cells]
+    return _ContingencyCounts(table.entries, tables, which)
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -135,15 +130,12 @@ def prune(table: PhraseCounts, counts: Mapping, config: PruneConfig) -> tuple:
     entries unchanged.
     """
     threshold = config.threshold(table.corpus_size)
-    scores = _Memo(fisher_neg_log_p)  # few distinct tables
-    entries = Counter()
-    kept = {}
-    for key, value in table.entries.items():
-        ct = counts[key]
-        entries[ct] += 1
-        if scores[ct] > threshold:
-            kept[key] = value
-    return PhraseCounts(kept, table.corpus_size), PruneReport(
+    entries = Counter(counts.values())
+    scores = {ct: fisher_neg_log_p(ct) for ct in entries}  # few distinct tables
+    fates = {ct: score > threshold for ct, score in scores.items()}
+    kept = {key: table.entries[key]
+            for key in compress(counts, map(fates.__getitem__, counts.values()))}
+    return table._replace(entries=kept), PruneReport(
         threshold, scores, entries, len(kept), len(table.entries) - len(kept))
 
 

@@ -233,12 +233,12 @@ def brute_force_viterbi(cond_tokens, gen_tokens, table):
 # Phrase extraction oracle
 
 
-def brute_force_phrase_pairs(src_tokens, tgt_tokens, links, max_phrase_len):
-    """Every span pair tested directly against the consistency predicate."""
+def brute_force_phrase_instances(src_tokens, tgt_tokens, links, max_phrase_len):
+    """Every span pair tested directly against the consistency predicate, as
+    (f_start, f_end, e_start, e_end, foreign, english, internal alignment), ends
+    exclusive; a phrase pair found at two places is two instances."""
     links = set(links)
-    if not links:
-        return set()
-    out = set()
+    out = []
     n_src, n_tgt = len(src_tokens), len(tgt_tokens)
     for fs in range(n_src):
         for fe in range(fs, min(n_src, fs + max_phrase_len)):
@@ -254,8 +254,9 @@ def brute_force_phrase_pairs(src_tokens, tgt_tokens, links, max_phrase_len):
                     )
                     if crossing:
                         continue
-                    out.add(
+                    out.append(
                         (
+                            fs, fe + 1, es, ee + 1,
                             tuple(src_tokens[fs:fe + 1]),
                             tuple(tgt_tokens[es:ee + 1]),
                             frozenset((i - fs, j - es) for i, j in inside),
@@ -264,19 +265,34 @@ def brute_force_phrase_pairs(src_tokens, tgt_tokens, links, max_phrase_len):
     return out
 
 
+def brute_force_phrase_pairs(src_tokens, tgt_tokens, links, max_phrase_len):
+    """The distinct (foreign, english, internal alignment) of the brute-force instances."""
+    return {inst[4:] for inst in
+            brute_force_phrase_instances(src_tokens, tgt_tokens, links, max_phrase_len)}
+
+
 def naive_phrase_counts(instances) -> dict:
     """(foreign, english) -> (joint count, most frequent internal alignment),
-    from plain grouping and a Counter per pair; among equally frequent
-    alignments the one whose sorted links come first wins."""
+    from plain grouping of (foreign, english, alignment) instances and a Counter
+    per pair; among equally frequent alignments the one whose sorted links come
+    first wins."""
     groups = {}
-    for inst in instances:
-        key = (tuple(inst.foreign_phrase), tuple(inst.english_phrase))
-        groups.setdefault(key, []).append(frozenset(inst.internal_alignment))
+    for foreign, english, align in instances:
+        key = (tuple(foreign), tuple(english))
+        groups.setdefault(key, []).append(frozenset(align))
     out = {}
     for key, alignments in groups.items():
         tally = Counter(alignments)
         out[key] = (len(alignments), min(tally, key=lambda a: (-tally[a], sorted(a))))
     return out
+
+
+def phrase_keys(counts) -> dict:
+    """entry key -> (foreign, english) for the entries of a phrases.PhraseCounts,
+    decoded by the key layout its comment gives."""
+    foreign, english = list(counts.foreign.ids), list(counts.english.ids)
+    mask = (1 << counts.shift) - 1
+    return {key: (foreign[key >> counts.shift], english[key & mask]) for key in counts.entries}
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +304,10 @@ def _contains_slice(sentence, phrase) -> bool:
     return any(sentence[i:i + k] == phrase for i in range(len(sentence) - k + 1))
 
 
-def brute_force_contingency_counts(table, pairs) -> dict:
-    """(foreign, english) -> (c_s, c_t, c_st, n), each phrase found by
-    scanning every sentence for it slice by slice. An entry that never
-    co-occurs gets c_st == 0."""
+def brute_force_contingency_counts(keys, pairs) -> dict:
+    """(foreign, english) -> (c_s, c_t, c_st, n) for each (foreign, english) key,
+    each phrase found by scanning every sentence for it slice by slice. An
+    entry that never co-occurs gets c_st == 0."""
     pairs = [(tuple(src), tuple(tgt)) for src, tgt in pairs]
     hits = ({}, {})  # per side: phrase -> ids of the pairs containing it
 
@@ -303,7 +319,7 @@ def brute_force_contingency_counts(table, pairs) -> dict:
         return hits[side][phrase]
 
     out = {}
-    for foreign, english in table.entries:
+    for foreign, english in keys:
         s_ids, t_ids = containing(0, foreign), containing(1, english)
         out[(foreign, english)] = (len(s_ids), len(t_ids), len(s_ids & t_ids), len(pairs))
     return out

@@ -7,10 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dmlex.phrases import (
-    PhraseCounts,
-    PhrasePairInstance,
     PhraseTable,
     PhraseTableEntry,
+    _internal_alignment,
     count_phrase_pairs,
     escape_phrase,
     extract_phrase_pairs,
@@ -21,21 +20,33 @@ from dmlex.phrases import (
     write_phrase_table,
 )
 
-from helpers import brute_force_phrase_pairs, naive_phrase_counts, tokenizer_phrases
+from helpers import (
+    brute_force_phrase_instances,
+    brute_force_phrase_pairs,
+    naive_phrase_counts,
+    phrase_keys,
+    tokenizer_phrases,
+)
 
 
-def _as_set(instances):
-    return {(i.foreign_phrase, i.english_phrase, i.internal_alignment) for i in instances}
+def _as_set(src, tgt, links, max_len=7):
+    """The (foreign, english, internal alignment) of each span extracted, the
+    alignment being the links inside both spans; no span is extracted twice."""
+    spans = extract_phrase_pairs(src, tgt, links, max_len)
+    assert len(set(spans)) == len(spans)
+    return {(tuple(src[fs:fe]), tuple(tgt[es:ee]),
+             frozenset((i - fs, j - es) for i, j in links if fs <= i < fe and es <= j < ee))
+            for fs, fe, es, ee in spans}
 
 
 class TestExtractPhrasePairs:
     def test_single_link_pair(self):
-        out = extract_phrase_pairs(["casa"], ["house"], {(0, 0)}, 7)
-        assert _as_set(out) == {(("casa",), ("house",), frozenset({(0, 0)}))}
+        out = _as_set(["casa"], ["house"], {(0, 0)})
+        assert out == {(("casa",), ("house",), frozenset({(0, 0)}))}
 
     def test_parallel_links(self):
-        out = extract_phrase_pairs(["a", "b"], ["x", "y"], {(0, 0), (1, 1)}, 7)
-        assert {(i.foreign_phrase, i.english_phrase) for i in out} == {
+        out = _as_set(["a", "b"], ["x", "y"], {(0, 0), (1, 1)})
+        assert {(f, e) for f, e, _ in out} == {
             (("a",), ("x",)),
             (("b",), ("y",)),
             (("a", "b"), ("x", "y")),
@@ -45,20 +56,18 @@ class TestExtractPhrasePairs:
         # a-y and b-x cross; the whole pair plus both single-word pairs are
         # consistent (each single link stays inside its span pair), matching
         # the brute-force predicate
-        out = extract_phrase_pairs(["a", "b"], ["x", "y"], {(0, 1), (1, 0)}, 7)
-        assert {(i.foreign_phrase, i.english_phrase) for i in out} == {
+        out = _as_set(["a", "b"], ["x", "y"], {(0, 1), (1, 0)})
+        assert {(f, e) for f, e, _ in out} == {
             (("a",), ("y",)),
             (("b",), ("x",)),
             (("a", "b"), ("x", "y")),
         }
-        assert _as_set(out) == brute_force_phrase_pairs(
-            ["a", "b"], ["x", "y"], {(0, 1), (1, 0)}, 7
-        )
+        assert out == brute_force_phrase_pairs(["a", "b"], ["x", "y"], {(0, 1), (1, 0)}, 7)
 
     def test_crossing_links_with_double_coverage_only_whole_pair(self):
         links = {(0, 0), (0, 1), (1, 0), (1, 1)}
-        out = extract_phrase_pairs(["a", "b"], ["x", "y"], links, 7)
-        assert {(i.foreign_phrase, i.english_phrase) for i in out} == {
+        out = _as_set(["a", "b"], ["x", "y"], links)
+        assert {(f, e) for f, e, _ in out} == {
             (("a", "b"), ("x", "y")),
         }
 
@@ -67,8 +76,8 @@ class TestExtractPhrasePairs:
 
     def test_unaligned_edge_words_extend_spans(self):
         # foreign "a b", english "x"; only (0,0) linked: b is an unaligned edge
-        out = extract_phrase_pairs(["a", "b"], ["x"], {(0, 0)}, 7)
-        assert {(i.foreign_phrase, i.english_phrase) for i in out} == {
+        out = _as_set(["a", "b"], ["x"], {(0, 0)})
+        assert {(f, e) for f, e, _ in out} == {
             (("a",), ("x",)),
             (("a", "b"), ("x",)),
         }
@@ -76,17 +85,24 @@ class TestExtractPhrasePairs:
     def test_max_phrase_len_bounds_both_sides(self):
         links = {(i, i) for i in range(4)}
         out = extract_phrase_pairs(list("abcd"), list("wxyz"), links, 2)
-        assert all(
-            len(i.foreign_phrase) <= 2 and len(i.english_phrase) <= 2 for i in out
-        )
+        assert out and all(fe - fs <= 2 and ee - es <= 2 for fs, fe, es, ee in out)
 
     def test_rebased_alignment_within_spans(self):
-        out = extract_phrase_pairs(["a", "b", "c"], ["x", "y"], {(1, 0), (2, 1)}, 7)
-        for inst in out:
-            for i, j in inst.internal_alignment:
-                assert 0 <= i < len(inst.foreign_phrase)
-                assert 0 <= j < len(inst.english_phrase)
-            assert inst.internal_alignment
+        """The alignment builder rebases the links of the instance at a ref onto its
+        spans: the links inside both spans, at least one."""
+        src, tgt, links = ["a", "b", "c"], ["x", "y"], {(1, 0), (2, 1)}
+        counts = count_phrase_pairs([(src, tgt)], [links])
+        spans = extract_phrase_pairs(src, tgt, links, 7)
+        assert len(spans) == sum(len(v) if isinstance(v, list) else 1
+                                 for v in counts.entries.values())
+        for fs, fe, es, ee in spans:
+            align = _internal_alignment(counts, es << counts.width | fs, ee - es)
+            for i, j in align:
+                assert 0 <= i < fe - fs
+                assert 0 <= j < ee - es
+            assert align == {(i - fs, j - es) for i, j in links
+                             if fs <= i < fe and es <= j < ee}
+            assert align
 
 
 def test_extraction_equals_brute_force():
@@ -101,30 +117,29 @@ def test_extraction_equals_brute_force():
             (rng.randrange(n_src), rng.randrange(n_tgt)) for _ in range(n_links)
         }
         max_len = rng.choice([2, 3, 7])
-        got = _as_set(extract_phrase_pairs(src, tgt, links, max_len))
-        expected = brute_force_phrase_pairs(src, tgt, links, max_len)
-        assert got == expected
+        got = extract_phrase_pairs(src, tgt, links, max_len)
+        expected = brute_force_phrase_instances(src, tgt, links, max_len)
+        assert sorted(got) == sorted(inst[:4] for inst in expected)
+        assert _as_set(src, tgt, links, max_len) == brute_force_phrase_pairs(
+            src, tgt, links, max_len)
 
 
-def _instance(f, e, links):
-    return PhrasePairInstance(
-        foreign_phrase=tuple(f), english_phrase=tuple(e),
-        internal_alignment=frozenset(links),
-    )
+def _one_link_pairs(words):
+    """One-word sentence pairs, one per (foreign, english) of words, each linked 0-0."""
+    return [([f], [e]) for f, e in words], [{(0, 0)}] * len(words)
 
 
 class TestScorePhraseTable:
     def test_single_observation(self):
-        table = score_phrase_table([_instance(["f0"], ["e0"], {(0, 0)})], 1)
+        table = score_phrase_table(*_one_link_pairs([("f0", "e0")]))
         entry = table.entries[(("f0",), ("e0",))]
         assert entry.inv_phrase_prob == pytest.approx(1.0)
         assert entry.dir_phrase_prob == pytest.approx(1.0)
         assert entry.joint_count == 1
 
     def test_relative_frequency(self):
-        instances = [_instance(["f0"], ["e0"], {(0, 0)}) for _ in range(3)]
-        instances.append(_instance(["f1"], ["e0"], {(0, 0)}))
-        table = score_phrase_table(instances, 4)
+        table = score_phrase_table(*_one_link_pairs([("f0", "e0")] * 3 + [("f1", "e0")]))
+        assert table.corpus_size == 4
         entry = table.entries[(("f0",), ("e0",))]
         assert entry.inv_phrase_prob == pytest.approx(0.75)
 
@@ -138,15 +153,16 @@ class TestScorePhraseTable:
         alignments = [{(0, 0), (1, 1)}, {(0, 0)}, {(0, 0), (1, 1)}]
         instances = []
         for (f, e), links in zip(corpus, alignments):
-            instances.extend(extract_phrase_pairs(f, e, links, 7))
-        table = score_phrase_table(instances, 3)
+            instances.extend((tuple(f[fs:fe]), tuple(e[es:ee]))
+                             for fs, fe, es, ee in extract_phrase_pairs(f, e, links, 7))
+        table = score_phrase_table(corpus, alignments, 7)
 
         # independent naive recount
         from collections import Counter
 
-        joint = Counter((i.foreign_phrase, i.english_phrase) for i in instances)
-        marg_f = Counter(i.foreign_phrase for i in instances)
-        marg_e = Counter(i.english_phrase for i in instances)
+        joint = Counter(instances)
+        marg_f = Counter(f for f, _ in instances)
+        marg_e = Counter(e for _, e in instances)
         assert set(table.entries) == set(joint)
         for key, entry in table.entries.items():
             f, e = key
@@ -156,12 +172,12 @@ class TestScorePhraseTable:
 
     def test_conditional_distributions_sum_to_one(self):
         rng = random.Random(5)
-        instances = []
+        pairs = []
         for _ in range(200):
             f = [f"f{rng.randrange(6)}" for _ in range(rng.randint(1, 3))]
             e = [f"e{rng.randrange(6)}" for _ in range(rng.randint(1, 3))]
-            instances.append(_instance(f, e, {(0, 0)}))
-        table = score_phrase_table(instances, 200)
+            pairs.append((f, e))
+        table = score_phrase_table(pairs, [{(0, 0)}] * len(pairs))
         by_e = {}
         by_f = {}
         for (f, e), entry in table.entries.items():
@@ -175,12 +191,10 @@ class TestScorePhraseTable:
     def test_most_frequent_alignment_tie_breaks_lexicographically(self):
         a1 = {(0, 0), (1, 1)}
         a2 = {(0, 1), (1, 0)}
-        instances = [
-            _instance(["f0", "f1"], ["e0", "e1"], a1),
-            _instance(["f0", "f1"], ["e0", "e1"], a2),
-        ]
-        table = score_phrase_table(instances, 2)
+        pairs = [(["f0", "f1"], ["e0", "e1"])] * 2
+        table = score_phrase_table(pairs, [a2, a1])
         entry = table.entries[(("f0", "f1"), ("e0", "e1"))]
+        assert entry.joint_count == 2
         assert entry.most_frequent_internal_alignment == frozenset(a1)
 
 
@@ -198,6 +212,14 @@ def _aligned_corpus(draw):
     return pairs, alignments
 
 
+def _decoded(counts) -> dict:
+    """(foreign, english) -> (joint count, most frequent internal alignment) of
+    every entry of counts."""
+    table = score_counts(counts, counts.entries)
+    return {key: (entry.joint_count, entry.most_frequent_internal_alignment)
+            for key, entry in table.entries.items()}
+
+
 class TestScoreCounts:
     @settings(max_examples=100, deadline=None)
     @given(_aligned_corpus(), st.data())
@@ -205,87 +227,65 @@ class TestScoreCounts:
         """Scoring some keys of the extracted counts gives, float for float, the
         entries that scoring every extracted pair gives."""
         pairs, alignments = drawn
-        instances = []
-        for (f, e), links in zip(pairs, alignments):
-            instances.extend(extract_phrase_pairs(f, e, links, 7))
-        assume(instances)
-        full = score_phrase_table(instances, len(pairs))
+        full = score_phrase_table(pairs, alignments, 7)
+        assume(full.entries)
         keys = data.draw(st.sets(st.sampled_from(sorted(full.entries))))
-        survivors = score_counts(count_phrase_pairs(instances, len(pairs)), keys)
+        counts = count_phrase_pairs(pairs, alignments, 7)
+        by_phrases = {phrases: key for key, phrases in phrase_keys(counts).items()}
+        survivors = score_counts(counts, [by_phrases[key] for key in keys])
         assert survivors.corpus_size == full.corpus_size
         assert survivors.entries == {key: full.entries[key] for key in keys}
 
     def test_counts_keep_joint_count_and_most_frequent_alignment(self):
-        instances = [_instance(["f0", "f1"], ["e0", "e1"], {(0, 1), (1, 0)}),
-                     _instance(["f0", "f1"], ["e0", "e1"], {(0, 0), (1, 1)}),
-                     _instance(["f0", "f1"], ["e0", "e1"], {(0, 1), (1, 0)}),
-                     _instance(["f0"], ["e0"], {(0, 0)})]
-        counts = count_phrase_pairs(instances, 3)
-        assert counts == PhraseCounts({(("f0", "f1"), ("e0", "e1")): (3, {(0, 1), (1, 0)}),
-                                       (("f0",), ("e0",)): (1, {(0, 0)})}, 3)
+        crossing, diagonal = {(0, 1), (1, 0)}, {(0, 0), (1, 1)}
+        counts = count_phrase_pairs([(["f0", "f1"], ["e0", "e1"])] * 3,
+                                    [crossing, diagonal, crossing])
+        assert counts.corpus_size == 3
+        one = frozenset({(0, 0)})
+        assert _decoded(counts) == {(("f0", "f1"), ("e0", "e1")): (3, crossing),
+                                    (("f0",), ("e1",)): (2, one), (("f1",), ("e0",)): (2, one),
+                                    (("f0",), ("e0",)): (1, one), (("f1",), ("e1",)): (1, one)}
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from([("f0",), ("f1",), ("f0", "f1")]),
-                              st.sampled_from([("e0",), ("e0", "e1")]),
-                              st.sampled_from([{(0, 0)}, {(0, 1)}, {(1, 0)}, {(0, 0), (1, 1)},
-                                               {(0, 1), (1, 0)}])),
-                    max_size=40))
-    def test_counts_equal_naive_grouping(self, drawn):
+    @given(_aligned_corpus(), st.integers(1, 4))
+    def test_counts_equal_naive_grouping(self, drawn, max_len):
         # few phrases and alignments, so pairs repeat and alignment counts tie
-        instances = [_instance(f, e, links) for f, e, links in drawn]
-        counts = count_phrase_pairs(instances, 7)
-        assert counts.corpus_size == 7
-        assert counts.entries == naive_phrase_counts(instances)
+        pairs, alignments = drawn
+        counts = count_phrase_pairs(pairs, alignments, max_len)
+        assert counts.corpus_size == len(pairs)
+        assert _decoded(counts) == naive_phrase_counts(
+            inst[4:] for (f, e), links in zip(pairs, alignments)
+            for inst in brute_force_phrase_instances(f, e, links, max_len))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from([("f0",), ("f1",), ("f0", "f1")]),
-                              st.sampled_from([("e0",), ("e0", "e1")]),
-                              st.sampled_from([{(0, 0)}, {(0, 1)}, {(1, 0)}, {(0, 0), (1, 1)},
-                                               {(0, 1), (1, 0)}])),
-                    max_size=40))
+    @given(_aligned_corpus())
     def test_one_pass_generator_counts_as_the_list_does(self, drawn):
-        """The instances may come from a generator that can be read once: the
+        """The link sets may come from a generator that can be read once: the
         counts, the most frequent alignments and their tie rule are those of the list."""
-        instances = [_instance(f, e, links) for f, e, links in drawn]
-        assert count_phrase_pairs((i for i in instances), 7) == count_phrase_pairs(instances, 7)
+        pairs, alignments = drawn
+        assert (count_phrase_pairs(pairs, (links for links in alignments))
+                == count_phrase_pairs(pairs, alignments))
 
-    @pytest.mark.parametrize("instances, shared", [
-        ([_instance(["f0"], ["e0"], {(0, 0)}), _instance(["f1"], ["e1"], {(0, 0)}),
-          _instance(["f0", "f1"], ["e0"], {(0, 0), (1, 0)}),
-          _instance(["f1", "f0"], ["e0"], {(1, 0), (0, 0)})],
-         lambda keys, aligns: [(aligns[0], aligns[1]), (aligns[2], aligns[3])]),
-        ([_instance(["f0"], ["e0"], {(0, 0)}), _instance(["f0"], ["e1"], {(0, 0)}),
-          _instance(["f1", "f0"], ["e0"], {(1, 0)}), _instance(["f0"], ["e1"], {(0, 0)})],
-         lambda keys, aligns: [(keys[0][0], keys[1][0]), (keys[0][1], keys[2][1])]),
-    ], ids=["equal-alignments", "equal-phrase-tuples"])
-    def test_equal_alignments_share_one_frozenset(self, instances, shared):
-        """Equal alignments are one frozenset, and equal phrase tuples one tuple,
-        across the entries of the counts, whatever objects the instances held."""
-        assert len({id(part) for i in instances for part in i}) == 3 * len(instances)
-        counts = count_phrase_pairs(iter(instances), 2)
-        for a, b in shared(list(counts.entries), [align for _, align in counts.entries.values()]):
-            assert a == b and a is b
+    def test_equal_phrases_share_one_tuple(self):
+        """Equal phrase tuples are one tuple across the scored entries: each
+        is its n-gram's interned key."""
+        pairs = [(["f0"], ["e0"]), (["f0"], ["e1"]), (["f1", "f0"], ["e0"]),
+                 (["f0"], ["e1"])]
+        table = score_phrase_table(pairs, [{(0, 0)}, {(0, 0)}, {(1, 0)}, {(0, 0)}])
+        keys = list(table.entries)
+        assert keys == [(("f0",), ("e0",)), (("f0",), ("e1",)), (("f1", "f0"), ("e0",))]
+        assert keys[0][0] is keys[1][0] and keys[0][1] is keys[2][1]
+        assert table.entries[keys[1]].joint_count == 2
 
-    def test_pairs_seen_once_with_equal_alignments_share_one_count_value(self):
-        """Each distinct alignment has one (1, alignment) tuple, shared by every
-        pair seen once with it; a pair seen twice gets a value of its own."""
-        instances = [_instance([f], [e], {(0, 0)}) for f in ("f0", "f1") for e in ("e0", "e1")]
-        instances += [_instance(["f0", "f1"], ["e0"], {(k, 0)}) for k in (0, 1)]
-        entries = count_phrase_pairs(iter(instances), 2).entries
-        twice = entries.pop((("f0", "f1"), ("e0",)))
-        assert list(entries.values()) == [(1, frozenset({(0, 0)}))] * 4
-        assert len({id(value) for value in entries.values()}) == 1
-        assert twice == (2, frozenset({(0, 0)})) and twice[1] is entries[("f0",), ("e0",)][1]
+    def test_link_sets_must_match_the_sentence_pairs(self):
+        with pytest.raises(ValueError):
+            count_phrase_pairs([(["f0"], ["e0"])] * 2, [{(0, 0)}])
 
 
 class TestPhraseTableIO:
     def _toy_table(self):
-        instances = [
-            _instance(["f0"], ["e0"], {(0, 0)}),
-            _instance(["f0", "f1"], ["e0", "e1"], {(0, 0), (1, 1)}),
-            _instance(["f2"], ["e2"], {(0, 0)}),
-        ]
-        return score_phrase_table(instances, 3)
+        pairs = [(["f0"], ["e0"]), (["f0", "f1"], ["e0", "e1"]), (["f2"], ["e2"])]
+        return score_phrase_table(pairs, [{(0, 0)}, {(0, 0), (1, 1)}, {(0, 0)}])
 
     def test_round_trip(self, tmp_path):
         table = self._toy_table()

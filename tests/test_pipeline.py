@@ -444,31 +444,33 @@ class TestRunPipeline:
 
     def test_prune_counts_instances_as_they_are_extracted(self, corpus_root, tmp_path,
                                                            monkeypatch):
-        """stage_prune hands count_phrase_pairs a one-pass iterator, so the list of
-        every instance is never built; its `instances` stat is the sum of the joint
-        counts, which is the number of instances extracted."""
+        """stage_prune hands count_phrase_pairs the sentence pairs and their link
+        sets, which extracts the spans of one pair at a time, so the list of every
+        instance is never built; its `instances` stat is the number of instances
+        extracted."""
         from dmlex import phrases
 
         out = str(tmp_path / "out")
         cfg = validate_config(_config_path(corpus_root), {"output": out})
         assert run_pipeline(cfg, stages=["ingest", "align", "wordalign"]).ok
-        seen = {"iterator": None, "extracted": 0}
+        seen = {"pairs": None, "calls": 0, "extracted": 0}
         real_extract, real_count = phrases.extract_phrase_pairs, phrases.count_phrase_pairs
 
         def extract(*args, **kwargs):
             found = real_extract(*args, **kwargs)
+            seen["calls"] += 1
             seen["extracted"] += len(found)
             return found
 
-        def count(instances, corpus_size):
-            seen["iterator"] = iter(instances) is instances  # a list is not its own iterator
-            return real_count(instances, corpus_size)
+        def count(pairs, alignments, max_phrase_len):
+            seen["pairs"] = len(pairs)
+            return real_count(pairs, alignments, max_phrase_len)
 
         monkeypatch.setattr(phrases, "extract_phrase_pairs", extract)
         monkeypatch.setattr(phrases, "count_phrase_pairs", count)
         report = run_pipeline(cfg, stages=["prune"])
         assert report.ok
-        assert seen["iterator"] is True
+        assert seen["calls"] == seen["pairs"] > 0
         assert report.results[0].stats["instances"] == seen["extracted"] > 0
 
     def test_wordalign_drops_t_f_given_e_before_training_t_e_given_f(self, corpus_root,

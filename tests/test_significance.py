@@ -1,5 +1,8 @@
 import math
+import pathlib
+import tempfile
 import tracemalloc
+from collections import Counter
 from collections.abc import Mapping
 
 import pytest
@@ -10,8 +13,10 @@ from dmlex.galechurch import read_aligned_corpus
 from dmlex.model1 import read_alignments
 from dmlex.phrases import (
     PhraseCounts,
+    PhraseIds,
+    PhraseTable,
+    PhraseTableEntry,
     count_phrase_pairs,
-    extract_phrase_pairs,
     score_counts,
     write_phrase_table,
 )
@@ -29,89 +34,85 @@ from dmlex.significance import (
 
 from helpers import (
     brute_force_contingency_counts,
+    brute_force_phrase_instances,
     exact_fisher_neg_log_p,
+    naive_phrase_counts,
+    phrase_keys,
     write_synthetic_corpus,
 )
 
 
 def _build_table(corpus_pairs, alignments):
-    instances = []
-    for (f, e), links in zip(corpus_pairs, alignments):
-        instances.extend(extract_phrase_pairs(f, e, links, 7))
-    return count_phrase_pairs(instances, len(corpus_pairs))
+    return count_phrase_pairs(corpus_pairs, alignments, 7)
 
 
-def _table_of(keys, corpus_size):
-    """Phrase counts holding just these (foreign, english) keys."""
-    return PhraseCounts({key: (1, frozenset()) for key in keys}, corpus_size)
+def _by_phrases(counts, contingency) -> dict:
+    """(foreign, english) -> ContingencyTable of each entry."""
+    return {phrases: contingency[key] for key, phrases in phrase_keys(counts).items()}
+
+
+def _key(counts, foreign, english):
+    """The entry key of (foreign, english), an entry of counts or not."""
+    return counts.foreign.ids[foreign] << counts.shift | counts.english.ids[english]
 
 
 def _sentence(vocab):
     # up to 9 tokens from a tiny vocabulary: tokens and phrases repeat within
     # a sentence, and many sentences are shorter than the longest phrase
-    return st.lists(st.sampled_from(vocab), max_size=9)
+    return st.lists(st.sampled_from(vocab), min_size=1, max_size=9)
 
 
 @st.composite
-def _corpus_and_keys(draw):
+def _aligned_corpus(draw, max_pairs=8):
+    """Sentence pairs over tiny vocabularies, so phrases repeat within a pair and
+    occur in several pairs, co-occurring in some of them; links are sparse, so
+    edge words are often unaligned, and a pair's link set may be empty."""
     pairs = draw(st.lists(st.tuples(_sentence(["f0", "f1", "f2"]), _sentence(["e0", "e1"])),
-                          min_size=1, max_size=8))
-
-    def phrase(side, vocab):
-        # a slice of a corpus sentence (so it occurs) or free tokens (so it may not)
-        sent = pairs[draw(st.integers(0, len(pairs) - 1))][side]
-        if sent and draw(st.booleans()):
-            start = draw(st.integers(0, len(sent) - 1))
-            return tuple(sent[start:start + draw(st.integers(1, min(7, len(sent) - start)))])
-        return tuple(draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=7)))
-
-    n_keys = draw(st.integers(1, 12))
-    keys = {(phrase(0, ["f0", "f1", "f2", "f9"]), phrase(1, ["e0", "e1", "e9"]))
-            for _ in range(n_keys)}
-    return pairs, sorted(keys)
+                          min_size=1, max_size=max_pairs))
+    alignments = [draw(st.sets(st.tuples(st.integers(0, len(f) - 1),
+                                         st.integers(0, len(e) - 1)), max_size=5))
+                  for f, e in pairs]
+    return pairs, alignments
 
 
 class TestContingencyCounts:
     @settings(max_examples=200, deadline=None)
-    @given(_corpus_and_keys())
-    def test_matches_brute_force_oracle(self, drawn):
-        pairs, keys = drawn
-        oracle = brute_force_contingency_counts(_table_of(keys, len(pairs)), pairs)
-        occurring = [key for key in keys if oracle[key][2] > 0]
-        if len(occurring) < len(keys):
-            with pytest.raises(RuntimeError, match="never co-occurs"):
-                contingency_counts(_table_of(keys, len(pairs)), pairs)
-        counts = contingency_counts(_table_of(occurring, len(pairs)), pairs)
-        assert {key: (ct.c_s, ct.c_t, ct.c_st, ct.n) for key, ct in counts.items()} == {
-            key: oracle[key] for key in occurring
-        }
-        assert counts == {key: ContingencyTable(*oracle[key]) for key in occurring}
+    @given(_aligned_corpus(), st.integers(1, 7))
+    def test_matches_brute_force_oracle(self, drawn, max_len):
+        pairs, alignments = drawn
+        table = count_phrase_pairs(pairs, alignments, max_len)
+        counts = contingency_counts(table)
+        keys = phrase_keys(table)
+        oracle = brute_force_contingency_counts(keys.values(), pairs)
+        assert {keys[key]: (ct.c_s, ct.c_t, ct.c_st, ct.n) for key, ct in counts.items()} == oracle
+        assert counts == {key: ContingencyTable(*oracle[keys[key]]) for key in table.entries}
 
     def test_view_is_a_read_only_mapping_of_the_entries(self):
-        pairs = [(["f0", "f1"], ["e0"]), (["f1"], ["e1"])]
-        table = _table_of([(("f0",), ("e0",)), (("f1",), ("e0",)), (("f1",), ("e1",))], 2)
-        counts = contingency_counts(table, pairs)
+        pairs = [(["f0", "f1"], ["e0", "e1"]), (["f1"], ["e1"])]
+        table = _build_table(pairs, [{(0, 0), (1, 1)}, {(0, 0)}])
+        counts = contingency_counts(table)
         assert isinstance(counts, Mapping) and not hasattr(counts, "__setitem__")
         assert list(counts) == list(table.entries) and len(counts) == 3
-        assert counts[("f1",), ("e1",)] == ContingencyTable(2, 1, 1, 2)
-        assert (("f0",), ("e1",)) not in counts  # co-occurs, but is no entry
+        assert list(counts.values()) == [counts[key] for key in counts]
+        assert counts[_key(table, ("f1",), ("e1",))] == ContingencyTable(2, 2, 2, 2)
+        key = _key(table, ("f0",), ("e1",))
+        assert key not in counts  # co-occurs, but is no entry
         with pytest.raises(KeyError):
-            counts[("f0",), ("e1",)]
+            counts[key]
 
     def test_view_holds_no_per_entry_map(self):
-        """3,600 entries over 120 phrases: the view keeps the phrases' postings
-        and the one table they share, less than a pointer per entry, where a
-        dict of the entries would hold several."""
-        foreign = [f"f{k}" for k in range(60)]
-        english = [f"e{k}" for k in range(60)]
-        pairs = [(foreign, english)]
-        table = _table_of([((f,), (e,)) for f in foreign for e in english], 1)
+        """3,600 entries over 120 phrases: the view keeps each entry's place among
+        the distinct tables, less than a pointer per entry, where a dict of the
+        entries would hold several."""
+        words = [(f"f{a}", f"e{b}") for a in range(60) for b in range(60)]
+        table = _build_table([([f], [e]) for f, e in words], [{(0, 0)}] * len(words))
+        assert len(table.entries) == 3600
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            counts = contingency_counts(table, pairs)
+            counts = contingency_counts(table)
             built = tracemalloc.get_traced_memory()[0] - before
-            assert len(set(counts.values())) == 1
+            assert set(counts.values()) == {ContingencyTable(60, 60, 1, 3600)}
             looked_up = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -122,23 +123,29 @@ class TestContingencyCounts:
         (("f0", "f1"), ("e1",)),  # both phrases occur, never in the same pair
     ])
     def test_never_cooccurring_entry_raises(self, key):
-        pairs = [(["f0", "f1", "f0"], ["e0"]), (["f1"], ["e1"])]
-        table = _table_of([(("f0",), ("e0",)), key], len(pairs))
-        with pytest.raises(RuntimeError, match="never co-occurs"):
-            contingency_counts(table, pairs)
+        """Extraction gives no such entry; one put into hand-made counts fails the
+        table's invariant, so the walk's shortcuts cannot hide it."""
+        foreign = PhraseIds({("f0",): 0, ("f0", "f1"): 1, ("f9",): 2}, [[0, 2], [0, 2], []],
+                            [1, 1, 1])
+        english = PhraseIds({("e0",): 0, ("e1",): 1}, [0, [1, 3]], [1, 1])
+        ids = (foreign.ids[key[0]], english.ids[key[1]])
+        table = PhraseCounts({0 << 2 | 0: 0, ids[0] << 2 | ids[1]: 1}, 4, foreign, english,
+                             [], 2, 2)
+        with pytest.raises(ValueError, match="invalid contingency counts"):
+            contingency_counts(table)
 
     def test_single_pair_corpus(self):
         pairs = [(["f0"], ["e0"])]
         table = _build_table(pairs, [{(0, 0)}])
-        counts = contingency_counts(table, pairs)
-        ct = counts[(("f0",), ("e0",))]
+        counts = contingency_counts(table)
+        ct = counts[_key(table, ("f0",), ("e0",))]
         assert (ct.c_s, ct.c_t, ct.c_st, ct.n) == (1, 1, 1, 1)
 
     def test_multiplicity_counts_once_per_pair(self):
         pairs = [(["f0", "f0"], ["e0"]), (["f1"], ["e1"])]
         table = _build_table(pairs, [{(0, 0)}, {(0, 0)}])
-        counts = contingency_counts(table, pairs)
-        assert counts[(("f0",), ("e0",))].c_s == 1
+        counts = contingency_counts(table)
+        assert counts[_key(table, ("f0",), ("e0",))].c_s == 1
 
     def test_matches_naive_quadratic_scan(self):
         pairs = [
@@ -156,7 +163,7 @@ class TestContingencyCounts:
             {(0, 0)},
         ]
         table = _build_table(pairs, alignments)
-        counts = contingency_counts(table, pairs)
+        counts = contingency_counts(table)
 
         def contains(sentence, phrase):
             k = len(phrase)
@@ -164,7 +171,7 @@ class TestContingencyCounts:
                 tuple(sentence[i:i + k]) == phrase for i in range(len(sentence) - k + 1)
             )
 
-        for (f, e), ct in counts.items():
+        for (f, e), ct in _by_phrases(table, counts).items():
             c_s = sum(1 for src, _ in pairs if contains(src, f))
             c_t = sum(1 for _, tgt in pairs if contains(tgt, e))
             c_st = sum(1 for src, tgt in pairs if contains(src, f) and contains(tgt, e))
@@ -241,9 +248,9 @@ class TestThresholdFor:
     def test_alpha_prunes_a_1_1_1_entry_at_every_n(self):
         """A 1-1-1 entry scores exactly alpha, so `>` prunes it whatever the
         rounding; ln(n) as the threshold kept it at about half of these n."""
-        key = (("f",), ("e",))
+        key = 0
         for n in range(1, 3001):
-            table = PhraseCounts({key: (1, frozenset())}, n)
+            table = PhraseCounts({key: 0}, n, None, None, [], 1, 1)
             kept, report = prune(table, {key: ContingencyTable(1, 1, 1, n)}, PruneConfig("alpha"))
             assert (kept.entries, report.pruned_count) == ({}, 1), n
 
@@ -277,7 +284,7 @@ class TestPrune:
 
     def test_alpha_plus_epsilon_kills_singletons(self):
         table, pairs = self._table_and_pairs()
-        counts = contingency_counts(table, pairs)
+        counts = contingency_counts(table)
         kept, report = prune(table, counts, PruneConfig())
         for key, entry in kept.entries.items():
             ct = counts[key]
@@ -287,7 +294,7 @@ class TestPrune:
 
     def test_zero_threshold_keeps_everything_significant(self):
         table, pairs = self._table_and_pairs()
-        counts = contingency_counts(table, pairs)
+        counts = contingency_counts(table)
         kept, _ = prune(
             table, counts, PruneConfig(threshold_mode="custom", custom_neg_log_p=0.0)
         )
@@ -296,7 +303,7 @@ class TestPrune:
 
     def test_threshold_monotonicity(self):
         table, pairs = self._table_and_pairs()
-        counts = contingency_counts(table, pairs)
+        counts = contingency_counts(table)
         sizes = []
         for threshold in [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0]:
             kept, _ = prune(
@@ -308,14 +315,14 @@ class TestPrune:
 
     def test_survivors_unchanged(self):
         table, pairs = self._table_and_pairs()
-        counts = contingency_counts(table, pairs)
+        counts = contingency_counts(table)
         kept, _ = prune(table, counts, PruneConfig())
         for key, entry in kept.entries.items():
             assert entry is table.entries[key]
 
     def test_report_file(self, tmp_path):
         table, pairs = self._table_and_pairs()
-        counts = contingency_counts(table, pairs)
+        counts = contingency_counts(table)
         _, report = prune(table, counts, PruneConfig())
         path = tmp_path / "report.tsv"
         write_prune_report(report, path)
@@ -340,7 +347,7 @@ class TestPrune:
         pairs = ([(["f0"], ["e0"])] * 4 + [(["f9"], ["e9"]), (["f8"], ["e8"])]
                  + [(["f1"], ["e1"])] * 3 + [(["f2"], ["e2"])] * 3)
         table = _build_table(pairs, [{(0, 0)}] * len(pairs))
-        shared = contingency_counts(table, pairs)
+        shared = contingency_counts(table)
         assert len({id(ct) for ct in shared.values()}) == 3 < len(shared)
         distinct = {key: ContingencyTable(ct.c_s, ct.c_t, ct.c_st, ct.n)
                     for key, ct in shared.items()}
@@ -355,6 +362,65 @@ class TestPrune:
         assert 0 < len(outputs[0][0]) < len(shared)
 
 
+def _oracle_prune(pairs, alignments, max_len, config):
+    """(kept, report, scored table) of the prune path by the oracles alone: naive
+    counts over the brute-force instances, brute-force contingency counts, each
+    table's own -log p, and relative frequencies over instance marginals."""
+    naive = naive_phrase_counts(inst[4:] for (f, e), links in zip(pairs, alignments)
+                                for inst in brute_force_phrase_instances(f, e, links, max_len))
+    tables = {key: ContingencyTable(*cell)
+              for key, cell in brute_force_contingency_counts(naive, pairs).items()}
+    threshold = config.threshold(len(pairs))
+    scores = {ct: fisher_neg_log_p(ct) for ct in tables.values()}
+    kept = {key: naive[key] for key, ct in tables.items() if scores[ct] > threshold}
+    marg_f, marg_e = Counter(), Counter()
+    for (f, e), (joint, _) in naive.items():
+        marg_f[f] += joint
+        marg_e[e] += joint
+    table = PhraseTable(corpus_size=len(pairs))
+    for f, e in sorted(kept):
+        joint, align = kept[f, e]
+        table.add(PhraseTableEntry(f, e, joint / marg_e[e], joint / marg_f[f], align,
+                                   float(joint)))
+    report = PruneReport(threshold, scores, Counter(tables.values()), len(kept),
+                         len(naive) - len(kept))
+    return kept, report, table
+
+
+def _written(report, table, directory) -> tuple:
+    write_prune_report(report, directory / "prune-report.tsv")
+    write_phrase_table(table, directory / "phrase-table.pruned.txt")
+    return ((directory / "prune-report.tsv").read_bytes(),
+            (directory / "phrase-table.pruned.txt").read_bytes())
+
+
+MODES = [PruneConfig("alpha"), PruneConfig("alpha_plus_epsilon"), PruneConfig("custom", 0.0),
+         PruneConfig("custom", 1.0), PruneConfig("custom", 3.0)]
+
+
+class TestPrunePathMatchesOracle:
+    @pytest.mark.parametrize("config", MODES, ids=["alpha", "alpha_plus_epsilon", "custom-0",
+                                                   "custom-1", "custom-3"])
+    @settings(max_examples=120, deadline=None)
+    @given(drawn=_aligned_corpus(max_pairs=6), max_len=st.integers(1, 4))
+    def test_kept_entries_report_and_bytes(self, config, drawn, max_len):
+        """Counting by phrase id, the walk's c_st shortcut, prune and survivor scoring
+        give the kept entries, the report and the bytes of both files that the
+        oracles give."""
+        pairs, alignments = drawn
+        counts = count_phrase_pairs(pairs, alignments, max_len)
+        kept, report = prune(counts, contingency_counts(counts), config)
+        table = score_counts(counts, kept.entries)
+        want_kept, want_report, want_table = _oracle_prune(pairs, alignments, max_len, config)
+        assert {key: (entry.joint_count, entry.most_frequent_internal_alignment)
+                for key, entry in table.entries.items()} == want_kept
+        assert report == want_report
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = pathlib.Path(tmp)
+            assert (_written(report, table, directory)
+                    == _written(want_report, want_table, directory))
+
+
 class TestPruneOutputsMatchOracle:
     def test_pipeline_prune_outputs_equal_oracle_count_outputs(self, tmp_path):
         """The pipeline's pruned table and report are the bytes that prune and
@@ -366,11 +432,10 @@ class TestPruneOutputsMatchOracle:
         pair_dir = tmp_path / "run" / "out" / "pairs" / "xx"
         pairs = read_aligned_corpus(pair_dir / "aligned.src", pair_dir / "aligned.tgt")
         alignments = read_alignments(pair_dir / "alignments.txt", pairs)
-        pair_counts = count_phrase_pairs(
-            [inst for (f, e), links in zip(pairs, alignments)
-             for inst in extract_phrase_pairs(f, e, links, cfg.max_phrase_len)], len(pairs))
-        oracle = brute_force_contingency_counts(pair_counts, pairs)
-        counts = {key: ContingencyTable(*cell) for key, cell in oracle.items()}
+        pair_counts = count_phrase_pairs(pairs, alignments, cfg.max_phrase_len)
+        keys = phrase_keys(pair_counts)
+        oracle = brute_force_contingency_counts(keys.values(), pairs)
+        counts = {key: ContingencyTable(*oracle[phrases]) for key, phrases in keys.items()}
 
         kept, report = prune(pair_counts, counts, cfg.prune_config)
         assert all(report.scores[ct] == fisher_neg_log_p(ct) for ct in counts.values())
@@ -380,6 +445,66 @@ class TestPruneOutputsMatchOracle:
         write_phrase_table(table, tmp_path / "phrase-table.pruned.txt")
         for name in ("prune-report.tsv", "phrase-table.pruned.txt"):
             assert (pair_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+class TestPruneStageShape:
+    """What a cold prune stage on the 80-pair corpus builds and calls."""
+
+    def _run(self, tmp_path):
+        cfg = validate_config(write_synthetic_corpus(str(tmp_path / "run"), n_pairs=80))
+        report = run_pipeline(cfg, stages=STAGES[:STAGES.index("prune") + 1])
+        assert report.ok
+        stats = {r.stage: r.stats for r in report.results}
+        return stats, tmp_path / "run" / "out" / "pairs" / "xx"
+
+    def test_alignments_are_built_for_survivors_only(self, tmp_path, monkeypatch):
+        """The alignment builder runs once per instance of a kept entry, the sum
+        of the survivors' joint counts, and never for a pruned entry."""
+        from dmlex import phrases
+
+        calls = []
+        real = phrases._internal_alignment
+        monkeypatch.setattr(phrases, "_internal_alignment",
+                            lambda *args: calls.append(args) or real(*args))
+        stats, pair_dir = self._run(tmp_path)
+        table = phrases.read_phrase_table(pair_dir / "phrase-table.pruned.txt")
+        assert len(calls) == sum(entry.joint_count for entry in table.entries.values())
+        assert 0 < len(calls) < stats["prune"]["instances"]
+
+    def test_traced_functions_stay_on_the_path(self, tmp_path, monkeypatch):
+        """extract_phrase_pairs runs once per sentence pair, contingency_counts and
+        prune once, and their results hold the stage's instances, entries_in and
+        entries_kept."""
+        from dmlex import phrases, significance
+
+        seen = {"pairs": 0, "instances": 0, "entries_in": [], "entries_kept": []}
+        real = phrases.extract_phrase_pairs, significance.contingency_counts, significance.prune
+
+        def extract(*args):
+            spans = real[0](*args)
+            seen["pairs"] += 1
+            seen["instances"] += len(spans)
+            return spans
+
+        def counts(*args):
+            result = real[1](*args)
+            seen["entries_in"].append(len(result))
+            return result
+
+        def pruned(*args):
+            result = real[2](*args)
+            seen["entries_kept"].append(result[1].kept_count)
+            return result
+
+        monkeypatch.setattr(phrases, "extract_phrase_pairs", extract)
+        monkeypatch.setattr(significance, "contingency_counts", counts)
+        monkeypatch.setattr(significance, "prune", pruned)
+        stats, _ = self._run(tmp_path)
+        assert seen == {"pairs": stats["wordalign"]["sentence_pairs"],
+                        "instances": stats["prune"]["instances"],
+                        "entries_in": [stats["prune"]["entries_in"]],
+                        "entries_kept": [stats["prune"]["entries_kept"]]}
+        assert 0 < stats["prune"]["entries_kept"] < stats["prune"]["entries_in"]
 
 
 class TestAlphaRun:

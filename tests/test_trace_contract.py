@@ -11,7 +11,7 @@ import inspect
 import os
 
 from dmlex import pipeline
-from dmlex.phrases import count_phrase_pairs, extract_phrase_pairs
+from dmlex.phrases import count_phrase_pairs
 from dmlex.significance import PruneConfig, contingency_counts, prune
 
 TRACE_CLI = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "trace_cli.py")
@@ -65,9 +65,8 @@ def test_every_argument_a_counter_binds_is_a_parameter():
 def test_prune_and_contingency_counters_read_real_results():
     counters = _trace_cli().COUNTERS
     pairs = [(["f0"], ["e0"])] * 4 + [(["f9"], ["e9"])] + [(["f1"], ["e1"])] * 3
-    instances = [inst for f, e in pairs for inst in extract_phrase_pairs(f, e, {(0, 0)})]
-    phrase_counts = count_phrase_pairs(instances, len(pairs))
-    counts = contingency_counts(phrase_counts, pairs)
+    phrase_counts = count_phrase_pairs(pairs, [{(0, 0)}] * len(pairs))
+    counts = contingency_counts(phrase_counts)
     result = prune(phrase_counts, counts, PruneConfig())
     assert counters["significance.prune"]({}, result) == {"significance.kept": 2}
     assert counters["significance.contingency_counts"]({}, counts) == {
