@@ -88,8 +88,8 @@ def extract_phrase_pairs(src_tokens, tgt_tokens, alignment, max_phrase_len: int 
 
 
 def _ngram_ids(tokens, side: PhraseIds, pair: int, max_len: int) -> list:
-    """rows[start][length - 1]: the id of each n-gram of tokens, interned into side,
-    whose n-grams seen before gain this pair once."""
+    """rows[start][length - 1]: the id of each n-gram of tokens, interned into side;
+    each distinct n-gram gains this pair in side.pairs once."""
     ids, pairs, intern = side.ids, side.pairs, side.ids.setdefault
     known, tokens = len(ids), tuple(tokens)
     n = len(tokens)

@@ -266,16 +266,23 @@ class TestScoreCounts:
         assert (count_phrase_pairs(pairs, (links for links in alignments))
                 == count_phrase_pairs(pairs, alignments))
 
-    def test_equal_phrases_share_one_tuple(self):
-        """Equal phrase tuples are one tuple across the scored entries: each
-        is its n-gram's interned key."""
-        pairs = [(["f0"], ["e0"]), (["f0"], ["e1"]), (["f1", "f0"], ["e0"]),
-                 (["f0"], ["e1"])]
-        table = score_phrase_table(pairs, [{(0, 0)}, {(0, 0)}, {(1, 0)}, {(0, 0)}])
+    @pytest.mark.parametrize("pairs, links, shared", [
+        ([(["f0"], ["e0"]), (["f1"], ["e1"]), (["f0", "f1"], ["e0"]), (["f1", "f0"], ["e0"])],
+         [{(0, 0)}, {(0, 0)}, {(0, 0), (1, 0)}, {(1, 0), (0, 0)}],
+         lambda keys, aligns: [(aligns[0], aligns[2]), (aligns[1], aligns[3])]),
+        ([(["f0"], ["e0"]), (["f0"], ["e1"]), (["f1", "f0"], ["e0"]), (["f0"], ["e1"])],
+         [{(0, 0)}, {(0, 0)}, {(1, 0)}, {(0, 0)}],
+         lambda keys, aligns: [(keys[0][0], keys[1][0]), (keys[0][1], keys[2][1])]),
+    ], ids=["equal-alignments", "equal-phrase-tuples"])
+    def test_equal_alignments_share_one_frozenset(self, pairs, links, shared):
+        """Equal alignments are one frozenset, and equal phrase tuples one tuple,
+        across the entries of the scored table, though each instance's alignment
+        is built on its own."""
+        table = score_phrase_table(pairs, links)
         keys = list(table.entries)
-        assert keys == [(("f0",), ("e0",)), (("f0",), ("e1",)), (("f1", "f0"), ("e0",))]
-        assert keys[0][0] is keys[1][0] and keys[0][1] is keys[2][1]
-        assert table.entries[keys[1]].joint_count == 2
+        aligns = [entry.most_frequent_internal_alignment for entry in table.entries.values()]
+        for a, b in shared(keys, aligns):
+            assert a == b and a is b
 
     def test_link_sets_must_match_the_sentence_pairs(self):
         with pytest.raises(ValueError):
