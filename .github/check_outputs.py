@@ -1,4 +1,4 @@
-"""Check that a cold pipeline run writes the committed bytes on this Python.
+"""Check that the pipeline writes the committed bytes on this Python.
 
 Builds the 1,984-pair corpus of perfbench/corpus.py (seed 3, foreign language
 `pt`, 5 files of 400 sentences, each planted marker repeated 4 times), runs
@@ -8,8 +8,17 @@ script, whose digests were taken on Python 3.11. A corpus mismatch means the
 generator differs on this Python; an output mismatch on an equal corpus means
 the pipeline does.
 
+Then each case of CASES reruns `dmlex pipeline` on that output directory with
+the cache on and another `prune.mode`. The stages up to `phrases` must read
+cached and `prune` ran; `markers` and `lexicon` must read ran exactly when the
+one file they read that `prune` can change differs from the run before (the
+cache keys on input bytes, and under `alpha` the pruned table is the default
+mode's). The digests of every stage output and the `prune`, `markers` and
+`lexicon` stats of report.json (less their seconds) are compared with
+outputs-1984-cases.json.
+
     python .github/check_outputs.py            # exit 1 on any mismatch
-    python .github/check_outputs.py --write    # rewrite outputs-1984.json
+    python .github/check_outputs.py --write    # rewrite both digest files
 """
 
 import json
@@ -21,13 +30,30 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 DIGESTS = os.path.join(HERE, "outputs-1984.json")
+CASE_DIGESTS = os.path.join(HERE, "outputs-1984-cases.json")
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from corpus import CorpusSpec, write_corpus  # noqa: E402
 from run import SEED_MARKERS, output_digests  # noqa: E402
 
+# case -> prune.mode, run in this order on the cold run's output directory
+CASES = {"alpha": "alpha", "custom-1.0": "1.0", "custom-3.0": "3.0"}
+CHECKED_STATS = ("prune", "markers", "lexicon")
+# stage -> the output of an earlier stage that a new prune.mode may change
+READS = {"markers": "pairs/pt/phrase-table.pruned.txt", "lexicon": "pairs/pt/candidates.tsv"}
 
-def cold_run(work):
+
+def run_cli(work, config_lines, *flags):
+    config = os.path.join(work, "pipeline.cfg")
+    with open(config, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{line}\n" for line in config_lines))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    subprocess.run([sys.executable, "-m", "dmlex.cli", "--config", config,
+                    "--output", os.path.join(work, "out"), *flags, "pipeline"],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def cold_run(work, config_lines):
     """{"corpus": digests, "outputs": digests} of a cold run under work."""
     reserved = set()  # seed marker words, which the planted translations avoid
     with open(SEED_MARKERS, encoding="utf-8") as fh:
@@ -37,34 +63,64 @@ def cold_run(work):
     corpus = os.path.join(work, "corpus")
     write_corpus(corpus, CorpusSpec(("pt",), files=5, sentences_per_file=400, marker_reps=4),
                  3, reserved)
-    config = os.path.join(work, "pipeline.cfg")
-    with open(config, "w", encoding="utf-8") as fh:
-        fh.write(f"corpus_root = corpus\nenglish = en\nforeign = pt\nmarkers = {SEED_MARKERS}\n")
-    out = os.path.join(work, "out")
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    subprocess.run([sys.executable, "-m", "dmlex.cli", "--config", config, "--output", out,
-                    "--no-cache", "pipeline"], env=env, check=True, stdout=subprocess.DEVNULL)
-    return {"corpus": output_digests(corpus), "outputs": output_digests(out)}
+    run_cli(work, config_lines, "--no-cache")
+    return {"corpus": output_digests(corpus), "outputs": output_digests(os.path.join(work, "out"))}
+
+
+def case_run(work, config_lines, mode, before):
+    """{"outputs": digests, "stats": {stage: stats}} of a cached rerun under
+    prune.mode, and the stages whose status is not the expected one, given the
+    output digests of the run before."""
+    run_cli(work, [*config_lines, f"prune.mode = {mode}"])
+    outputs = output_digests(os.path.join(work, "out"))
+    with open(os.path.join(work, "out", "report.json"), encoding="utf-8") as fh:
+        rows = json.load(fh)["stages"]
+    reran = {stage: before[name] != outputs[name] for stage, name in READS.items()}
+    reran["prune"] = True
+    wrong = [f"{r['stage']} {'FAILED' if r['error'] else 'cached' if r['cache_hit'] else 'ran'}"
+             for r in rows if r["error"] or r["cache_hit"] == reran.get(r["stage"], False)]
+    stats = {r["stage"]: r["stats"] for r in rows if r["stage"] in CHECKED_STATS}
+    return {"outputs": outputs, "stats": stats}, wrong
+
+
+def differences(want, got, parts):
+    return [f"{part}/{name}" for part in parts
+            for name in sorted(set(want[part]) | set(got[part]))
+            if want[part].get(name) != got[part].get(name)]
 
 
 def main(argv):
+    config_lines = ["corpus_root = corpus", "english = en", "foreign = pt",
+                    f"markers = {SEED_MARKERS}"]
     with tempfile.TemporaryDirectory() as work:
-        got = cold_run(work)
+        got = cold_run(work, config_lines)
+        cases, wrong, before = {}, [], got["outputs"]
+        for case, mode in CASES.items():
+            cases[case], statuses = case_run(work, config_lines, mode, before)
+            wrong.extend(f"{case}: {status}" for status in statuses)
+            before = cases[case]["outputs"]
+    for status in wrong:
+        print(f"unexpected stage status: {status}")
     if argv[1:] == ["--write"]:
-        with open(DIGESTS, "w", encoding="utf-8") as fh:
-            json.dump(got, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        return 0
+        for path, doc in ((DIGESTS, got), (CASE_DIGESTS, cases)):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+        return 1 if wrong else 0
     with open(DIGESTS, encoding="utf-8") as fh:
         want = json.load(fh)
-    bad = [f"{part}/{name}" for part in ("corpus", "outputs")
-           for name in sorted(set(want[part]) | set(got[part]))
-           if want[part].get(name) != got[part].get(name)]
+    with open(CASE_DIGESTS, encoding="utf-8") as fh:
+        want_cases = json.load(fh)
+    bad = differences(want, got, ("corpus", "outputs"))
+    bad.extend(f"{case}: {name}" for case in CASES
+               for name in differences(want_cases[case], cases[case], ("outputs", "stats")))
     for name in bad:
-        print(f"differs from {os.path.basename(DIGESTS)}: {name}")
+        print(f"differs from the digests: {name}")
     print(f"Python {sys.version.split()[0]}: {len(bad)} of "
-          f"{len(want['corpus']) + len(want['outputs'])} files differ")
-    return 1 if bad else 0
+          f"{len(want['corpus']) + len(want['outputs'])} files and "
+          f"{sum(len(c['outputs']) + len(c['stats']) for c in want_cases.values())} "
+          f"case entries differ; {len(wrong)} stage statuses are wrong")
+    return 1 if bad or wrong else 0
 
 
 if __name__ == "__main__":
