@@ -31,19 +31,20 @@ for f, e in pairs:
 phrase_counts = count_phrase_pairs(pairs, alignments, max_phrase_len=3)
 print(f"extracted {len(phrase_counts.entries)} phrase pairs from {len(pairs)} sentence pairs")
 
-# prune on counts alone, then build the phrases, alignments and probabilities
-# of the surviving pairs only
+# prune on counts alone
 counts = contingency_counts(phrase_counts)
 kept, report = prune(phrase_counts, counts, PruneConfig())
-scored = score_counts(phrase_counts, kept.entries)
 
 n = len(pairs)
 print(f"threshold = ln({n}) + eps = {report.threshold:.4f}")
 print(f"kept {report.kept_count}, pruned {report.pruned_count}\n")
 
+# the phrases, alignments and probabilities of the surviving pairs only, one
+# entry at a time in (foreign, english) order, as the prune stage writes them
 print("surviving entries:")
-for (f, e), entry in scored.entries.items():
-    print(f"  {' '.join(f):24s} ||| {' '.join(e):24s} joint={entry.joint_count:.0f}")
+for entry in score_counts(phrase_counts, kept.entries):
+    print(f"  {' '.join(entry.foreign_phrase):24s} ||| {' '.join(entry.english_phrase):24s} "
+          f"joint={entry.joint_count:.0f}")
 
 print(f"\n{report.entries[ContingencyTable(1, 1, 1, n)]} of the pruned entries "
       "were 1-1-1 singletons")

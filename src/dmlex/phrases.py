@@ -2,6 +2,7 @@
 
 from bisect import bisect_left
 from collections import Counter, namedtuple
+from functools import cache
 from itertools import repeat
 
 from .model1 import format_links, links_inside, parse_links, read_table
@@ -13,11 +14,12 @@ PhraseTableEntry = namedtuple("PhraseTableEntry", "foreign_phrase english_phrase
 
 
 class PhraseTable:
-    def __init__(self, entries=None, by_english=None, corpus_size=0):
-        self.entries = {} if entries is None else entries  # (foreign, english) -> entry
-        self.by_english = {} if by_english is None else by_english
+    def __init__(self, entries=(), corpus_size=0):
+        self.entries, self.by_english = {}, {}  # (foreign, english) -> entry; english -> [entry]
         self.corpus_size = corpus_size
         self.english_cores = None  # lexicon's index of the english sides, built on first use
+        for entry in entries:
+            self.add(entry)
 
     def add(self, entry: PhraseTableEntry) -> None:
         key = (entry.foreign_phrase, entry.english_phrase)
@@ -142,14 +144,15 @@ def _internal_alignment(counts: PhraseCounts, ref: int, e_len: int) -> frozenset
     return frozenset((i - f_start, j - e_start) for j, i in inside)
 
 
-def score_counts(counts: PhraseCounts, keys) -> PhraseTable:
-    """The given entries with relative-frequency phrase probabilities and their most
-    frequent internal alignment, a tie going to the one whose sorted links come
-    first; phrase tuples and alignments are built for these entries alone."""
+def score_counts(counts: PhraseCounts, keys):
+    """Yield the given entries in (foreign, english) order, one at a time, with
+    relative-frequency phrase probabilities and their most frequent internal
+    alignment, a tie going to the one whose sorted links come first; phrase tuples
+    and alignments are built for these entries alone."""
     f_grams, e_grams = list(counts.foreign.ids), list(counts.english.ids)
     f_count, e_count = counts.foreign.instances, counts.english.instances
     shift, mask = counts.shift, (1 << counts.shift) - 1
-    table, aligns = PhraseTable(corpus_size=counts.corpus_size), {}  # equal alignments: one
+    aligns = {}  # equal alignments: one frozenset
     for f, e, key in sorted((f_grams[key >> shift], e_grams[key & mask], key) for key in keys):
         refs = counts.entries[key]
         if refs.__class__ is int:
@@ -158,15 +161,14 @@ def score_counts(counts: PhraseCounts, keys) -> PhraseTable:
             tally = Counter(_internal_alignment(counts, ref, len(e)) for ref in refs)
             top, joint = max(tally.values()), len(refs)
             align = min((a for a, c in tally.items() if c == top), key=sorted)
-        table.add(PhraseTableEntry(f, e, joint / e_count[key & mask], joint / f_count[key >> shift],
-                                   aligns.setdefault(align, align), float(joint)))
-    return table
+        yield PhraseTableEntry(f, e, joint / e_count[key & mask], joint / f_count[key >> shift],
+                               aligns.setdefault(align, align), float(joint))
 
 
 def score_phrase_table(pairs: list, alignments, max_phrase_len: int = 7) -> PhraseTable:
     """Every extracted pair, counted and scored."""
     counts = count_phrase_pairs(pairs, alignments, max_phrase_len)
-    return score_counts(counts, counts.entries)
+    return PhraseTable(score_counts(counts, counts.entries), counts.corpus_size)
 
 
 def _fmt(x: float) -> str:
@@ -188,22 +190,18 @@ def unescape_phrase(text: str) -> tuple:
     return tuple(text.split())
 
 
-class _Memo(dict):
-    """fn(key) for each key looked up, computed on the first lookup only."""
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        self[key] = value = self.fn(key)
-        return value
-
-
-def write_phrase_table(table: PhraseTable, path) -> None:
-    """`f ||| e ||| phi(f|e) phi(e|f) ||| i-j links ||| integer count`, sorted."""
+def write_phrase_table(entries, corpus_size: int, path) -> None:
+    """`# N=corpus_size`, then `f ||| e ||| phi(f|e) phi(e|f) ||| i-j links ||| integer
+    count` for each entry in the order given, which must be ascending by (foreign,
+    english) with no pair twice: an entry out of that order raises ValueError."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# N={table.corpus_size}\n")
-        for f, e in sorted(table.entries):
-            entry = table.entries[(f, e)]
+        fh.write(f"# N={corpus_size}\n")
+        last = ()
+        for entry in entries:
+            f, e = entry.foreign_phrase, entry.english_phrase
+            if (f, e) <= last:
+                raise ValueError(f"phrase pair {(f, e)} does not come after {last}")
+            last = (f, e)
             scores = f"{_fmt(entry.inv_phrase_prob)} {_fmt(entry.dir_phrase_prob)}"
             links = format_links(entry.most_frequent_internal_alignment)
             fh.write(f"{escape_phrase(f)} ||| {escape_phrase(e)} ||| {scores} ||| {links} ||| "
@@ -212,7 +210,7 @@ def write_phrase_table(table: PhraseTable, path) -> None:
 
 def read_phrase_table(path) -> PhraseTable:
     table = PhraseTable()
-    links = _Memo(parse_links)
+    links = cache(parse_links)
 
     def header(key, value):
         if key == "N":
@@ -223,7 +221,7 @@ def read_phrase_table(path) -> PhraseTable:
         scores = [float(x) for x in scores_str.split()]
         if len(scores) != 2 or not all(0 < x <= 1 for x in scores) or int(count_str) < 1:
             raise ValueError("expected 2 scores in (0, 1] and a joint count of at least 1")
-        align = links_inside(links[links_str], links_str, len(f), len(e))
+        align = links_inside(links(links_str), links_str, len(f), len(e))
         table.add(PhraseTableEntry(f, e, *scores, align, float(count_str)))
 
     read_table(path, " ||| ", 5, header, add)

@@ -390,8 +390,8 @@ class PipelineRunner:
 
     def stage_phrases(self, lang) -> StageResult:
         """No work of its own: prune extracts and counts the phrase pairs. The row
-        keeps its inputs and key, and so its cache record, while the benchmark
-        harness lists it; it goes with that row of perfbench/run.py (ROADMAP item 4)."""
+        keeps its inputs and key, and so its cache record, while perfbench/run.py
+        lists the stage; the change that deletes the row edits that list too."""
         p = self._pair_paths(lang)
         inputs = [p["aligned_src"], p["aligned_tgt"], p["alignments"]]
         return self._run_stage(lang, "phrases", self.cfg.max_phrase_len, inputs, [], dict)
@@ -399,7 +399,7 @@ class PipelineRunner:
     def stage_prune(self, lang) -> StageResult:
         """Extract and count the phrase pairs by phrase id in one pass over each sentence
         pair, prune on counts alone, then build the phrases and alignments of the
-        surviving pairs only and score them."""
+        surviving pairs only, writing each survivor as it is scored."""
         p = self._pair_paths(lang)
         inputs = [p["aligned_src"], p["aligned_tgt"], p["alignments"]]
         outputs = [p["pruned_table"], p["prune_report"]]
@@ -413,7 +413,7 @@ class PipelineRunner:
             kept, report = significance.prune(pair_counts, counts, self.cfg.prune_config)
             significance.write_prune_report(report, p["prune_report"])
             phrases.write_phrase_table(phrases.score_counts(pair_counts, kept.entries),
-                                       p["pruned_table"])
+                                       pair_counts.corpus_size, p["pruned_table"])
             return {"instances": sum(pair_counts.foreign.instances),
                     "entries_in": len(pair_counts.entries), "entries_kept": report.kept_count,
                     "entries_pruned": report.pruned_count, "threshold": report.threshold,

@@ -41,10 +41,7 @@ def _entry(foreign, english, inv=0.5, dir_=0.5, joint=3.0, alignment=None):
 
 
 def _table(entries, n=100):
-    table = PhraseTable(corpus_size=n)
-    for entry in entries:
-        table.add(entry)
-    return table
+    return PhraseTable(entries, corpus_size=n)
 
 
 class TestLoadSeedMarkers:

@@ -215,17 +215,17 @@ def _aligned_corpus(draw):
 def _decoded(counts) -> dict:
     """(foreign, english) -> (joint count, most frequent internal alignment) of
     every entry of counts."""
-    table = score_counts(counts, counts.entries)
-    return {key: (entry.joint_count, entry.most_frequent_internal_alignment)
-            for key, entry in table.entries.items()}
+    return {(entry.foreign_phrase, entry.english_phrase):
+            (entry.joint_count, entry.most_frequent_internal_alignment)
+            for entry in score_counts(counts, counts.entries)}
 
 
 class TestScoreCounts:
     @settings(max_examples=100, deadline=None)
     @given(_aligned_corpus(), st.data())
     def test_survivor_scores_equal_full_table_scores(self, drawn, data):
-        """Scoring some keys of the extracted counts gives, float for float, the
-        entries that scoring every extracted pair gives."""
+        """Scoring some keys of the extracted counts yields, float for float and in
+        (foreign, english) order, the entries that scoring every extracted pair gives."""
         pairs, alignments = drawn
         full = score_phrase_table(pairs, alignments, 7)
         assume(full.entries)
@@ -233,8 +233,7 @@ class TestScoreCounts:
         counts = count_phrase_pairs(pairs, alignments, 7)
         by_phrases = {phrases: key for key, phrases in phrase_keys(counts).items()}
         survivors = score_counts(counts, [by_phrases[key] for key in keys])
-        assert survivors.corpus_size == full.corpus_size
-        assert survivors.entries == {key: full.entries[key] for key in keys}
+        assert list(survivors) == [full.entries[key] for key in sorted(keys)]
 
     def test_counts_keep_joint_count_and_most_frequent_alignment(self):
         crossing, diagonal = {(0, 1), (1, 0)}, {(0, 0), (1, 1)}
@@ -299,30 +298,28 @@ class TestPhraseTableIO:
         table.add(PhraseTableEntry(("f3",), ("e3",), 0.5, 0.5, frozenset({(0, 0)}),
                                    1234567891.0))  # every digit of a large count survives
         path = tmp_path / "pt.txt"
-        write_phrase_table(table, path)
+        write_phrase_table(table.entries.values(), table.corpus_size, path)
         back = read_phrase_table(path)
         assert back.corpus_size == table.corpus_size
         assert ({key: entry.joint_count for key, entry in back.entries.items()}
                 == {key: entry.joint_count for key, entry in table.entries.items()})
         path2 = tmp_path / "pt2.txt"
-        write_phrase_table(back, path2)
+        write_phrase_table(back.entries.values(), back.corpus_size, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_empty_table_round_trip(self, tmp_path):
         path = tmp_path / "pt.txt"
-        write_phrase_table(PhraseTable(corpus_size=9), path)
+        write_phrase_table([], 9, path)
         assert path.read_text(encoding="utf-8") == "# N=9\n"
         back = read_phrase_table(path)
         assert len(back) == 0
         assert back.corpus_size == 9
 
     def test_hash_led_phrase_is_not_a_header(self, tmp_path):
-        table = PhraseTable(corpus_size=3)
-        for f in (("#eu",), ("eu",), ("nos",)):
-            table.add(PhraseTableEntry(f, ("we",), 0.5, 0.5,
-                                       frozenset({(0, 0)}), 1.0))
+        table = PhraseTable((PhraseTableEntry(f, ("we",), 0.5, 0.5, frozenset({(0, 0)}), 1.0)
+                             for f in (("#eu",), ("eu",), ("nos",))), corpus_size=3)
         path = tmp_path / "pt.txt"
-        write_phrase_table(table, path)
+        write_phrase_table(table.entries.values(), table.corpus_size, path)
         back = read_phrase_table(path)
         assert set(back.entries) == set(table.entries)
         assert back.corpus_size == 3
@@ -330,12 +327,12 @@ class TestPhraseTableIO:
     def test_separator_entity_and_header_like_tokens_round_trip(self, tmp_path):
         # unescaped, ("a", "|||") / ("b",) was written `a ||| ||| b ||| ...`
         # and read back as ("a",) / ("|||", "b"); a `# N=5` phrase is a data line
-        table = PhraseTable(corpus_size=7)
-        for f, e in ((("a", "|||"), ("b",)), (("&#124;", "&amp;"), ("x|y", "&")),
-                     (("#", "N=5"), ("#eu",))):
-            table.add(PhraseTableEntry(f, e, 0.5, 0.5, frozenset({(0, 0)}), 1.0))
+        table = PhraseTable((PhraseTableEntry(f, e, 0.5, 0.5, frozenset({(0, 0)}), 1.0)
+                             for f, e in sorted([(("a", "|||"), ("b",)),
+                                                 (("&#124;", "&amp;"), ("x|y", "&")),
+                                                 (("#", "N=5"), ("#eu",))])), corpus_size=7)
         path = tmp_path / "pt.txt"
-        write_phrase_table(table, path)
+        write_phrase_table(table.entries.values(), table.corpus_size, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "# N=7"
         assert lines[1].startswith("# N=5 ||| #eu ||| ")
@@ -370,7 +367,8 @@ class TestPhraseTableIO:
             table.add(PhraseTableEntry(f, e, 0.5, 0.25, links, 2.0))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "pt.txt")
-            write_phrase_table(table, path)
+            write_phrase_table([table.entries[key] for key in sorted(table.entries)],
+                               table.corpus_size, path)
             back = read_phrase_table(path)
         assert back.corpus_size == table.corpus_size
         assert ({k: e.most_frequent_internal_alignment for k, e in back.entries.items()}
@@ -406,9 +404,15 @@ class TestPhraseTableIO:
         assert str(exc.value).endswith(f" in {path}")
 
     def test_entries_sorted_lexicographically(self, tmp_path):
-        table = self._toy_table()
+        """The writer keeps the order it is given and rejects an entry that does not
+        come strictly after the one before, so a written table is sorted with no
+        pair twice."""
+        entries = list(self._toy_table().entries.values())
         path = tmp_path / "pt.txt"
-        write_phrase_table(table, path)
+        write_phrase_table(entries, 3, path)
         lines = [l for l in path.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
         keys = [tuple(l.split(" ||| ")[:2]) for l in lines]
-        assert keys == sorted(keys)
+        assert len(keys) == len(entries) > 2 and keys == sorted(keys)
+        for bad in (entries[:1] + entries[2:] + entries[1:2], entries + entries[-1:]):
+            with pytest.raises(ValueError, match="does not come after"):
+                write_phrase_table(bad, 3, path)

@@ -566,6 +566,8 @@ class TestRunPipeline:
         ("phrases", "count_phrase_pairs", "prune"),
         ("model1", "read_alignments", "prune"),
         ("significance", "contingency_counts", "prune"),
+        ("phrases", "score_counts", "prune"),
+        ("phrases", "write_phrase_table", "prune"),
         ("lexicon", "read_candidates", "lexicon"),
     ])
     def test_exception_with_empty_text_fails_its_stage(self, corpus_root, tmp_path,
@@ -754,6 +756,48 @@ class TestRunPipeline:
         assert {r.stage: r.cache_hit for r in report.results
                 if r.stage in ("prune", "markers")} == {"prune": True, "markers": False}
         assert _read_outputs(out) == snapshot
+
+    @pytest.mark.parametrize("exc, error", [
+        (OSError("disk full"), "disk full"),
+        (StopIteration(), "generator raised StopIteration"),
+    ], ids=["OSError", "StopIteration"])
+    def test_prune_that_fails_partway_through_its_table_keeps_no_record(
+            self, corpus_root, tmp_path, monkeypatch, exc, error):
+        """prune writes each survivor as it is scored. When scoring raises after some
+        lines are written, prune fails with no record, and the next run rewrites the
+        whole table. A StopIteration raised in the generator surfaces as RuntimeError."""
+        from dmlex import phrases
+
+        clean = str(tmp_path / "clean")
+        assert run_pipeline(validate_config(_config_path(corpus_root), {"output": clean})).ok
+        table = os.path.join("pairs", "xx", "phrase-table.pruned.txt")
+        kept = phrases.read_phrase_table(os.path.join(clean, table)).entries.values()
+        halfway = sum(entry.joint_count for entry in kept) // 2  # an alignment per instance
+        real, calls = phrases._internal_alignment, []
+
+        def fail_halfway(*args):
+            calls.append(args)
+            if len(calls) == halfway:
+                raise exc
+            return real(*args)
+
+        monkeypatch.setattr(phrases, "_internal_alignment", fail_halfway)
+        out = str(tmp_path / "out")
+        cfg = validate_config(_config_path(corpus_root), {"output": out})
+        report = run_pipeline(cfg)
+        assert [r.error for r in report.results if r.stage == "prune"] == [error]
+        written = pathlib.Path(out, table).read_text(encoding="utf-8").splitlines()
+        full = pathlib.Path(clean, table).read_text(encoding="utf-8").splitlines()
+        assert 1 < len(written) < len(full) and written == full[:len(written)]
+        with open(os.path.join(out, ".cache.json"), encoding="utf-8") as fh:
+            assert "prune:xx" not in json.load(fh)
+
+        monkeypatch.undo()
+        report = run_pipeline(cfg)
+        assert report.ok
+        assert {r.stage: r.cache_hit for r in report.results
+                if r.stage in ("wordalign", "prune")} == {"wordalign": True, "prune": False}
+        assert _read_outputs(out) == _read_outputs(clean)
 
     @pytest.mark.parametrize("runs", [
         [{"english": "EN"}],

@@ -389,7 +389,8 @@ def _oracle_prune(pairs, alignments, max_len, config):
 
 def _written(report, table, directory) -> tuple:
     write_prune_report(report, directory / "prune-report.tsv")
-    write_phrase_table(table, directory / "phrase-table.pruned.txt")
+    write_phrase_table(table.entries.values(), table.corpus_size,
+                       directory / "phrase-table.pruned.txt")
     return ((directory / "prune-report.tsv").read_bytes(),
             (directory / "phrase-table.pruned.txt").read_bytes())
 
@@ -410,7 +411,7 @@ class TestPrunePathMatchesOracle:
         pairs, alignments = drawn
         counts = count_phrase_pairs(pairs, alignments, max_len)
         kept, report = prune(counts, contingency_counts(counts), config)
-        table = score_counts(counts, kept.entries)
+        table = PhraseTable(score_counts(counts, kept.entries), counts.corpus_size)
         want_kept, want_report, want_table = _oracle_prune(pairs, alignments, max_len, config)
         assert {key: (entry.joint_count, entry.most_frequent_internal_alignment)
                 for key, entry in table.entries.items()} == want_kept
@@ -440,11 +441,32 @@ class TestPruneOutputsMatchOracle:
         kept, report = prune(pair_counts, counts, cfg.prune_config)
         assert all(report.scores[ct] == fisher_neg_log_p(ct) for ct in counts.values())
         assert 0 < report.kept_count < len(pair_counts.entries)
-        table = score_counts(pair_counts, kept.entries)
         write_prune_report(report, tmp_path / "prune-report.tsv")
-        write_phrase_table(table, tmp_path / "phrase-table.pruned.txt")
+        write_phrase_table(score_counts(pair_counts, kept.entries), pair_counts.corpus_size,
+                           tmp_path / "phrase-table.pruned.txt")
         for name in ("prune-report.tsv", "phrase-table.pruned.txt"):
             assert (pair_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+class TestSurvivorsAreStreamed:
+    def test_writing_every_survivor_holds_no_table(self, tmp_path):
+        """Writing the scored survivors holds their sort keys and one entry at a
+        time: under 160 bytes per entry where all 3,600 survive. A PhraseTable of
+        them, with its dicts, lists and entry records, held about 350."""
+        words = [(f"f{a}", f"e{b}") for a in range(60) for b in range(60)]
+        counts = count_phrase_pairs([([f], [e]) for f, e in words], [{(0, 0)}] * len(words))
+        kept, report = prune(counts, contingency_counts(counts), PruneConfig("custom", 0.0))
+        assert report.kept_count == len(counts.entries) == 3600
+        path = tmp_path / "phrase-table.pruned.txt"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_phrase_table(score_counts(kept, kept.entries), kept.corpus_size, path)
+            held = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 3601
+        assert held < 160 * len(kept.entries)
 
 
 class TestPruneStageShape:
