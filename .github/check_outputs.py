@@ -9,13 +9,16 @@ generator differs on this Python; an output mismatch on an equal corpus means
 the pipeline does.
 
 Then each case of CASES reruns `dmlex pipeline` on that output directory with
-the cache on and another `prune.mode`. The stages up to `phrases` must read
-cached and `prune` ran; `markers` and `lexicon` must read ran exactly when the
-one file they read that `prune` can change differs from the run before (the
-cache keys on input bytes, and under `alpha` the pruned table is the default
-mode's). The digests of every stage output and the `prune`, `markers` and
-`lexicon` stats of report.json (less their seconds) are compared with
-outputs-1984-cases.json.
+the cache on and its config settings: other `prune.mode`s, then
+`filter.min_joint_count` 5, 2 (the default) and 5 with `prune.mode` left as it
+was. Every selected candidate has a joint count of 4, so 5 drops them all and
+2 keeps them. Each stage must read ran exactly when
+one of its parameters differs from the run before or a file it reads differs
+from that run's bytes (the cache keys on parameters and input bytes: under
+`alpha` the pruned table is the default mode's, and the four modes write the
+same `candidates.tsv`), and cached otherwise. The digests of every stage output
+and the `prune`, `markers` and `lexicon` stats of report.json (less their
+seconds) are compared with outputs-1984-cases.json.
 
     python .github/check_outputs.py            # exit 1 on any mismatch
     python .github/check_outputs.py --write    # rewrite both digest files
@@ -36,11 +39,23 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from corpus import CorpusSpec, write_corpus  # noqa: E402
 from run import SEED_MARKERS, output_digests  # noqa: E402
 
-# case -> prune.mode, run in this order on the cold run's output directory
-CASES = {"alpha": "alpha", "custom-1.0": "1.0", "custom-3.0": "3.0"}
+# case -> its config settings, run in this order on the cold run's output directory
+CASES = {"alpha": {"prune.mode": "alpha"}, "custom-1.0": {"prune.mode": "1.0"},
+         "custom-3.0": {"prune.mode": "3.0"}, "custom-0": {"prune.mode": "0"},
+         "joint-5": {"prune.mode": "0", "filter.min_joint_count": "5"},
+         "joint-2": {"prune.mode": "0"},
+         "joint-5-again": {"prune.mode": "0", "filter.min_joint_count": "5"}}
 CHECKED_STATS = ("prune", "markers", "lexicon")
-# stage -> the output of an earlier stage that a new prune.mode may change
-READS = {"markers": "pairs/pt/phrase-table.pruned.txt", "lexicon": "pairs/pt/candidates.tsv"}
+# stage -> (prefixes of the config keys in its parameters, prefixes of the outputs it reads)
+STAGE_DEPENDS = {
+    "ingest": ((), ()),
+    "align": ((), ("ingest/",)),
+    "wordalign": (("em.", "wordalign."), ("pairs/pt/aligned.",)),
+    "phrases": (("phrases.",), ("pairs/pt/aligned.", "pairs/pt/alignments.txt")),
+    "prune": (("prune.", "phrases."), ("pairs/pt/aligned.", "pairs/pt/alignments.txt")),
+    "markers": (("filter.",), ("pairs/pt/phrase-table.pruned.txt",)),
+    "lexicon": ((), ("pairs/pt/candidates.tsv",)),
+}
 
 
 def run_cli(work, config_lines, *flags):
@@ -67,18 +82,23 @@ def cold_run(work, config_lines):
     return {"corpus": output_digests(corpus), "outputs": output_digests(os.path.join(work, "out"))}
 
 
-def case_run(work, config_lines, mode, before):
+def case_run(work, config_lines, settings, before):
     """{"outputs": digests, "stats": {stage: stats}} of a cached rerun under
-    prune.mode, and the stages whose status is not the expected one, given the
-    output digests of the run before."""
-    run_cli(work, [*config_lines, f"prune.mode = {mode}"])
+    settings, and the stages whose status is not the expected one, given the
+    (settings, output digests) of the run before."""
+    run_cli(work, [*config_lines, *(f"{key} = {value}" for key, value in settings.items())])
     outputs = output_digests(os.path.join(work, "out"))
     with open(os.path.join(work, "out", "report.json"), encoding="utf-8") as fh:
         rows = json.load(fh)["stages"]
-    reran = {stage: before[name] != outputs[name] for stage, name in READS.items()}
-    reran["prune"] = True
+    last_settings, last_outputs = before
+    keys = [key for key in {*settings, *last_settings}
+            if settings.get(key) != last_settings.get(key)]
+    files = [name for name in outputs if outputs[name] != last_outputs.get(name)]
+    reran = {stage: any(key.startswith(params) for key in keys)
+             or any(name.startswith(reads) for name in files)
+             for stage, (params, reads) in STAGE_DEPENDS.items()}
     wrong = [f"{r['stage']} {'FAILED' if r['error'] else 'cached' if r['cache_hit'] else 'ran'}"
-             for r in rows if r["error"] or r["cache_hit"] == reran.get(r["stage"], False)]
+             for r in rows if r["error"] or r["cache_hit"] == reran[r["stage"]]]
     stats = {r["stage"]: r["stats"] for r in rows if r["stage"] in CHECKED_STATS}
     return {"outputs": outputs, "stats": stats}, wrong
 
@@ -94,11 +114,11 @@ def main(argv):
                     f"markers = {SEED_MARKERS}"]
     with tempfile.TemporaryDirectory() as work:
         got = cold_run(work, config_lines)
-        cases, wrong, before = {}, [], got["outputs"]
-        for case, mode in CASES.items():
-            cases[case], statuses = case_run(work, config_lines, mode, before)
+        cases, wrong, before = {}, [], ({}, got["outputs"])
+        for case, settings in CASES.items():
+            cases[case], statuses = case_run(work, config_lines, settings, before)
             wrong.extend(f"{case}: {status}" for status in statuses)
-            before = cases[case]["outputs"]
+            before = settings, cases[case]["outputs"]
     for status in wrong:
         print(f"unexpected stage status: {status}")
     if argv[1:] == ["--write"]:
