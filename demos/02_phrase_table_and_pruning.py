@@ -42,7 +42,7 @@ print(f"kept {report.kept_count}, pruned {report.pruned_count}\n")
 # the phrases, alignments and probabilities of the surviving pairs only, one
 # entry at a time in (foreign, english) order, as the prune stage writes them
 print("surviving entries:")
-for entry in score_counts(phrase_counts, kept.entries):
+for entry in score_counts(phrase_counts, kept):
     print(f"  {' '.join(entry.foreign_phrase):24s} ||| {' '.join(entry.english_phrase):24s} "
           f"joint={entry.joint_count:.0f}")
 

@@ -55,34 +55,33 @@ def load_seed_markers(path) -> list:
     return markers
 
 
-def _english_cores(by_english) -> dict:
-    """core -> [(rank, english side, context)]: each english side under itself, and
-    under itself less a punctuation token p before and/or q after its core."""
-    cores = {}
-    for english in by_english:
-        cores.setdefault(english, []).append(((), english, "none"))
+def english_index(table: PhraseTable) -> dict:
+    """core -> [(rank, entry, context)], in table order: each entry under its english
+    side, and under that side less a punctuation token p before and/or q after its core."""
+    index = {}
+    for entry in table.entries:
+        english = entry.english_phrase
+        index.setdefault(english, []).append(((), entry, "none"))
         if english and english[-1] in PUNCTUATION:
-            cores.setdefault(english[:-1], []).append(((english[-1], 0), english, "followed"))
+            index.setdefault(english[:-1], []).append(((english[-1], 0), entry, "followed"))
         if english and english[0] in PUNCTUATION:
-            cores.setdefault(english[1:], []).append(((english[0], 1), english, "preceded"))
+            index.setdefault(english[1:], []).append(((english[0], 1), entry, "preceded"))
             if len(english) > 1 and english[-1] in PUNCTUATION:
-                cores.setdefault(english[1:-1], []).append(
-                    ((english[0], 2, english[-1]), english, "both"))
-    return cores
+                index.setdefault(english[1:-1], []).append(
+                    ((english[0], 2, english[-1]), entry, "both"))
+    return index
 
 
-def select_candidates(table: PhraseTable, marker, language: str = "") -> list:
+def select_candidates(index: dict, marker, language: str = "") -> list:
     """Phrase-table entries whose english side is the marker alone or the marker with
-    one punctuation token p before and/or q after it, from the table's index of english
-    sides by core. The marker alone comes first, then by sorted p: `followed` (p after
-    it), `preceded`, then `both` by sorted q. A side with punctuation at both edges
-    can match twice."""
-    if table.english_cores is None:
-        table.english_cores = _english_cores(table.by_english)
+    one punctuation token p before and/or q after it, from english_index. The marker
+    alone comes first, then by sorted p: `followed` (p after it), `preceded`, then
+    `both` by sorted q; entries of equal rank keep table order. A side with
+    punctuation at both edges can match twice."""
     marker = tuple(marker)
-    hits = sorted(table.english_cores.get(marker, ()))  # ranks are distinct
+    hits = sorted(index.get(marker, ()), key=lambda hit: hit[0])  # stable
     return [MarkerCandidate(marker, language, entry.foreign_phrase, entry, context)
-            for _, english, context in hits for entry in table.by_english[english]]
+            for _, entry, context in hits]
 
 
 def strip_punctuation_context(candidate: MarkerCandidate) -> MarkerCandidate:

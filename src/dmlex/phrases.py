@@ -14,18 +14,10 @@ PhraseTableEntry = namedtuple("PhraseTableEntry", "foreign_phrase english_phrase
 
 
 class PhraseTable:
-    def __init__(self, entries=(), corpus_size=0):
-        self.entries, self.by_english = {}, {}  # (foreign, english) -> entry; english -> [entry]
-        self.corpus_size = corpus_size
-        self.english_cores = None  # lexicon's index of the english sides, built on first use
-        for entry in entries:
-            self.add(entry)
+    """entries: a list of PhraseTableEntry in (foreign, english) order."""
 
-    def add(self, entry: PhraseTableEntry) -> None:
-        key = (entry.foreign_phrase, entry.english_phrase)
-        self.entries[key] = entry
-        self.by_english.setdefault(entry.english_phrase, []).append(entry)
-        self.english_cores = None
+    def __init__(self, entries=(), corpus_size=0):
+        self.entries, self.corpus_size = list(entries), corpus_size
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -209,8 +201,10 @@ def write_phrase_table(entries, corpus_size: int, path) -> None:
 
 
 def read_phrase_table(path) -> PhraseTable:
+    """The table as write_phrase_table wrote it; a pair that does not come after the
+    one before, as the writer requires, raises ValueError naming its line."""
     table = PhraseTable()
-    links = cache(parse_links)
+    entries, links = table.entries, cache(parse_links)
 
     def header(key, value):
         if key == "N":
@@ -218,12 +212,13 @@ def read_phrase_table(path) -> PhraseTable:
 
     def add(f_str, e_str, scores_str, links_str, count_str):
         f, e = unescape_phrase(f_str), unescape_phrase(e_str)
+        if entries and (f, e) <= entries[-1][:2]:
+            raise ValueError(f"phrase pair {(f, e)} does not come after {entries[-1][:2]}")
         scores = [float(x) for x in scores_str.split()]
         if len(scores) != 2 or not all(0 < x <= 1 for x in scores) or int(count_str) < 1:
             raise ValueError("expected 2 scores in (0, 1] and a joint count of at least 1")
         align = links_inside(links(links_str), links_str, len(f), len(e))
-        table.add(PhraseTableEntry(f, e, *scores, align, float(count_str)))
+        entries.append(PhraseTableEntry(f, e, *scores, align, float(count_str)))
 
     read_table(path, " ||| ", 5, header, add)
     return table
-

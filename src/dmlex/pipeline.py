@@ -412,7 +412,7 @@ class PipelineRunner:
             counts = significance.contingency_counts(pair_counts)
             kept, report = significance.prune(pair_counts, counts, self.cfg.prune_config)
             significance.write_prune_report(report, p["prune_report"])
-            phrases.write_phrase_table(phrases.score_counts(pair_counts, kept.entries),
+            phrases.write_phrase_table(phrases.score_counts(pair_counts, kept),
                                        pair_counts.corpus_size, p["pruned_table"])
             return {"instances": sum(pair_counts.foreign.instances),
                     "entries_in": len(pair_counts.entries), "entries_kept": report.kept_count,
@@ -430,11 +430,11 @@ class PipelineRunner:
         outputs = [p["candidates"]]
 
         def body():
-            table = phrases.read_phrase_table(p["pruned_table"])
+            index = lexmod.english_index(phrases.read_phrase_table(p["pruned_table"]))
             seeds = lexmod.load_seed_markers(self.cfg.markers_file)
             selected, rows = 0, []
             for marker in seeds:
-                raw = lexmod.select_candidates(table, marker, language=lang)
+                raw = lexmod.select_candidates(index, marker, language=lang)
                 selected += len(raw)
                 stripped = [lexmod.strip_punctuation_context(c) for c in raw]
                 rows.extend(lexmod.filter_candidates(stripped, self.cfg.filter_policy))

@@ -3,7 +3,6 @@
 import math
 from array import array
 from collections import Counter, namedtuple
-from collections.abc import Mapping, ValuesView
 from itertools import compress
 
 from .phrases import PhraseCounts
@@ -49,35 +48,23 @@ class PruneConfig(namedtuple("PruneConfig", "threshold_mode custom_neg_log_p")):
         return math.log(n) + EPSILON
 
 
-class _Tables(ValuesView):
-    def __iter__(self):
-        return map(self._mapping._tables.__getitem__, self._mapping._which)
+class ContingencyCounts:
+    """The distinct contingency tables, and each entry's index into them in entry
+    order, not a table per entry."""
+    __slots__ = ("tables", "which")
 
-
-class _ContingencyCounts(Mapping):
-    """Entry key -> ContingencyTable: the distinct tables and, in entry order, the
-    position of each entry's table, not a table per entry."""
-
-    def __init__(self, entries, tables, which):
-        self._entries, self._tables, self._which = entries, tables, which
-        self._at = None  # entry key -> its place in entry order, built on the first lookup
-
-    def __getitem__(self, key):
-        if self._at is None:
-            self._at = {k: i for i, k in enumerate(self._entries)}
-        return self._tables[self._which[self._at[key]]]
-
-    def __iter__(self):
-        return iter(self._entries)
+    def __init__(self, tables, which):
+        self.tables, self.which = tables, which
 
     def __len__(self):
-        return len(self._entries)
+        return len(self.which)
 
     def values(self):
-        return _Tables(self)
+        """Each entry's table, in entry order, as a new iterator on each call."""
+        return map(self.tables.__getitem__, self.which)
 
 
-def contingency_counts(table: PhraseCounts) -> Mapping:
+def contingency_counts(table: PhraseCounts) -> ContingencyCounts:
     """Each entry's contingency counts, from one walk over the entries. c_s and c_t
     are its phrases' sentence-pair counts. If either is 1, c_st is 1, since the entry
     was extracted from that pair; else c_st is the size of their postings' overlap."""
@@ -93,8 +80,7 @@ def contingency_counts(table: PhraseCounts) -> Mapping:
         else:
             cell = (len(s_ids), len(t_ids), len(set(s_ids).intersection(t_ids)))
         which.append(cells.setdefault(cell, len(cells)))
-    tables = [ContingencyTable(*cell, table.corpus_size) for cell in cells]
-    return _ContingencyCounts(table.entries, tables, which)
+    return ContingencyCounts([ContingencyTable(*cell, table.corpus_size) for cell in cells], which)
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -122,21 +108,19 @@ def fisher_neg_log_p(ct: ContingencyTable) -> float:
 PruneReport = namedtuple("PruneReport", "threshold scores entries kept_count pruned_count")
 
 
-def prune(table: PhraseCounts, counts: Mapping, config: PruneConfig) -> tuple:
-    """Keep entries whose -log p exceeds the configured threshold, and count
-    the entries of each contingency table on the way.
+def prune(table: PhraseCounts, counts: ContingencyCounts, config: PruneConfig) -> tuple:
+    """Keep entries whose -log p exceeds the configured threshold, deciding each
+    distinct contingency table once, and count the entries of each table on the way.
 
-    Returns (kept, report); kept is a PhraseCounts holding the surviving
-    entries unchanged.
+    Returns (kept, report); kept lists the surviving entry keys in entry order.
     """
     threshold = config.threshold(table.corpus_size)
-    entries = Counter(counts.values())
-    scores = {ct: fisher_neg_log_p(ct) for ct in entries}  # few distinct tables
-    fates = {ct: score > threshold for ct, score in scores.items()}
-    kept = {key: table.entries[key]
-            for key in compress(counts, map(fates.__getitem__, counts.values()))}
-    return table._replace(entries=kept), PruneReport(
-        threshold, scores, entries, len(kept), len(table.entries) - len(kept))
+    scores = {ct: fisher_neg_log_p(ct) for ct in counts.tables}  # few distinct tables
+    keep = [scores[ct] > threshold for ct in counts.tables]  # by table index
+    kept = list(compress(table.entries, map(keep.__getitem__, counts.which)))
+    tally = Counter(counts.which)
+    entries = {ct: tally[i] for i, ct in enumerate(counts.tables)}
+    return kept, PruneReport(threshold, scores, entries, len(kept), len(counts) - len(kept))
 
 
 def write_prune_report(report: PruneReport, path) -> None:

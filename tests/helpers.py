@@ -366,7 +366,8 @@ def reference_marker_match(english_side, marker, punct_tokens):
 def enumerate_marker_candidates(table, marker, language=""):
     """select_candidates by enumeration: probe the table for every english
     pattern, 1 + 17 * 2 + 17 ** 2 of them over the 17 punctuation tokens, in
-    pattern order, each pattern's entries in table order."""
+    pattern order, each pattern's entries in table order, found by a scan of the
+    table's entries."""
     marker = tuple(marker)
     patterns = [(marker, "none")]
     for p in sorted(PUNCTUATION):
@@ -375,7 +376,8 @@ def enumerate_marker_candidates(table, marker, language=""):
         for q in sorted(PUNCTUATION):
             patterns.append(((p,) + marker + (q,), "both"))
     return [MarkerCandidate(marker, language, entry.foreign_phrase, entry, context)
-            for english, context in patterns for entry in table.by_english.get(english, [])]
+            for english, context in patterns
+            for entry in table.entries if entry.english_phrase == english]
 
 
 # ---------------------------------------------------------------------------

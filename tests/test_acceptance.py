@@ -13,7 +13,7 @@ import time
 from contextlib import contextmanager
 
 from dmlex.galechurch import SHAPE_NAMES, align_paragraph, length_cost
-from dmlex.lexicon import select_candidates
+from dmlex.lexicon import english_index, select_candidates
 from dmlex.model1 import train_model1
 from dmlex.phrases import PhraseTable, PhraseTableEntry, count_phrase_pairs, extract_phrase_pairs
 from dmlex.pipeline import run_pipeline, validate_config
@@ -197,8 +197,9 @@ def test_c07_pruning_contract():
             table, pairs = _random_phrase_counts(rng, n_pairs=rng.randint(5, 40))
             counts = contingency_counts(table)
             kept, report = prune(table, counts, PruneConfig())
-            for key in kept.entries:
-                ct = counts[key]
+            by_key = dict(zip(table.entries, counts.values()))
+            for key in kept:
+                ct = by_key[key]
                 assert (ct.c_s, ct.c_t, ct.c_st) != (1, 1, 1), key
             assert report.kept_count + report.pruned_count == len(table.entries)
 
@@ -211,7 +212,7 @@ def test_c07_pruning_contract():
                     table,
                     counts,
                     PruneConfig(threshold_mode="custom", custom_neg_log_p=t),
-                )[0].entries
+                )[0]
             )
             for t in thresholds
         ]
@@ -225,10 +226,10 @@ def test_c08_selection_contract():
         sides = []
         for length in range(1, 5):
             sides.extend(itertools.product(vocab, repeat=length))
-        table = PhraseTable(corpus_size=100)
+        entries = []
         for side in sides:
             alignment = frozenset((0, j) for j in range(len(side)))
-            table.add(
+            entries.append(
                 PhraseTableEntry(
                     foreign_phrase=("ff",),
                     english_phrase=tuple(side),
@@ -238,10 +239,11 @@ def test_c08_selection_contract():
                     joint_count=3.0,
                 )
             )
+        index = english_index(PhraseTable(entries, corpus_size=100))
         for marker in [("aa",), ("bb",), ("aa", "bb"), ("bb", "aa", "bb")]:
             got = {
                 tuple(c.raw_entry.english_phrase): c.context
-                for c in select_candidates(table, marker)
+                for c in select_candidates(index, marker)
             }
             expected = {}
             for side in sides:

@@ -10,6 +10,7 @@ from dmlex.lexicon import (
     LexiconRecord,
     MarkerCandidate,
     build_lexicon,
+    english_index,
     export_lexicon,
     filter_candidates,
     load_seed_markers,
@@ -86,18 +87,18 @@ class TestLoadSeedMarkers:
 class TestSelectCandidates:
     def test_followed_by_punctuation(self):
         table = _table([_entry("sobretudo ,", "above all ,")])
-        cands = select_candidates(table, ("above", "all"), language="pt")
+        cands = select_candidates(english_index(table), ("above", "all"), language="pt")
         assert len(cands) == 1
         assert cands[0].context == "followed"
         assert cands[0].translation == ("sobretudo", ",")
 
     def test_trailing_word_does_not_match(self):
         table = _table([_entry("sobretudo nos", "above all we")])
-        assert select_candidates(table, ("above", "all")) == []
+        assert select_candidates(english_index(table), ("above", "all")) == []
 
     def test_exact_match_context_none(self):
         table = _table([_entry("pois", "since")])
-        cands = select_candidates(table, ("since",))
+        cands = select_candidates(english_index(table), ("since",))
         assert len(cands) == 1
         assert cands[0].context == "none"
 
@@ -105,7 +106,7 @@ class TestSelectCandidates:
         table = _table(
             [_entry(", pois", ", since"), _entry(", pois ,", ", since ,")]
         )
-        contexts = {c.context for c in select_candidates(table, ("since",))}
+        contexts = {c.context for c in select_candidates(english_index(table), ("since",))}
         assert contexts == {"preceded", "both"}
 
     def test_matches_reference_matcher_exhaustively(self):
@@ -119,7 +120,7 @@ class TestSelectCandidates:
         for marker in [("aa",), ("aa", "bb")]:
             got = {
                 tuple(c.raw_entry.english_phrase): c.context
-                for c in select_candidates(table, marker)
+                for c in select_candidates(english_index(table), marker)
             }
             expected = {}
             for side in sides:
@@ -140,7 +141,7 @@ class TestSelectCandidates:
         sides = data.draw(st.lists(st.lists(tokens, min_size=1, max_size=5), max_size=40))
         foreign = st.sampled_from(["ff", "gg", "hh"])
         table = _table([_entry(data.draw(foreign), " ".join(side)) for side in sides])
-        assert (select_candidates(table, marker, language="pt")
+        assert (select_candidates(english_index(table), marker, language="pt")
                 == enumerate_marker_candidates(table, marker, language="pt"))
 
 

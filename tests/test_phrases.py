@@ -129,10 +129,15 @@ def _one_link_pairs(words):
     return [([f], [e]) for f, e in words], [{(0, 0)}] * len(words)
 
 
+def _by_pair(table) -> dict:
+    """(foreign, english) -> its entry, of every entry of a PhraseTable."""
+    return {entry[:2]: entry for entry in table.entries}
+
+
 class TestScorePhraseTable:
     def test_single_observation(self):
         table = score_phrase_table(*_one_link_pairs([("f0", "e0")]))
-        entry = table.entries[(("f0",), ("e0",))]
+        entry = _by_pair(table)[(("f0",), ("e0",))]
         assert entry.inv_phrase_prob == pytest.approx(1.0)
         assert entry.dir_phrase_prob == pytest.approx(1.0)
         assert entry.joint_count == 1
@@ -140,7 +145,7 @@ class TestScorePhraseTable:
     def test_relative_frequency(self):
         table = score_phrase_table(*_one_link_pairs([("f0", "e0")] * 3 + [("f1", "e0")]))
         assert table.corpus_size == 4
-        entry = table.entries[(("f0",), ("e0",))]
+        entry = _by_pair(table)[(("f0",), ("e0",))]
         assert entry.inv_phrase_prob == pytest.approx(0.75)
 
     def test_matches_naive_recount(self):
@@ -163,8 +168,8 @@ class TestScorePhraseTable:
         joint = Counter(instances)
         marg_f = Counter(f for f, _ in instances)
         marg_e = Counter(e for _, e in instances)
-        assert set(table.entries) == set(joint)
-        for key, entry in table.entries.items():
+        assert set(_by_pair(table)) == set(joint)
+        for key, entry in _by_pair(table).items():
             f, e = key
             assert entry.joint_count == joint[key]
             assert entry.inv_phrase_prob == pytest.approx(joint[key] / marg_e[e])
@@ -180,7 +185,7 @@ class TestScorePhraseTable:
         table = score_phrase_table(pairs, [{(0, 0)}] * len(pairs))
         by_e = {}
         by_f = {}
-        for (f, e), entry in table.entries.items():
+        for (f, e), entry in _by_pair(table).items():
             by_e.setdefault(e, 0.0)
             by_e[e] += entry.inv_phrase_prob
             by_f.setdefault(f, 0.0)
@@ -193,7 +198,7 @@ class TestScorePhraseTable:
         a2 = {(0, 1), (1, 0)}
         pairs = [(["f0", "f1"], ["e0", "e1"])] * 2
         table = score_phrase_table(pairs, [a2, a1])
-        entry = table.entries[(("f0", "f1"), ("e0", "e1"))]
+        entry = _by_pair(table)[(("f0", "f1"), ("e0", "e1"))]
         assert entry.joint_count == 2
         assert entry.most_frequent_internal_alignment == frozenset(a1)
 
@@ -227,13 +232,13 @@ class TestScoreCounts:
         """Scoring some keys of the extracted counts yields, float for float and in
         (foreign, english) order, the entries that scoring every extracted pair gives."""
         pairs, alignments = drawn
-        full = score_phrase_table(pairs, alignments, 7)
-        assume(full.entries)
-        keys = data.draw(st.sets(st.sampled_from(sorted(full.entries))))
+        full = _by_pair(score_phrase_table(pairs, alignments, 7))
+        assume(full)
+        keys = data.draw(st.sets(st.sampled_from(sorted(full))))
         counts = count_phrase_pairs(pairs, alignments, 7)
         by_phrases = {phrases: key for key, phrases in phrase_keys(counts).items()}
         survivors = score_counts(counts, [by_phrases[key] for key in keys])
-        assert list(survivors) == [full.entries[key] for key in sorted(keys)]
+        assert list(survivors) == [full[key] for key in sorted(keys)]
 
     def test_counts_keep_joint_count_and_most_frequent_alignment(self):
         crossing, diagonal = {(0, 1), (1, 0)}, {(0, 0), (1, 1)}
@@ -278,8 +283,8 @@ class TestScoreCounts:
         across the entries of the scored table, though each instance's alignment
         is built on its own."""
         table = score_phrase_table(pairs, links)
-        keys = list(table.entries)
-        aligns = [entry.most_frequent_internal_alignment for entry in table.entries.values()]
+        keys = [entry[:2] for entry in table.entries]
+        aligns = [entry.most_frequent_internal_alignment for entry in table.entries]
         for a, b in shared(keys, aligns):
             assert a == b and a is b
 
@@ -295,16 +300,16 @@ class TestPhraseTableIO:
 
     def test_round_trip(self, tmp_path):
         table = self._toy_table()
-        table.add(PhraseTableEntry(("f3",), ("e3",), 0.5, 0.5, frozenset({(0, 0)}),
-                                   1234567891.0))  # every digit of a large count survives
+        table.entries.append(PhraseTableEntry(("f3",), ("e3",), 0.5, 0.5, frozenset({(0, 0)}),
+                                              1234567891.0))  # every digit of a large count
         path = tmp_path / "pt.txt"
-        write_phrase_table(table.entries.values(), table.corpus_size, path)
+        write_phrase_table(table.entries, table.corpus_size, path)
         back = read_phrase_table(path)
         assert back.corpus_size == table.corpus_size
-        assert ({key: entry.joint_count for key, entry in back.entries.items()}
-                == {key: entry.joint_count for key, entry in table.entries.items()})
+        assert ([(entry[:2], entry.joint_count) for entry in back.entries]
+                == [(entry[:2], entry.joint_count) for entry in table.entries])
         path2 = tmp_path / "pt2.txt"
-        write_phrase_table(back.entries.values(), back.corpus_size, path2)
+        write_phrase_table(back.entries, back.corpus_size, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_empty_table_round_trip(self, tmp_path):
@@ -319,7 +324,7 @@ class TestPhraseTableIO:
         table = PhraseTable((PhraseTableEntry(f, ("we",), 0.5, 0.5, frozenset({(0, 0)}), 1.0)
                              for f in (("#eu",), ("eu",), ("nos",))), corpus_size=3)
         path = tmp_path / "pt.txt"
-        write_phrase_table(table.entries.values(), table.corpus_size, path)
+        write_phrase_table(table.entries, table.corpus_size, path)
         back = read_phrase_table(path)
         assert set(back.entries) == set(table.entries)
         assert back.corpus_size == 3
@@ -332,7 +337,7 @@ class TestPhraseTableIO:
                                                  (("&#124;", "&amp;"), ("x|y", "&")),
                                                  (("#", "N=5"), ("#eu",))])), corpus_size=7)
         path = tmp_path / "pt.txt"
-        write_phrase_table(table.entries.values(), table.corpus_size, path)
+        write_phrase_table(table.entries, table.corpus_size, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "# N=7"
         assert lines[1].startswith("# N=5 ||| #eu ||| ")
@@ -360,19 +365,18 @@ class TestPhraseTableIO:
     @given(st.lists(st.tuples(tokenizer_phrases(), tokenizer_phrases()),
                     min_size=1, max_size=6), st.data())
     def test_tokenizer_output_round_trips(self, pairs, data):
-        table = PhraseTable(corpus_size=len(pairs))
+        entries = {}  # (foreign, english) -> its entry, the last drawn for a repeated pair
         for f, e in pairs:
             link = st.tuples(st.integers(0, len(f) - 1), st.integers(0, len(e) - 1))
             links = frozenset(data.draw(st.sets(link, max_size=3)))
-            table.add(PhraseTableEntry(f, e, 0.5, 0.25, links, 2.0))
+            entries[f, e] = PhraseTableEntry(f, e, 0.5, 0.25, links, 2.0)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "pt.txt")
-            write_phrase_table([table.entries[key] for key in sorted(table.entries)],
-                               table.corpus_size, path)
+            write_phrase_table([entries[key] for key in sorted(entries)], len(pairs), path)
             back = read_phrase_table(path)
-        assert back.corpus_size == table.corpus_size
-        assert ({k: e.most_frequent_internal_alignment for k, e in back.entries.items()}
-                == {k: e.most_frequent_internal_alignment for k, e in table.entries.items()})
+        assert back.corpus_size == len(pairs)
+        assert ({e[:2]: e.most_frequent_internal_alignment for e in back.entries}
+                == {k: e.most_frequent_internal_alignment for k, e in entries.items()})
 
     def test_score_formatting_eight_significant_digits(self):
         from dmlex.phrases import _fmt
@@ -403,11 +407,23 @@ class TestPhraseTableIO:
             read_phrase_table(path)
         assert str(exc.value).endswith(f" in {path}")
 
+    @pytest.mark.parametrize("pairs", [["b", "a", "a"], ["a", "a"]],
+                             ids=["out-of-order", "repeated-pair"])
+    def test_pair_not_after_the_one_before_reports_line_number(self, tmp_path, pairs):
+        """The reader applies the writer's rule: each pair comes strictly after the
+        one before."""
+        path = tmp_path / "pt.txt"
+        path.write_text("# N=3\n" + "".join(f"{f} ||| so ||| 0.5 0.5 ||| 0-0 ||| 2\n"
+                                            for f in pairs), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^line 3: phrase pair .* does not come after") as exc:
+            read_phrase_table(path)
+        assert str(exc.value).endswith(f" in {path}")
+
     def test_entries_sorted_lexicographically(self, tmp_path):
         """The writer keeps the order it is given and rejects an entry that does not
         come strictly after the one before, so a written table is sorted with no
         pair twice."""
-        entries = list(self._toy_table().entries.values())
+        entries = self._toy_table().entries
         path = tmp_path / "pt.txt"
         write_phrase_table(entries, 3, path)
         lines = [l for l in path.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]

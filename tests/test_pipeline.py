@@ -771,7 +771,7 @@ class TestRunPipeline:
         clean = str(tmp_path / "clean")
         assert run_pipeline(validate_config(_config_path(corpus_root), {"output": clean})).ok
         table = os.path.join("pairs", "xx", "phrase-table.pruned.txt")
-        kept = phrases.read_phrase_table(os.path.join(clean, table)).entries.values()
+        kept = phrases.read_phrase_table(os.path.join(clean, table)).entries
         halfway = sum(entry.joint_count for entry in kept) // 2  # an alignment per instance
         real, calls = phrases._internal_alignment, []
 
@@ -997,6 +997,26 @@ class TestRunPipeline:
         assert list(errors)[0] == stage  # after markers, lexicon has no pair left
         assert errors[stage].startswith(f"line {lineno}: ")
         assert errors[stage].endswith(f" in {path}")
+
+    def test_repeated_pruned_table_line_fails_markers(self, corpus_root, tmp_path):
+        """A hand-edited pruned table whose first pair is repeated fails markers, with
+        exit 1 and the repeated line named: the reader requires each pair to come
+        strictly after the one before, as the writer does."""
+        out = tmp_path / "out"
+        args = ["--config", _config_path(corpus_root), "--output", str(out)]
+        assert cli_main(args + ["pipeline"]) == 0
+        path = out / "pairs" / "xx" / "phrase-table.pruned.txt"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0].startswith("# N=") and len(lines) > 2
+        path.write_text("".join(lines[:2] + lines[1:]), encoding="utf-8")
+
+        assert cli_main(args + ["pipeline"]) == 1
+        with open(out / "report.json", encoding="utf-8") as fh:
+            errors = {s["stage"]: s["error"] for s in json.load(fh)["stages"] if s["error"]}
+        assert list(errors)[0] == "markers"
+        assert errors["markers"].startswith("line 3: phrase pair ")
+        assert "does not come after" in errors["markers"]
+        assert errors["markers"].endswith(f" in {path}")
 
 
 class TestGarbageCollectorPause:
@@ -1291,5 +1311,5 @@ def test_default_containers_are_fresh_per_instance():
     assert a.log_likelihoods is not b.log_likelihoods
     assert StageResult("xx", "align").stats is not StageResult("xx", "align").stats
     a, b = PhraseTable(), PhraseTable()
-    assert (a.entries is not b.entries) and (a.by_english is not b.by_english)
+    assert a.entries is not b.entries
     assert RunReport().results is not RunReport().results

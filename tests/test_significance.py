@@ -3,7 +3,6 @@ import pathlib
 import tempfile
 import tracemalloc
 from collections import Counter
-from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +21,7 @@ from dmlex.phrases import (
 )
 from dmlex.pipeline import STAGES, run_pipeline, validate_config
 from dmlex.significance import (
+    ContingencyCounts,
     ContingencyTable,
     PruneConfig,
     PruneReport,
@@ -46,9 +46,28 @@ def _build_table(corpus_pairs, alignments):
     return count_phrase_pairs(corpus_pairs, alignments, 7)
 
 
+def _by_key(counts, contingency) -> dict:
+    """entry key -> ContingencyTable of each entry."""
+    return dict(zip(counts.entries, contingency.values()))
+
+
 def _by_phrases(counts, contingency) -> dict:
     """(foreign, english) -> ContingencyTable of each entry."""
-    return {phrases: contingency[key] for key, phrases in phrase_keys(counts).items()}
+    return dict(zip(phrase_keys(counts).values(), contingency.values()))
+
+
+def _grid_counts():
+    """3,600 entries over 120 phrases: each of 60 foreign and 60 english words
+    occurs in 60 one-word pairs, and each pair of them in one."""
+    words = [(f"f{a}", f"e{b}") for a in range(60) for b in range(60)]
+    return _build_table([([f], [e]) for f, e in words], [{(0, 0)}] * len(words))
+
+
+def _as_counts(tables) -> ContingencyCounts:
+    """The ContingencyCounts of a table per entry, given in entry order."""
+    distinct = {}
+    which = [distinct.setdefault(ct, len(distinct)) for ct in tables]
+    return ContingencyCounts(list(distinct), which)
 
 
 def _key(counts, foreign, english):
@@ -84,28 +103,25 @@ class TestContingencyCounts:
         counts = contingency_counts(table)
         keys = phrase_keys(table)
         oracle = brute_force_contingency_counts(keys.values(), pairs)
-        assert {keys[key]: (ct.c_s, ct.c_t, ct.c_st, ct.n) for key, ct in counts.items()} == oracle
-        assert counts == {key: ContingencyTable(*oracle[keys[key]]) for key in table.entries}
+        by_key = _by_key(table, counts)
+        assert {keys[key]: (ct.c_s, ct.c_t, ct.c_st, ct.n) for key, ct in by_key.items()} == oracle
+        assert by_key == {key: ContingencyTable(*oracle[keys[key]]) for key in table.entries}
 
-    def test_view_is_a_read_only_mapping_of_the_entries(self):
+    def test_view_gives_each_entry_its_table_in_entry_order(self):
         pairs = [(["f0", "f1"], ["e0", "e1"]), (["f1"], ["e1"])]
         table = _build_table(pairs, [{(0, 0), (1, 1)}, {(0, 0)}])
         counts = contingency_counts(table)
-        assert isinstance(counts, Mapping) and not hasattr(counts, "__setitem__")
-        assert list(counts) == list(table.entries) and len(counts) == 3
-        assert list(counts.values()) == [counts[key] for key in counts]
-        assert counts[_key(table, ("f1",), ("e1",))] == ContingencyTable(2, 2, 2, 2)
-        key = _key(table, ("f0",), ("e1",))
-        assert key not in counts  # co-occurs, but is no entry
-        with pytest.raises(KeyError):
-            counts[key]
+        assert len(counts) == len(table.entries) == 3
+        oracle = brute_force_contingency_counts(phrase_keys(table).values(), pairs)
+        assert list(counts.values()) == [ContingencyTable(*cell) for cell in oracle.values()]
+        assert len(set(counts.tables)) == len(counts.tables) == 2
+        assert list(counts.which) == [0, 0, 1]  # (f1, e1) alone is (2, 2, 2)
 
     def test_view_holds_no_per_entry_map(self):
         """3,600 entries over 120 phrases: the view keeps each entry's place among
         the distinct tables, less than a pointer per entry, where a dict of the
         entries would hold several."""
-        words = [(f"f{a}", f"e{b}") for a in range(60) for b in range(60)]
-        table = _build_table([([f], [e]) for f, e in words], [{(0, 0)}] * len(words))
+        table = _grid_counts()
         assert len(table.entries) == 3600
         tracemalloc.start()
         try:
@@ -138,14 +154,14 @@ class TestContingencyCounts:
         pairs = [(["f0"], ["e0"])]
         table = _build_table(pairs, [{(0, 0)}])
         counts = contingency_counts(table)
-        ct = counts[_key(table, ("f0",), ("e0",))]
+        ct = _by_key(table, counts)[_key(table, ("f0",), ("e0",))]
         assert (ct.c_s, ct.c_t, ct.c_st, ct.n) == (1, 1, 1, 1)
 
     def test_multiplicity_counts_once_per_pair(self):
         pairs = [(["f0", "f0"], ["e0"]), (["f1"], ["e1"])]
         table = _build_table(pairs, [{(0, 0)}, {(0, 0)}])
         counts = contingency_counts(table)
-        assert counts[_key(table, ("f0",), ("e0",))].c_s == 1
+        assert _by_key(table, counts)[_key(table, ("f0",), ("e0",))].c_s == 1
 
     def test_matches_naive_quadratic_scan(self):
         pairs = [
@@ -251,8 +267,9 @@ class TestThresholdFor:
         key = 0
         for n in range(1, 3001):
             table = PhraseCounts({key: 0}, n, None, None, [], 1, 1)
-            kept, report = prune(table, {key: ContingencyTable(1, 1, 1, n)}, PruneConfig("alpha"))
-            assert (kept.entries, report.pruned_count) == ({}, 1), n
+            counts = ContingencyCounts([ContingencyTable(1, 1, 1, n)], [0])
+            kept, report = prune(table, counts, PruneConfig("alpha"))
+            assert (kept, report.pruned_count) == ([], 1), n
 
     def test_alpha_of_one(self):
         assert PruneConfig("alpha").threshold(1) == 0.0
@@ -286,11 +303,12 @@ class TestPrune:
         table, pairs = self._table_and_pairs()
         counts = contingency_counts(table)
         kept, report = prune(table, counts, PruneConfig())
-        for key, entry in kept.entries.items():
-            ct = counts[key]
+        by_key = _by_key(table, counts)
+        for key in kept:
+            ct = by_key[key]
             assert (ct.c_s, ct.c_t, ct.c_st) != (1, 1, 1)
         assert report.pruned_count >= 1
-        assert report.kept_count == len(kept.entries)
+        assert report.kept_count == len(kept)
 
     def test_zero_threshold_keeps_everything_significant(self):
         table, pairs = self._table_and_pairs()
@@ -299,7 +317,7 @@ class TestPrune:
             table, counts, PruneConfig(threshold_mode="custom", custom_neg_log_p=0.0)
         )
         # every entry here has p < 1, hence -log p > 0
-        assert set(kept.entries) == set(table.entries)
+        assert set(kept) == set(table.entries)
 
     def test_threshold_monotonicity(self):
         table, pairs = self._table_and_pairs()
@@ -310,15 +328,16 @@ class TestPrune:
                 table, counts,
                 PruneConfig(threshold_mode="custom", custom_neg_log_p=threshold),
             )
-            sizes.append(len(kept.entries))
+            sizes.append(len(kept))
         assert sizes == sorted(sizes, reverse=True)
 
     def test_survivors_unchanged(self):
+        """The survivors are the table's own entry keys, in entry order."""
         table, pairs = self._table_and_pairs()
         counts = contingency_counts(table)
         kept, _ = prune(table, counts, PruneConfig())
-        for key, entry in kept.entries.items():
-            assert entry is table.entries[key]
+        survivors = set(kept)
+        assert kept == [key for key in table.entries if key in survivors] and survivors
 
     def test_report_file(self, tmp_path):
         table, pairs = self._table_and_pairs()
@@ -349,14 +368,15 @@ class TestPrune:
         table = _build_table(pairs, [{(0, 0)}] * len(pairs))
         shared = contingency_counts(table)
         assert len({id(ct) for ct in shared.values()}) == 3 < len(shared)
-        distinct = {key: ContingencyTable(ct.c_s, ct.c_t, ct.c_st, ct.n)
-                    for key, ct in shared.items()}
+        distinct = ContingencyCounts([ContingencyTable(*ct) for ct in shared.tables],
+                                     shared.which)
+        assert not set(map(id, distinct.tables)) & set(map(id, shared.tables))
         outputs = []
         for counts in (shared, distinct):
             kept, report = prune(table, counts, PruneConfig())
             path = tmp_path / f"report-{len(outputs)}.tsv"
             write_prune_report(report, path)
-            outputs.append((set(kept.entries), report.scores, report.entries,
+            outputs.append((kept, report.scores, report.entries,
                             path.read_bytes()))
         assert outputs[0] == outputs[1]
         assert 0 < len(outputs[0][0]) < len(shared)
@@ -377,11 +397,9 @@ def _oracle_prune(pairs, alignments, max_len, config):
     for (f, e), (joint, _) in naive.items():
         marg_f[f] += joint
         marg_e[e] += joint
-    table = PhraseTable(corpus_size=len(pairs))
-    for f, e in sorted(kept):
-        joint, align = kept[f, e]
-        table.add(PhraseTableEntry(f, e, joint / marg_e[e], joint / marg_f[f], align,
-                                   float(joint)))
+    table = PhraseTable((PhraseTableEntry(f, e, joint / marg_e[e], joint / marg_f[f], align,
+                                          float(joint))
+                         for (f, e), (joint, align) in sorted(kept.items())), len(pairs))
     report = PruneReport(threshold, scores, Counter(tables.values()), len(kept),
                          len(naive) - len(kept))
     return kept, report, table
@@ -389,7 +407,7 @@ def _oracle_prune(pairs, alignments, max_len, config):
 
 def _written(report, table, directory) -> tuple:
     write_prune_report(report, directory / "prune-report.tsv")
-    write_phrase_table(table.entries.values(), table.corpus_size,
+    write_phrase_table(table.entries, table.corpus_size,
                        directory / "phrase-table.pruned.txt")
     return ((directory / "prune-report.tsv").read_bytes(),
             (directory / "phrase-table.pruned.txt").read_bytes())
@@ -411,10 +429,10 @@ class TestPrunePathMatchesOracle:
         pairs, alignments = drawn
         counts = count_phrase_pairs(pairs, alignments, max_len)
         kept, report = prune(counts, contingency_counts(counts), config)
-        table = PhraseTable(score_counts(counts, kept.entries), counts.corpus_size)
+        table = PhraseTable(score_counts(counts, kept), counts.corpus_size)
         want_kept, want_report, want_table = _oracle_prune(pairs, alignments, max_len, config)
-        assert {key: (entry.joint_count, entry.most_frequent_internal_alignment)
-                for key, entry in table.entries.items()} == want_kept
+        assert {entry[:2]: (entry.joint_count, entry.most_frequent_internal_alignment)
+                for entry in table.entries} == want_kept
         assert report == want_report
         with tempfile.TemporaryDirectory() as tmp:
             directory = pathlib.Path(tmp)
@@ -436,13 +454,13 @@ class TestPruneOutputsMatchOracle:
         pair_counts = count_phrase_pairs(pairs, alignments, cfg.max_phrase_len)
         keys = phrase_keys(pair_counts)
         oracle = brute_force_contingency_counts(keys.values(), pairs)
-        counts = {key: ContingencyTable(*oracle[phrases]) for key, phrases in keys.items()}
+        counts = _as_counts(ContingencyTable(*oracle[phrases]) for phrases in keys.values())
 
         kept, report = prune(pair_counts, counts, cfg.prune_config)
         assert all(report.scores[ct] == fisher_neg_log_p(ct) for ct in counts.values())
         assert 0 < report.kept_count < len(pair_counts.entries)
         write_prune_report(report, tmp_path / "prune-report.tsv")
-        write_phrase_table(score_counts(pair_counts, kept.entries), pair_counts.corpus_size,
+        write_phrase_table(score_counts(pair_counts, kept), pair_counts.corpus_size,
                            tmp_path / "phrase-table.pruned.txt")
         for name in ("prune-report.tsv", "phrase-table.pruned.txt"):
             assert (pair_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
@@ -453,20 +471,37 @@ class TestSurvivorsAreStreamed:
         """Writing the scored survivors holds their sort keys and one entry at a
         time: under 160 bytes per entry where all 3,600 survive. A PhraseTable of
         them, with its dicts, lists and entry records, held about 350."""
-        words = [(f"f{a}", f"e{b}") for a in range(60) for b in range(60)]
-        counts = count_phrase_pairs([([f], [e]) for f, e in words], [{(0, 0)}] * len(words))
+        counts = _grid_counts()
         kept, report = prune(counts, contingency_counts(counts), PruneConfig("custom", 0.0))
-        assert report.kept_count == len(counts.entries) == 3600
+        assert report.kept_count == len(kept) == len(counts.entries) == 3600
         path = tmp_path / "phrase-table.pruned.txt"
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            write_phrase_table(score_counts(kept, kept.entries), kept.corpus_size, path)
+            write_phrase_table(score_counts(counts, kept), counts.corpus_size, path)
             held = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert len(path.read_text(encoding="utf-8").splitlines()) == 3601
-        assert held < 160 * len(kept.entries)
+        assert held < 160 * len(kept)
+
+
+class TestPruneHoldsKeysOnly:
+    def test_keeping_every_entry_holds_a_key_list(self):
+        """Under custom 0 all 3,600 entries survive, and prune holds their keys in
+        one list: under 16 bytes per entry at its peak. A dict of the survivors'
+        refs held more."""
+        counts = _grid_counts()
+        contingency = contingency_counts(counts)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept, report = prune(counts, contingency, PruneConfig("custom", 0.0))
+            held = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert report.kept_count == len(kept) == 3600
+        assert held < 16 * len(kept)
 
 
 class TestPruneStageShape:
@@ -490,7 +525,7 @@ class TestPruneStageShape:
                             lambda *args: calls.append(args) or real(*args))
         stats, pair_dir = self._run(tmp_path)
         table = phrases.read_phrase_table(pair_dir / "phrase-table.pruned.txt")
-        assert len(calls) == sum(entry.joint_count for entry in table.entries.values())
+        assert len(calls) == sum(entry.joint_count for entry in table.entries)
         assert 0 < len(calls) < stats["prune"]["instances"]
 
     def test_traced_functions_stay_on_the_path(self, tmp_path, monkeypatch):
